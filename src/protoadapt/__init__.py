@@ -17,7 +17,7 @@ from .harness import (ExperimentConfig, ModelConfig, apply_ablation, evaluate,
 from .model import (Encoder, PrototypeMatrix, apply_sgd_momentum, classify,
                     load_checkpoint, lr_schedule, save_checkpoint)
 from .numerics import (cosine_distance, entropy, finite_diff_grad,
-                       l2_normalize, one_hot, softmax)
+                       one_hot, softmax)
 from .source_trainer import SourcePhaseConfig, loss_ce, loss_comp, train_source
 
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ reach the encoder (and, where stated, the ensemble weights) only.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -81,7 +80,6 @@ class EnsembleState:
         self.weights = [prototypes.weights.copy() for _ in range(n_e)]
         self.n_a = n_a
         self.history: deque[np.ndarray] = deque(maxlen=n_a)
-        self.epoch_counter = 0
 
     @property
     def n_e(self) -> int:
@@ -99,7 +97,6 @@ class EnsembleState:
 
     def push_epoch_logits(self, z_l2: np.ndarray) -> None:
         self.history.append(self.mean_logits(z_l2))
-        self.epoch_counter += 1
 
     def history_mean(self) -> np.ndarray:
         if not self.history:
@@ -478,10 +475,3 @@ def _log_row(row: AdaptEpochMetrics) -> list:
             repr(row.loss_intra), repr(row.loss_align), repr(row.tau),
             row.d_tau_size, acc]
 
-
-def write_adapt_log(path, history: list[AdaptEpochMetrics]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ADAPT_LOG_HEADER)
-        for row in history:
-            writer.writerow(_log_row(row))

@@ -7,64 +7,30 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .adaptation import adapt
-from .datasets import SyntheticSpec, generate_synthetic, read_feature_file, write_feature_file
-from .errors import ConfigError, DataFormatError, NumericError
+from .datasets import read_feature_file
+from .errors import (ConfigError, DataFormatError, EvaluationUnavailableError,
+                     NumericError)
 from .gradcheck import TOLERANCE, run_suite
-from .harness import (ABLATION_MODES, apply_ablation, evaluate, load_config,
-                      run_experiment)
-from .model import Encoder, PrototypeMatrix, load_checkpoint, save_checkpoint
-from .source_trainer import train_source
-
-
-def _load_synthetic_spec(path) -> SyntheticSpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    allowed = {"k_s", "k_t", "d_x", "source_per_class", "target_per_class",
-               "cluster_std", "rotation_angle", "translation", "seed"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in synthetic spec: {sorted(unknown)}")
-    if "translation" in raw:
-        raw["translation"] = tuple(raw["translation"])
-    return SyntheticSpec(**raw)
+from .harness import (ABLATION_MODES, apply_ablation, check_fits, evaluate,
+                      load_config, parse_synthetic_spec, run_adapt_phase,
+                      run_experiment, run_source_phase, write_synthetic)
+from .model import load_checkpoint
 
 
 def _cmd_gen(args) -> int:
-    spec = _load_synthetic_spec(args.spec)
-    source, target = generate_synthetic(spec)
-    write_feature_file(source, args.out_source)
-    write_feature_file(target, args.out_target)
-    print(f"wrote {source.n} source samples to {args.out_source}")
-    print(f"wrote {target.n} target samples to {args.out_target}")
+    data = write_synthetic(parse_synthetic_spec(args.spec),
+                           source=args.out_source, target=args.out_target)
+    print(f"wrote {data['source'].n} source samples to {args.out_source}")
+    print(f"wrote {data['target'].n} target samples to {args.out_target}")
     return 0
 
 
 def _cmd_train_source(args) -> int:
-    cfg = load_config(args.config)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if cfg.synthetic is not None:
-        source, _ = generate_synthetic(cfg.synthetic)
-    else:
-        source = read_feature_file(cfg.source_file)
-    model_seed = int(np.random.SeedSequence(cfg.seed).generate_state(4)[1])
-    encoder = Encoder(source.d_x, list(cfg.model.hidden), cfg.model.d_z,
-                      cfg.model.activation, seed=model_seed)
-    prototypes = PrototypeMatrix.random(cfg.model.d_z, source.k_s, seed=model_seed + 1)
-    history = train_source(encoder, prototypes, source, cfg.source,
-                           log_path=out / "source_metrics.csv")
-    save_checkpoint(args.out, encoder, prototypes)
+    _, _, history = run_source_phase(load_config(args.config), args.out)
     final = history[-1].source_acc if history else float("nan")
     print(f"source training done: {len(history)} epochs, accuracy {final:.4f}")
     print(f"checkpoint: {args.out}")
@@ -73,20 +39,8 @@ def _cmd_train_source(args) -> int:
 
 def _cmd_adapt(args) -> int:
     cfg = load_config(args.config)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if cfg.synthetic is not None:
-        _, target = generate_synthetic(cfg.synthetic)
-    else:
-        target = read_feature_file(cfg.target_file)
     encoder, prototypes, _ = load_checkpoint(args.source_ckpt)
-    hook = None
-    if target.hidden_labels is not None:
-        def hook(epoch, enc, ensemble):
-            return evaluate(enc, ensemble.weights[0], target).accuracy
-    result = adapt(encoder, prototypes, target, cfg.adapt,
-                   epoch_hook=hook, log_path=out / "adapt_metrics.csv")
-    save_checkpoint(args.out, encoder, prototypes, result.ensemble.weights)
+    _, result = run_adapt_phase(cfg, encoder, prototypes, args.out)
     print(f"adaptation done: {len(result.history)} epochs")
     if result.history and result.history[-1].target_acc is not None:
         print(f"final target accuracy {result.history[-1].target_acc:.4f}")
@@ -98,6 +52,7 @@ def _cmd_eval(args) -> int:
     encoder, prototypes, ensemble = load_checkpoint(args.ckpt)
     weights = ensemble[0] if ensemble else prototypes.weights
     dataset = read_feature_file(args.data)
+    check_fits(encoder, prototypes, dataset)
     result = evaluate(encoder, weights, dataset)
     print(f"accuracy {result.accuracy:.6f}")
     if result.negative_transfer is not None:
@@ -175,7 +130,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (DataFormatError, OSError) as exc:
+    except (DataFormatError, EvaluationUnavailableError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
 

@@ -193,21 +193,25 @@ def read_feature_file(path) -> Dataset:
         feats.append(row)
         labels.append(label)
 
-    features = np.asarray(feats, dtype=float).reshape(len(feats), d_x)
     if role == "source":
         if any(lb is None for lb in labels):
             bad = labels.index(None) + 2
             raise DataFormatError(f"{path}: line {bad}: source sample without label")
         if hidden:
             raise DataFormatError(f"{path}: hidden-label comments on source rows")
-        return Dataset(features, np.asarray(labels, dtype=int), d_x, k_s, "source")
-    if any(lb is not None for lb in labels):
-        bad = next(i for i, lb in enumerate(labels) if lb is not None) + 2
-        raise DataFormatError(f"{path}: line {bad}: target sample with visible label")
-    if hidden and len(hidden) != len(feats):
-        raise DataFormatError(f"{path}: hidden labels on some but not all lines")
-    hidden_arr = np.asarray(hidden, dtype=int) if hidden else None
-    return Dataset(features, None, d_x, k_s, "target", hidden_labels=hidden_arr)
+        labels_arr, hidden_arr = np.asarray(labels, dtype=int), None
+    else:
+        if any(lb is not None for lb in labels):
+            bad = next(i for i, lb in enumerate(labels) if lb is not None) + 2
+            raise DataFormatError(f"{path}: line {bad}: target sample with visible label")
+        if hidden and len(hidden) != len(feats):
+            raise DataFormatError(f"{path}: hidden labels on some but not all lines")
+        labels_arr, hidden_arr = None, np.asarray(hidden, dtype=int) if hidden else None
+    try:
+        features = np.asarray(feats, dtype=float).reshape(len(feats), d_x)
+        return Dataset(features, labels_arr, d_x, k_s, role, hidden_labels=hidden_arr)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def epoch_batches(dataset: Dataset, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:

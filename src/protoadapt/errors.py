@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
-NumericError -> 3, DataFormatError and OSError -> 4.
+NumericError -> 3, DataFormatError, EvaluationUnavailableError and
+OSError -> 4.
 """
 
 

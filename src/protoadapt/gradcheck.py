@@ -11,6 +11,8 @@ gradient the optimizer applies.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .adaptation import (gen_complement_sets, loss_align, loss_inter,
@@ -66,14 +68,6 @@ def _check_classifier_loss(seed: int, loss_fn) -> float:
                                d_w.ravel()])
     theta0 = np.concatenate([encoder.get_flat(), protos.weights.ravel()])
     return max_rel_err(analytic, finite_diff_grad(value, theta0))
-
-
-def check_loss_ce(seed: int) -> float:
-    return _check_classifier_loss(seed, loss_ce)
-
-
-def check_loss_comp(seed: int) -> float:
-    return _check_classifier_loss(seed, loss_comp)
 
 
 def check_loss_align(seed: int) -> float:
@@ -138,21 +132,13 @@ def _check_geometry_loss(seed: int, loss_fn) -> float:
     return max_rel_err(analytic, finite_diff_grad(value, encoder.get_flat()))
 
 
-def check_loss_inter(seed: int) -> float:
-    return _check_geometry_loss(seed, loss_inter)
-
-
-def check_loss_intra(seed: int) -> float:
-    return _check_geometry_loss(seed, loss_intra)
-
-
 CHECKS = {
-    "loss_ce": check_loss_ce,
-    "loss_comp": check_loss_comp,
+    "loss_ce": partial(_check_classifier_loss, loss_fn=loss_ce),
+    "loss_comp": partial(_check_classifier_loss, loss_fn=loss_comp),
     "loss_align": check_loss_align,
     "loss_nl": check_loss_nl,
-    "loss_inter": check_loss_inter,
-    "loss_intra": check_loss_intra,
+    "loss_inter": partial(_check_geometry_loss, loss_fn=loss_inter),
+    "loss_intra": partial(_check_geometry_loss, loss_fn=loss_intra),
 }
 
 

@@ -1,5 +1,6 @@
 """Experiment orchestration: strict config parsing, the evaluator, the
-ablation modes, and the end-to-end runner.
+ablation modes, the source and adaptation phases that both the CLI and
+the end-to-end runner run, and the runner itself.
 
 The evaluator is the only code in the package that reads a target
 dataset's hidden labels.
@@ -7,20 +8,22 @@ dataset's hidden labels.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .adaptation import AdaptConfig, adapt
+from .adaptation import AdaptConfig, AdaptResult, adapt
 from .datasets import (Dataset, SyntheticSpec, generate_synthetic,
                        read_feature_file, write_feature_file)
-from .errors import ConfigError, EvaluationUnavailableError
+from .errors import ConfigError, DataFormatError, EvaluationUnavailableError
 from .model import Encoder, PrototypeMatrix, classify, save_checkpoint
-from .source_trainer import SourcePhaseConfig, train_source
+from .source_trainer import SourceEpochMetrics, SourcePhaseConfig, train_source
 
 ABLATION_MODES = ("full", "no_EL", "no_TSCS", "no_CLS", "no_DO")
 SEED_ENV_VAR = "PDA_SEED"
@@ -51,28 +54,81 @@ class ExperimentConfig:
                               "source and target file paths")
 
 
-def _strict_kwargs(section: str, raw: dict, allowed: set[str]) -> dict:
-    unknown = set(raw) - allowed
+ROLES = ("source", "target")
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+               "dict": dict}
+
+
+def _is(kind: str, value) -> bool:
+    """Whether a parsed JSON value has the type a config field names."""
+    if isinstance(value, bool) and kind != "bool":
+        return False
+    if kind.startswith("tuple["):
+        item = kind[len("tuple["):].split(",")[0]
+        return isinstance(value, (list, tuple)) and all(_is(item, v) for v in value)
+    return (isinstance(value, _JSON_TYPES[kind])
+            and (kind != "float" or math.isfinite(value)))
+
+
+def _fields(section: str, raw, kinds: dict[str, str] | type, required=()) -> dict:
+    """Check a JSON object against ``kinds`` (key -> type name): unknown
+    keys, missing required keys and values of the wrong type are
+    ConfigErrors. A dataclass stands for its fields; lists become tuples."""
+    if dataclasses.is_dataclass(kinds):
+        fields = dataclasses.fields(kinds)
+        required = [f.name for f in fields
+                    if f.default is MISSING and f.default_factory is MISSING]
+        kinds = {f.name: str(f.type) for f in fields}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section} must be a JSON object")
+    unknown = set(raw) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}")
-    return raw
+    missing = [k for k in required if k not in raw]
+    if missing:
+        raise ConfigError(f"missing key(s) in {section}: {missing}")
+    for key, value in raw.items():
+        if not _is(kinds[key], value):
+            raise ConfigError(f"{section}.{key} must be {kinds[key]}, got {value!r}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
+
+
+def derive_seeds(seed: int) -> tuple[int, int, int, int]:
+    """The data, model, source-phase and adapt-phase seeds of a master seed."""
+    return tuple(int(s) for s in np.random.SeedSequence(seed).generate_state(4))
+
+
+def _read_json(path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def parse_synthetic_spec(raw, default_seed: int = 0) -> SyntheticSpec:
+    """The strict synthetic-spec parser of configs and ``protoadapt gen``.
+
+    ``raw`` is the spec's JSON object, or the path of a JSON file holding
+    it. A spec without a seed gets ``default_seed``.
+    """
+    section = "data.synthetic"
+    if not isinstance(raw, dict):
+        section, raw = str(raw), _read_json(raw)
+    return SyntheticSpec(**{"seed": default_seed,
+                            **_fields(section, raw, SyntheticSpec)})
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a JSON experiment config, rejecting unknown keys.
+    """Parse a JSON experiment config, rejecting unknown keys and values
+    of the wrong type.
 
     The PDA_SEED environment variable, when set, overrides the seed.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    _strict_kwargs("config", raw, {"seed", "out_dir", "data", "model", "source", "adapt"})
-    if "seed" not in raw or "out_dir" not in raw or "data" not in raw:
-        raise ConfigError("config requires 'seed', 'out_dir', and 'data'")
-
-    seed = int(raw["seed"])
+    raw = _fields(str(path), _read_json(path),
+                  {"seed": "int", "out_dir": "str", "data": "dict", "model": "dict",
+                   "source": "dict", "adapt": "dict"}, ("seed", "out_dir", "data"))
+    seed = raw["seed"]
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
@@ -81,46 +137,19 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
 
     # Phase seeds not given explicitly derive from the master seed.
-    derived = [int(s) for s in np.random.SeedSequence(seed).generate_state(4)]
-    data_seed, _, source_seed, adapt_seed = derived
-
-    data = _strict_kwargs("data", dict(raw["data"]),
-                          {"synthetic", "source_file", "target_file"})
+    data_seed, _, source_seed, adapt_seed = derive_seeds(seed)
+    data = _fields("data", raw["data"], {"synthetic": "dict", "source_file": "str",
+                                         "target_file": "str"})
     synthetic = None
     if "synthetic" in data:
-        syn = _strict_kwargs("data.synthetic", dict(data["synthetic"]),
-                             {"k_s", "k_t", "d_x", "source_per_class",
-                              "target_per_class", "cluster_std",
-                              "rotation_angle", "translation", "seed"})
-        syn.setdefault("seed", data_seed)
-        if "translation" in syn:
-            syn["translation"] = tuple(syn["translation"])
-        synthetic = SyntheticSpec(**syn)
-
-    model_raw = _strict_kwargs("model", dict(raw.get("model", {})),
-                               {"hidden", "d_z", "activation"})
-    if "hidden" in model_raw:
-        model_raw["hidden"] = tuple(model_raw["hidden"])
-    model = ModelConfig(**model_raw)
-
-    source_raw = _strict_kwargs("source", dict(raw.get("source", {})),
-                                {"eta", "epochs", "lr0", "batch_size", "seed"})
-    source_raw.setdefault("seed", source_seed)
-    source = SourcePhaseConfig(**source_raw)
-
-    adapt_raw = _strict_kwargs("adapt", dict(raw.get("adapt", {})),
-                               {"n_a", "n_e", "n_cl", "alpha", "beta", "epochs",
-                                "warmup_epochs", "switch_epoch", "lr0",
-                                "batch_size", "seed", "use_confident_subset",
-                                "share_complement_set"})
-    adapt_raw.setdefault("seed", adapt_seed)
-    adapt_cfg = AdaptConfig(**adapt_raw)
-
-    return ExperimentConfig(seed=seed, out_dir=str(raw["out_dir"]),
-                            synthetic=synthetic,
-                            source_file=data.get("source_file"),
-                            target_file=data.get("target_file"),
-                            model=model, source=source, adapt=adapt_cfg)
+        synthetic = parse_synthetic_spec(data.pop("synthetic"), data_seed)
+    source = _fields("source", raw.get("source", {}), SourcePhaseConfig)
+    adapt_cfg = _fields("adapt", raw.get("adapt", {}), AdaptConfig)
+    return ExperimentConfig(
+        seed=seed, out_dir=raw["out_dir"], synthetic=synthetic, **data,
+        model=ModelConfig(**_fields("model", raw.get("model", {}), ModelConfig)),
+        source=SourcePhaseConfig(**{"seed": source_seed, **source}),
+        adapt=AdaptConfig(**{"seed": adapt_seed, **adapt_cfg}))
 
 
 @dataclass
@@ -193,47 +222,79 @@ def _eval_summary(result: EvalResult) -> dict:
             "per_class": {str(k): v for k, v in sorted(result.per_class.items())}}
 
 
-def load_experiment_data(cfg: ExperimentConfig, out: Path | None = None
-                         ) -> tuple[Dataset, Dataset]:
-    """Materialize the source/target pair. Synthetic data is written to
-    disk and read back so every run trains on exactly what the files hold."""
-    if cfg.synthetic is not None:
-        source, target = generate_synthetic(cfg.synthetic)
-        if out is not None:
-            write_feature_file(source, out / "source.features")
-            write_feature_file(target, out / "target.features")
-            source = read_feature_file(out / "source.features")
-            target = read_feature_file(out / "target.features")
-        return source, target
-    return read_feature_file(cfg.source_file), read_feature_file(cfg.target_file)
+def write_synthetic(spec: SyntheticSpec, **paths) -> dict[str, Dataset]:
+    """Generate the synthetic pair and write the role named by each
+    keyword (``source=``, ``target=``) to its path."""
+    datasets = dict(zip(ROLES, generate_synthetic(spec)))
+    for role, path in paths.items():
+        write_feature_file(datasets[role], path)
+    return datasets
 
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
-    """generate/load -> train source -> adapt -> evaluate, fully seeded.
+def load_experiment_data(cfg: ExperimentConfig, out: Path, role: str) -> Dataset:
+    """One role's dataset, for training. Synthetic data is written to
+    ``out/<role>.features`` and read back, so every run trains on exactly
+    what the file holds; otherwise only that role's file is opened."""
+    if cfg.synthetic is None:
+        path = getattr(cfg, f"{role}_file")
+    else:
+        path = out / f"{role}.features"
+        write_synthetic(cfg.synthetic, **{role: path})
+    dataset = read_feature_file(path)
+    if dataset.n == 0:
+        raise DataFormatError(f"{path}: no samples to train on")
+    return dataset
 
-    Writes metric CSVs, checkpoints, and summary.json into the output
-    directory and returns the summary.
+
+def run_source_phase(cfg: ExperimentConfig, ckpt_path
+                     ) -> tuple[Encoder, PrototypeMatrix, list[SourceEpochMetrics]]:
+    """Phase 1: build the encoder and prototypes from the master seed,
+    train them on the source data, and save the source checkpoint.
+
+    The adaptation ensemble's size is checked against the source classes
+    first, so a config that cannot adapt trains nothing.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
     with _phase("data"):
-        source, target = load_experiment_data(cfg, out)
-
-    derived = [int(s) for s in np.random.SeedSequence(cfg.seed).generate_state(4)]
-    _, model_seed, _, _ = derived
+        source = load_experiment_data(cfg, out, "source")
+    if cfg.adapt.n_e * cfg.adapt.n_cl > source.k_s - 1:
+        raise ConfigError(f"n_e*n_cl={cfg.adapt.n_e * cfg.adapt.n_cl} exceeds "
+                          f"K_s-1={source.k_s - 1}")
+    _, model_seed, _, _ = derive_seeds(cfg.seed)
     encoder = Encoder(source.d_x, list(cfg.model.hidden), cfg.model.d_z,
                       cfg.model.activation, seed=model_seed)
     prototypes = PrototypeMatrix.random(cfg.model.d_z, source.k_s,
                                         seed=model_seed + 1)
-
     with _phase("train-source"):
-        train_source(encoder, prototypes, source, cfg.source,
-                     log_path=out / "source_metrics.csv")
-        save_checkpoint(out / "source.ckpt", encoder, prototypes)
+        history = train_source(encoder, prototypes, source, cfg.source,
+                               log_path=out / "source_metrics.csv")
+        save_checkpoint(ckpt_path, encoder, prototypes)
+    return encoder, prototypes, history
 
-    with _phase("evaluate"):
-        baseline = evaluate(encoder, prototypes.weights, target)
+
+def check_fits(encoder: Encoder, prototypes: PrototypeMatrix, dataset: Dataset) -> None:
+    """A model whose input width or class count differs from the data's."""
+    if (encoder.d_x, prototypes.k_s) != (dataset.d_x, dataset.k_s):
+        raise DataFormatError(
+            f"model expects d_x={encoder.d_x}, K_s={prototypes.k_s}; "
+            f"data has d_x={dataset.d_x}, K_s={dataset.k_s}")
+
+
+def run_adapt_phase(cfg: ExperimentConfig, encoder: Encoder,
+                    prototypes: PrototypeMatrix, ckpt_path
+                    ) -> tuple[Dataset, AdaptResult]:
+    """Phase 2: adapt a source model to the target data, in place, and
+    save the adapted checkpoint. Only the target data is opened.
+
+    When the target carries evaluation labels, each epoch's accuracy is
+    logged through the epoch hook, the one channel they reach training by.
+    """
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with _phase("data"):
+        target = load_experiment_data(cfg, out, "target")
+        check_fits(encoder, prototypes, target)
 
     hook = None
     if target.hidden_labels is not None:
@@ -243,10 +304,23 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     with _phase("adapt"):
         result = adapt(encoder, prototypes, target, cfg.adapt,
                        epoch_hook=hook, log_path=out / "adapt_metrics.csv")
-        save_checkpoint(out / "adapted.ckpt", encoder, prototypes,
-                        result.ensemble.weights)
+        save_checkpoint(ckpt_path, encoder, prototypes, result.ensemble.weights)
+    return target, result
+
+
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """generate/load -> train source -> adapt -> evaluate, fully seeded.
+
+    Writes metric CSVs, checkpoints, and summary.json into the output
+    directory and returns the summary.
+    """
+    out = Path(cfg.out_dir)
+    encoder, prototypes, _ = run_source_phase(cfg, out / "source.ckpt")
+    source_encoder = encoder.copy()
+    target, result = run_adapt_phase(cfg, encoder, prototypes, out / "adapted.ckpt")
 
     with _phase("evaluate"):
+        baseline = evaluate(source_encoder, prototypes.weights, target)
         adapted = evaluate(encoder, result.ensemble.weights[0], target)
 
     summary = {"seed": cfg.seed,

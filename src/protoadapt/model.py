@@ -83,10 +83,6 @@ class Encoder:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    @property
-    def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
     def forward(self, x: np.ndarray) -> EncodeResult:
         """Encode a batch; the returned context suffices to backpropagate
         any downstream gradient through the normalization and the MLP."""
@@ -288,19 +284,25 @@ def load_checkpoint(path) -> tuple[Encoder, PrototypeMatrix, list[np.ndarray] | 
     if not lines or lines[0] != CHECKPOINT_HEADER:
         raise DataFormatError(f"{path}: not a '{CHECKPOINT_HEADER}' file")
     try:
-        meta = dict(item.split("=", 1) for item in lines[1].split()[1:])
-        hidden = [] if meta["hidden"] == "-" else [int(h) for h in meta["hidden"].split(",")]
-        encoder = Encoder(int(meta["d_x"]), hidden, int(meta["d_z"]),
-                          meta["activation"], int(meta["seed"]))
+        return _parse_checkpoint(path, lines)
+    except DataFormatError:
+        raise
     except (KeyError, ValueError, IndexError) as exc:
-        raise DataFormatError(f"{path}: malformed encoder header") from exc
+        raise DataFormatError(f"{path}: truncated or malformed checkpoint ({exc!r})") from exc
+
+
+def _parse_checkpoint(path, lines: list[str]):
+    meta = dict(item.split("=", 1) for item in lines[1].split()[1:])
+    hidden = [] if meta["hidden"] == "-" else [int(h) for h in meta["hidden"].split(",")]
+    encoder = Encoder(int(meta["d_x"]), hidden, int(meta["d_z"]),
+                      meta["activation"], int(meta["seed"]))
 
     pos = 2
     for i in range(encoder.n_layers):
         head = lines[pos].split()
-        if head[:2] != ["layer", str(i)]:
-            raise DataFormatError(f"{path}: expected layer {i} at line {pos + 1}")
-        rows, cols = int(head[2]), int(head[3])
+        rows, cols = encoder.weights[i].shape
+        if head != ["layer", str(i), str(rows), str(cols)]:
+            raise DataFormatError(f"{path}: expected layer {i} {rows} {cols} at line {pos + 1}")
         pos += 1
         encoder.weights[i], pos = _read_matrix(lines, pos, rows, cols)
         bias, pos = _read_matrix(lines, pos, 1, cols)
@@ -310,6 +312,8 @@ def load_checkpoint(path) -> tuple[Encoder, PrototypeMatrix, list[np.ndarray] | 
     if head[0] != "prototypes":
         raise DataFormatError(f"{path}: expected prototypes at line {pos + 1}")
     d_z, k_s = int(head[1]), int(head[2])
+    if d_z != encoder.d_z:
+        raise DataFormatError(f"{path}: prototypes have d_z={d_z}, encoder {encoder.d_z}")
     frozen = head[3] == "frozen=1"
     pos += 1
     weights, pos = _read_matrix(lines, pos, d_z, k_s)

@@ -51,18 +51,6 @@ def softmax_vjp(probs: np.ndarray, dprobs: np.ndarray, axis: int = -1) -> np.nda
     return probs * (dprobs - inner)
 
 
-def l2_normalize(v: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
-    """v / max(||v||, eps). Degenerate input is flagged in the step log."""
-    v = np.asarray(v, dtype=float)
-    if v.size == 0:
-        raise ValueError("cannot normalize an empty vector")
-    norm = float(np.linalg.norm(v))
-    if norm < eps:
-        logger.warning("l2_normalize: degenerate vector (norm %.3e < %.1e)", norm, eps)
-        return v / eps
-    return v / norm
-
-
 def l2_normalize_rows(m: np.ndarray, eps: float = NORM_EPS) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise unit vectors plus the guarded norms used as divisors."""
     m = np.asarray(m, dtype=float)

@@ -9,7 +9,6 @@ normalizing denominators.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,10 +157,3 @@ def _log_row(row: SourceEpochMetrics) -> list:
     return [row.epoch, repr(row.loss_ce), repr(row.loss_comp),
             repr(row.source_acc), repr(row.lr)]
 
-
-def write_source_log(path, history: list[SourceEpochMetrics]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SOURCE_LOG_HEADER)
-        for row in history:
-            writer.writerow(_log_row(row))

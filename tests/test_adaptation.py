@@ -11,7 +11,7 @@ from protoadapt.adaptation import (AdaptConfig, EnsembleState,
                                    build_confident_subset, cac,
                                    gen_complement_sets, loss_align,
                                    loss_inter, loss_intra, loss_nl,
-                                   update_pseudo_labels, write_adapt_log)
+                                   update_pseudo_labels)
 from protoadapt.datasets import SyntheticSpec, generate_synthetic
 from protoadapt.errors import ConfigError
 from protoadapt.model import Encoder, PrototypeMatrix
@@ -363,13 +363,14 @@ class TestAdaptLoop:
         target = small_target(seed=8)
         cfg = AdaptConfig(epochs=3, warmup_epochs=1, switch_epoch=2,
                           n_a=2, n_e=2, n_cl=2, batch_size=16, seed=2)
-        result = adapt(Encoder(5, [8], 6, seed=1), frozen_prototypes(6, 8, seed=2),
-                       target, cfg, epoch_hook=lambda e, enc, ens: 0.5 + e)
-        assert [row.target_acc for row in result.history] == [0.5, 1.5, 2.5]
         path = tmp_path / "log.csv"
-        write_adapt_log(path, result.history)
+        result = adapt(Encoder(5, [8], 6, seed=1), frozen_prototypes(6, 8, seed=2),
+                       target, cfg, epoch_hook=lambda e, enc, ens: 0.5 + e,
+                       log_path=path)
+        assert [row.target_acc for row in result.history] == [0.5, 1.5, 2.5]
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,loss_nl,loss_inter,loss_intra,loss_align,tau,|D_tau|,target_acc"
+        assert [line.split(",")[-1] for line in lines[1:]] == ["0.5", "1.5", "2.5"]
 
     def test_log_blank_target_acc_without_hook(self, tmp_path):
         target = small_target(seed=9)

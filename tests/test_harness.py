@@ -2,6 +2,7 @@
 experiment runner, and the CLI surface."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,8 @@ from protoadapt.datasets import Dataset, read_feature_file, write_feature_file
 from protoadapt.errors import ConfigError, EvaluationUnavailableError
 from protoadapt.harness import (apply_ablation, evaluate,
                                 load_config, run_experiment)
-from protoadapt.model import Encoder, load_checkpoint
+from protoadapt.model import (Encoder, PrototypeMatrix, load_checkpoint,
+                              save_checkpoint)
 
 
 def identity_encoder(d):
@@ -119,6 +121,16 @@ class TestConfigLoading:
         monkeypatch.setenv("PDA_SEED", "x")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("source", "epochs", "2"), ("source", "epochs", 2.0),
+        ("adapt", "use_confident_subset", 1), ("adapt", "alpha", None),
+        ("model", "hidden", [8, "8"]), ("model", "d_z", True)])
+    def test_wrong_value_type(self, tmp_path, section, key, value):
+        cfg = tiny_config(tmp_path / "out")
+        cfg[section][key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            load_config(write_config(tmp_path, cfg))
 
     def test_requires_exactly_one_data_source(self, tmp_path):
         cfg = tiny_config(tmp_path / "out")
@@ -232,7 +244,100 @@ class TestRunExperiment:
         assert outputs[0] == outputs[1]
 
 
+def write_bad_inputs(tmp_path):
+    """Valid inputs for every command on the tiny spec (d_x=5, K_s=6),
+    which each case below breaks in one place."""
+    (tmp_path / "spec.json").write_text(json.dumps(TINY_SYNTHETIC), encoding="utf-8")
+    assert main(["gen", "--spec", str(tmp_path / "spec.json"),
+                 "--out-source", str(tmp_path / "s.features"),
+                 "--out-target", str(tmp_path / "t.features")]) == 0
+    save_model(tmp_path / "model.ckpt", d_x=5, k_s=6)
+    cfg = tiny_config(tmp_path / "out")
+    cfg["data"] = {"source_file": str(tmp_path / "s.features"),
+                   "target_file": str(tmp_path / "t.features")}
+    write_config(tmp_path, cfg)
+
+
+def save_model(path, d_x, k_s):
+    protos = PrototypeMatrix.random(6, k_s, seed=0)
+    protos.frozen = True
+    save_checkpoint(path, Encoder(d_x, [8], 6, seed=0), protos)
+
+
+def rewrite(path, edit):
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+
+
+def edit_config(tmp_path, edit):
+    cfg = json.loads((tmp_path / "config.json").read_text(encoding="utf-8"))
+    edit(cfg)
+    write_config(tmp_path, cfg)
+
+
+EVAL = ["eval", "--ckpt", "{tmp}/model.ckpt", "--data", "{tmp}/t.features"]
+TRAIN = ["train-source", "--config", "{tmp}/config.json", "--out", "{tmp}/src.ckpt"]
+ADAPT = ["adapt", "--config", "{tmp}/config.json", "--source-ckpt",
+         "{tmp}/model.ckpt", "--out", "{tmp}/adapted.ckpt"]
+GEN = ["gen", "--spec", "{tmp}/spec.json", "--out-source", "{tmp}/s2",
+       "--out-target", "{tmp}/t2"]
+
+# (case, command, exit code, how the valid inputs are broken)
+BAD_INPUTS = [
+    ("truncated checkpoint", EVAL, 4, lambda t: rewrite(
+        t / "model.ckpt", lambda s: "\n".join(s.splitlines()[:6]) + "\n")),
+    ("nan feature", EVAL, 4, lambda t: rewrite(
+        t / "t.features", lambda s: re.sub(r"\n\?,[^,]*,", "\n?,nan,", s, count=1))),
+    ("header-only target file", ADAPT, 4, lambda t: rewrite(
+        t / "t.features", lambda s: s.splitlines()[0] + "\n")),
+    ("no evaluation labels", EVAL, 4, lambda t: rewrite(
+        t / "t.features", lambda s: re.sub(r"#\d+", "", s))),
+    ("checkpoint d_x differs", EVAL, 4, lambda t: save_model(t / "model.ckpt", 4, 6)),
+    ("checkpoint K_s differs", EVAL, 4, lambda t: save_model(t / "model.ckpt", 5, 7)),
+    ("checkpoint K_s differs in adapt", ADAPT, 4,
+     lambda t: save_model(t / "model.ckpt", 5, 7)),
+    ("string epochs", TRAIN, 2, lambda t: edit_config(
+        t, lambda c: c["source"].update(epochs="2"))),
+    ("spec missing keys via gen", GEN, 2, lambda t: (t / "spec.json").write_text(
+        json.dumps({"k_s": 6, "k_t": 3}), encoding="utf-8")),
+    ("spec missing keys via config", TRAIN, 2, lambda t: edit_config(
+        t, lambda c: c.update(data={"synthetic": {"k_s": 6, "k_t": 3}}))),
+]
+
+
 class TestCli:
+    @pytest.mark.parametrize("command, code, breakage",
+                             [case[1:] for case in BAD_INPUTS],
+                             ids=[case[0] for case in BAD_INPUTS])
+    def test_bad_input_exit_code(self, tmp_path, capsys, command, code, breakage):
+        write_bad_inputs(tmp_path)
+        breakage(tmp_path)
+        assert main([arg.format(tmp=tmp_path) for arg in command]) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_oversized_complement_sets_rejected_before_training(self, tmp_path, capsys):
+        cfg_dict = tiny_config(tmp_path / "out", n_e=3, n_cl=3)
+        cfg_dict["data"]["synthetic"]["k_s"] = 8
+        cfg = write_config(tmp_path, cfg_dict)
+        assert main(["train-source", "--config", str(cfg),
+                     "--out", str(tmp_path / "src.ckpt")]) == 2
+        assert main(["ablate", "--config", str(cfg), "--mode", "full"]) == 2
+        assert "K_s-1=7" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("source_metrics.csv"))
+
+    def test_cli_phases_match_run_experiment(self, tmp_path, capsys):
+        cli_out = tmp_path / "cli"
+        cfg = write_config(tmp_path, tiny_config(cli_out), name="cli.json")
+        assert main(["train-source", "--config", str(cfg),
+                     "--out", str(cli_out / "source.ckpt")]) == 0
+        assert main(["adapt", "--config", str(cfg),
+                     "--source-ckpt", str(cli_out / "source.ckpt"),
+                     "--out", str(cli_out / "adapted.ckpt")]) == 0
+        run_experiment(load_config(write_config(
+            tmp_path, tiny_config(tmp_path / "lib"), name="lib.json")))
+        for name in ("source.ckpt", "adapted.ckpt", "source_metrics.csv",
+                     "adapt_metrics.csv", "source.features", "target.features"):
+            assert (cli_out / name).read_bytes() == (tmp_path / "lib" / name).read_bytes(), name
+
     def _spec_file(self, tmp_path):
         # same spec the tiny config uses, so generated files match its model
         path = tmp_path / "spec.json"

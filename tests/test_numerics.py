@@ -7,7 +7,7 @@ import pytest
 
 from protoadapt.errors import DegenerateVectorError
 from protoadapt.numerics import (cosine_distance, entropy, finite_diff_grad,
-                                 l2_normalize, one_hot, softmax)
+                                 l2_normalize_rows, one_hot, softmax)
 
 
 def random_prob_vector(rng, k):
@@ -81,25 +81,26 @@ class TestEntropy:
 
 class TestL2Normalize:
     def test_three_four_five(self):
-        np.testing.assert_allclose(l2_normalize(np.array([3.0, 4.0])),
-                                   [0.6, 0.8], atol=1e-12)
+        unit, norms = l2_normalize_rows(np.array([[3.0, 4.0], [0.0, -2.0]]))
+        np.testing.assert_allclose(unit, [[0.6, 0.8], [0.0, -1.0]], atol=1e-12)
+        np.testing.assert_allclose(norms, [5.0, 2.0], atol=1e-12)
 
     def test_unit_vector_fixed_point(self):
-        u = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_allclose(l2_normalize(u), u, atol=1e-15)
+        u = np.eye(3)
+        np.testing.assert_allclose(l2_normalize_rows(u)[0], u, atol=1e-15)
 
     def test_degenerate_warns_and_returns_scaled(self, caplog):
         with caplog.at_level("WARNING", logger="protoadapt.numerics"):
-            out = l2_normalize(np.zeros(2))
-        np.testing.assert_array_equal(out, np.zeros(2))
+            out, norms = l2_normalize_rows(np.array([[0.0, 0.0], [3.0, 4.0]]))
+        np.testing.assert_array_equal(out[0], np.zeros(2))
+        np.testing.assert_allclose(out[1], [0.6, 0.8], atol=1e-12)
+        assert norms[0] > 0  # the guarded divisor, never zero
         assert any("degenerate" in rec.message for rec in caplog.records)
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
-        for _ in range(100):
-            v = rng.standard_normal(5)
-            once = l2_normalize(v)
-            np.testing.assert_allclose(l2_normalize(once), once, atol=1e-9)
+        once, _ = l2_normalize_rows(rng.standard_normal((100, 5)))
+        np.testing.assert_allclose(l2_normalize_rows(once)[0], once, atol=1e-9)
 
 
 class TestCosineDistance:
