@@ -160,38 +160,32 @@ def build_confident_subset(table: PseudoLabelTable) -> ConfidentSubset:
     return ConfidentSubset(tau, indices, table.labels[indices])
 
 
-def gen_complement_sets(y_tilde: int, k_s: int, n_e: int, n_cl: int,
-                        rng: np.random.Generator) -> list[np.ndarray]:
-    """n_e pairwise-disjoint complementary label sets of size n_cl.
+def gen_complement_sets(labels: np.ndarray, k_s: int, n_e: int, n_cl: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """(n, n_e, n_cl) complementary label sets, one row per pseudo-label.
 
-    Candidates are every class index except the pseudo-label; each draw
-    removes its picks from the candidate pool.
+    Each row ranks the classes by uniform random keys with its own label
+    forced last, and the first n_e*n_cl ranks become n_e sets of n_cl:
+    pairwise disjoint, never the label, every choice equally likely.
     """
     if n_e * n_cl > k_s - 1:
         raise ConfigError(f"n_e*n_cl={n_e * n_cl} exceeds K_s-1={k_s - 1}")
-    pool = np.array([c for c in range(k_s) if c != y_tilde])
-    sets = []
-    for _ in range(n_e):
-        picked = rng.choice(pool, size=n_cl, replace=False)
-        sets.append(np.sort(picked))
-        pool = np.setdiff1d(pool, picked)
-    return sets
+    labels = np.asarray(labels)
+    keys = rng.random((labels.shape[0], k_s))
+    np.put_along_axis(keys, labels[:, None], np.inf, axis=1)
+    ranked = np.argsort(keys, axis=1)[:, :n_e * n_cl]
+    return np.sort(ranked.reshape(-1, n_e, n_cl), axis=2)
 
 
 def _epoch_complement_masks(labels: np.ndarray, k_s: int, cfg: AdaptConfig,
                             rng: np.random.Generator) -> np.ndarray:
-    """Boolean (n, n_e, K_s) membership masks, regenerated each epoch."""
-    n = labels.shape[0]
-    masks = np.zeros((n, cfg.n_e, k_s), dtype=bool)
-    for j in range(n):
-        if cfg.share_complement_set:
-            shared = gen_complement_sets(int(labels[j]), k_s, 1, cfg.n_cl, rng)[0]
-            masks[j, :, shared] = True
-        else:
-            for m, cl in enumerate(gen_complement_sets(int(labels[j]), k_s,
-                                                       cfg.n_e, cfg.n_cl, rng)):
-                masks[j, m, cl] = True
-    return masks
+    """Boolean (n, n_e, K_s) membership masks from one draw per epoch;
+    in shared mode every member gets the same single set."""
+    n_sets = 1 if cfg.share_complement_set else cfg.n_e
+    masks = np.zeros((labels.shape[0], n_sets, k_s), dtype=bool)
+    np.put_along_axis(masks, gen_complement_sets(labels, k_s, n_sets, cfg.n_cl, rng),
+                      True, axis=2)
+    return np.broadcast_to(masks, (labels.shape[0], cfg.n_e, k_s))
 
 
 def loss_align(probs: np.ndarray) -> tuple[float, np.ndarray]:

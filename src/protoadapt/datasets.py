@@ -156,8 +156,11 @@ def write_feature_file(dataset: Dataset, path) -> None:
 
 def read_feature_file(path) -> Dataset:
     """Parse a feature file; errors name the offending line number."""
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     if not raw or not raw[0].startswith(FEATURE_HEADER_PREFIX):
         raise DataFormatError(f"{path}: line 1: missing '{FEATURE_HEADER_PREFIX}' header")
     fields = raw[0][len(FEATURE_HEADER_PREFIX):].split()
@@ -181,15 +184,14 @@ def read_feature_file(path) -> Dataset:
         try:
             label = None if parts[0] == "?" else int(parts[0])
             row = [float(v) for v in parts[1:]]
+            hidden_label = int(comment) if comment else None
         except ValueError as exc:
             raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
-        if label is not None and not 0 <= label < k_s:
-            raise DataFormatError(f"{path}: line {lineno}: label {label} >= k={k_s}")
+        for lb in (label, hidden_label):
+            if lb is not None and not 0 <= lb < k_s:
+                raise DataFormatError(f"{path}: line {lineno}: label {lb} not in [0, {k_s})")
         if comment:
-            try:
-                hidden.append(int(comment))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: line {lineno}: bad hidden label") from exc
+            hidden.append(hidden_label)
         feats.append(row)
         labels.append(label)
 

@@ -94,10 +94,8 @@ def check_loss_nl(seed: int) -> float:
                 for _ in range(NL_MEMBERS)]
     hist_base = rng.standard_normal((BATCH, K_S))  # summed older entries
     masks = np.zeros((BATCH, NL_MEMBERS, K_S), dtype=bool)
-    for j in range(BATCH):
-        for m, cl in enumerate(gen_complement_sets(int(labels[j]), K_S,
-                                                   NL_MEMBERS, NL_SET_SIZE, rng)):
-            masks[j, m, cl] = True
+    np.put_along_axis(masks, gen_complement_sets(labels, K_S, NL_MEMBERS,
+                                                 NL_SET_SIZE, rng), True, axis=2)
 
     fwd = encoder.forward(x)
     bases0, scale = nl_base_consts(fwd.z_l2, weights0, hist_base, NL_HISTORY)

@@ -72,8 +72,9 @@ def _is(kind: str, value) -> bool:
 
 def _fields(section: str, raw, kinds: dict[str, str] | type, required=()) -> dict:
     """Check a JSON object against ``kinds`` (key -> type name): unknown
-    keys, missing required keys and values of the wrong type are
-    ConfigErrors. A dataclass stands for its fields; lists become tuples."""
+    keys, missing required keys, values of the wrong type and negative
+    seeds are ConfigErrors. A dataclass stands for its fields; lists
+    become tuples."""
     if dataclasses.is_dataclass(kinds):
         fields = dataclasses.fields(kinds)
         required = [f.name for f in fields
@@ -90,6 +91,8 @@ def _fields(section: str, raw, kinds: dict[str, str] | type, required=()) -> dic
     for key, value in raw.items():
         if not _is(kinds[key], value):
             raise ConfigError(f"{section}.{key} must be {kinds[key]}, got {value!r}")
+        if key == "seed" and value < 0:
+            raise ConfigError(f"{section}.seed must be >= 0, got {value}")
     return {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
 
 
@@ -132,9 +135,10 @@ def load_config(path) -> ExperimentConfig:
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            seed = _fields(SEED_ENV_VAR, {"seed": int(env_seed)}, {"seed": "int"})["seed"]
         except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
+            raise ConfigError(f"{SEED_ENV_VAR} must be a non-negative integer, "
+                              f"got {env_seed!r}") from exc
 
     # Phase seeds not given explicitly derive from the master seed.
     data_seed, _, source_seed, adapt_seed = derive_seeds(seed)

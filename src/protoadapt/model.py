@@ -279,11 +279,11 @@ def save_checkpoint(path, encoder: Encoder, prototypes: PrototypeMatrix,
 
 
 def load_checkpoint(path) -> tuple[Encoder, PrototypeMatrix, list[np.ndarray] | None]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_HEADER:
-        raise DataFormatError(f"{path}: not a '{CHECKPOINT_HEADER}' file")
     try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        if not lines or lines[0] != CHECKPOINT_HEADER:
+            raise DataFormatError(f"{path}: not a '{CHECKPOINT_HEADER}' file")
         return _parse_checkpoint(path, lines)
     except DataFormatError:
         raise
@@ -294,8 +294,10 @@ def load_checkpoint(path) -> tuple[Encoder, PrototypeMatrix, list[np.ndarray] | 
 def _parse_checkpoint(path, lines: list[str]):
     meta = dict(item.split("=", 1) for item in lines[1].split()[1:])
     hidden = [] if meta["hidden"] == "-" else [int(h) for h in meta["hidden"].split(",")]
-    encoder = Encoder(int(meta["d_x"]), hidden, int(meta["d_z"]),
-                      meta["activation"], int(meta["seed"]))
+    d_x, d_z = int(meta["d_x"]), int(meta["d_z"])
+    if d_x + sum(hidden) + d_z > len(lines):  # each width is some matrix's row count
+        raise DataFormatError(f"{path}: layer widths exceed the file's {len(lines)} lines")
+    encoder = Encoder(d_x, hidden, d_z, meta["activation"], int(meta["seed"]))
 
     pos = 2
     for i in range(encoder.n_layers):

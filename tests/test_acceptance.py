@@ -79,21 +79,25 @@ def test_complement_set_properties():
         n_e = int(rng.integers(1, min(5, k_s)))
         max_cl = (k_s - 1) // n_e
         n_cl = int(rng.integers(1, max_cl + 1))
-        y = int(rng.integers(0, k_s))
-        sets = gen_complement_sets(y, k_s, n_e, n_cl, rng)
-        seen = set()
-        for s in sets:
-            if len(s) != n_cl or y in s or (seen & set(s)):
+        labels = rng.integers(0, k_s, size=int(rng.integers(1, 9)))
+        batch = gen_complement_sets(labels, k_s, n_e, n_cl, rng)
+        if batch.shape != (len(labels), n_e, n_cl):
+            failures += 1
+            continue
+        for y, sets in zip(labels, batch):
+            seen = set()
+            for s in sets:
+                if len(set(s)) != n_cl or y in s or (seen & set(s)):
+                    failures += 1
+                seen |= set(s)
+            if n_e * n_cl == k_s - 1 and seen != set(range(k_s)) - {y}:
                 failures += 1
-            seen |= set(s)
-        if n_e * n_cl == k_s - 1:
-            exact_cover_cases += 1
-            if seen != set(range(k_s)) - {y}:
-                failures += 1
+        exact_cover_cases += n_e * n_cl == k_s - 1
     assert failures == 0
     assert exact_cover_cases > 0
     print(f"\nACCEPTANCE complement-sets: PASS "
-          f"(1000 trials, {exact_cover_cases} exact-cover cases, 0 failures)")
+          f"(1000 trials of 1-8 labels, {exact_cover_cases} exact-cover trials, "
+          f"0 failures)")
 
 
 def test_cac_properties():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from protoadapt import adaptation
 from protoadapt.adaptation import (AdaptConfig, EnsembleState,
                                    _epoch_complement_masks, adapt,
                                    build_confident_subset, cac,
@@ -115,17 +116,18 @@ class TestPseudoLabels:
 class TestComplementSets:
     def test_structural_example(self):
         rng = np.random.default_rng(0)
-        sets = gen_complement_sets(0, k_s=5, n_e=2, n_cl=2, rng=rng)
-        union = set(sets[0]) | set(sets[1])
-        assert len(sets[0]) == len(sets[1]) == 2
+        sets = gen_complement_sets(np.array([0]), k_s=5, n_e=2, n_cl=2, rng=rng)
+        union = set(sets[0, 0]) | set(sets[0, 1])
+        assert sets.shape == (1, 2, 2)
         assert len(union) == 4 and 0 not in union
         assert union <= {1, 2, 3, 4}
 
     def test_exhaustive_cover_when_sizes_match(self):
         rng = np.random.default_rng(1)
-        sets = gen_complement_sets(3, k_s=10, n_e=3, n_cl=3, rng=rng)
-        union = set().union(*[set(s) for s in sets])
-        assert union == set(range(10)) - {3}
+        labels = np.array([3, 0, 9, 3])
+        sets = gen_complement_sets(labels, k_s=10, n_e=3, n_cl=3, rng=rng)
+        for row, y in zip(sets, labels):
+            assert set(row.ravel()) == set(range(10)) - {y}
 
     def test_thousand_seeded_trials(self):
         rng = np.random.default_rng(99)
@@ -134,19 +136,39 @@ class TestComplementSets:
             n_e = int(rng.integers(1, min(4, k_s)))
             max_cl = (k_s - 1) // n_e
             n_cl = int(rng.integers(1, max_cl + 1))
-            y = int(rng.integers(0, k_s))
-            sets = gen_complement_sets(y, k_s, n_e, n_cl, rng)
-            seen = set()
-            for s in sets:
-                assert len(s) == n_cl
-                assert y not in s
-                assert not (seen & set(s))
-                seen |= set(s)
-                assert all(0 <= c < k_s for c in s)
+            labels = rng.integers(0, k_s, size=int(rng.integers(1, 6)))
+            sets = gen_complement_sets(labels, k_s, n_e, n_cl, rng)
+            assert sets.shape == (len(labels), n_e, n_cl)
+            for row, y in zip(sets, labels):
+                flat = row.ravel()
+                assert len(set(flat)) == n_e * n_cl  # disjoint, no repeats
+                assert y not in flat
+                assert flat.min() >= 0 and flat.max() < k_s
+                assert np.all(np.diff(row, axis=1) > 0)  # each set sorted
+
+    def test_draws_are_uniform_over_classes_and_members(self):
+        # per-row checks cannot see a biased ranking, tie handling or
+        # label placement; class and member frequencies over many rows can
+        k_s, n_e, n_cl, n = 9, 3, 2, 20_000
+        labels = np.random.default_rng(5).integers(0, k_s, size=n)
+        sets = gen_complement_sets(labels, k_s, n_e, n_cl, np.random.default_rng(6))
+        onehot = np.zeros((n, n_e, k_s), dtype=int)
+        np.put_along_axis(onehot, sets, 1, axis=2)
+        assert not onehot[np.arange(n), :, labels].any()
+        # each non-label class lands in some set with p = n_e*n_cl/(k_s-1)
+        # and in each member with p/n_e; at ~17.8k rows per class the
+        # binomial sd of either frequency is ~0.0032, so 0.02 is ~6 sd
+        for c in range(k_s):
+            rows = labels != c
+            counts = onehot[rows, :, c].sum(axis=0)
+            p = n_e * n_cl / (k_s - 1)
+            assert abs(counts.sum() / rows.sum() - p) < 0.02
+            assert np.all(np.abs(counts / rows.sum() - p / n_e) < 0.02)
 
     def test_precondition_violation(self):
         with pytest.raises(ConfigError):
-            gen_complement_sets(0, k_s=4, n_e=2, n_cl=2, rng=np.random.default_rng(0))
+            gen_complement_sets(np.array([0]), k_s=4, n_e=2, n_cl=2,
+                                rng=np.random.default_rng(0))
 
     def test_epoch_masks_shared_mode(self):
         cfg = AdaptConfig(n_e=3, n_cl=1, share_complement_set=True,
@@ -381,6 +403,24 @@ class TestAdaptLoop:
         row = (tmp_path / "log.csv").read_text().splitlines()[1]
         assert row.endswith(",")  # empty target_acc field
         assert result.history[0].target_acc is None
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_one_sampler_call_per_nl_epoch(self, monkeypatch, shared):
+        # epochs 1..3 of 6 are negative-learning epochs
+        calls = []
+        real = adaptation.gen_complement_sets
+
+        def counting(labels, *args):
+            calls.append(len(labels))
+            return real(labels, *args)
+
+        monkeypatch.setattr(adaptation, "gen_complement_sets", counting)
+        target = small_target(seed=12)
+        cfg = AdaptConfig(epochs=6, warmup_epochs=1, switch_epoch=3, n_a=2,
+                          n_e=2, n_cl=2, batch_size=16, seed=4,
+                          share_complement_set=shared)
+        adapt(Encoder(5, [8], 6, seed=6), frozen_prototypes(6, 8, seed=7), target, cfg)
+        assert calls == [target.n] * 3
 
     def test_determinism_same_seed(self):
         target = small_target(seed=10)

@@ -247,7 +247,7 @@ class TestRunExperiment:
 def write_bad_inputs(tmp_path):
     """Valid inputs for every command on the tiny spec (d_x=5, K_s=6),
     which each case below breaks in one place."""
-    (tmp_path / "spec.json").write_text(json.dumps(TINY_SYNTHETIC), encoding="utf-8")
+    write_spec(tmp_path, TINY_SYNTHETIC)
     assert main(["gen", "--spec", str(tmp_path / "spec.json"),
                  "--out-source", str(tmp_path / "s.features"),
                  "--out-target", str(tmp_path / "t.features")]) == 0
@@ -268,6 +268,10 @@ def rewrite(path, edit):
     path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
 
 
+def write_spec(tmp_path, spec):
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+
+
 def edit_config(tmp_path, edit):
     cfg = json.loads((tmp_path / "config.json").read_text(encoding="utf-8"))
     edit(cfg)
@@ -281,7 +285,8 @@ ADAPT = ["adapt", "--config", "{tmp}/config.json", "--source-ckpt",
 GEN = ["gen", "--spec", "{tmp}/spec.json", "--out-source", "{tmp}/s2",
        "--out-target", "{tmp}/t2"]
 
-# (case, command, exit code, how the valid inputs are broken)
+# (case, command, exit code, how the valid inputs are broken; a breakage
+# may return environment variables to set)
 BAD_INPUTS = [
     ("truncated checkpoint", EVAL, 4, lambda t: rewrite(
         t / "model.ckpt", lambda s: "\n".join(s.splitlines()[:6]) + "\n")),
@@ -297,10 +302,17 @@ BAD_INPUTS = [
      lambda t: save_model(t / "model.ckpt", 5, 7)),
     ("string epochs", TRAIN, 2, lambda t: edit_config(
         t, lambda c: c["source"].update(epochs="2"))),
-    ("spec missing keys via gen", GEN, 2, lambda t: (t / "spec.json").write_text(
-        json.dumps({"k_s": 6, "k_t": 3}), encoding="utf-8")),
+    ("spec missing keys via gen", GEN, 2, lambda t: write_spec(t, {"k_s": 6, "k_t": 3})),
     ("spec missing keys via config", TRAIN, 2, lambda t: edit_config(
         t, lambda c: c.update(data={"synthetic": {"k_s": 6, "k_t": 3}}))),
+    ("negative seed", TRAIN, 2, lambda t: edit_config(t, lambda c: c.update(seed=-1))),
+    ("negative PDA_SEED", TRAIN, 2, lambda t: {"PDA_SEED": "-5"}),
+    ("negative adapt seed", ADAPT, 2, lambda t: edit_config(
+        t, lambda c: c["adapt"].update(seed=-3))),
+    ("negative source seed", TRAIN, 2, lambda t: edit_config(
+        t, lambda c: c["source"].update(seed=-2))),
+    ("negative spec seed via gen", GEN, 2, lambda t: write_spec(
+        t, {**TINY_SYNTHETIC, "seed": -4})),
 ]
 
 
@@ -308,9 +320,11 @@ class TestCli:
     @pytest.mark.parametrize("command, code, breakage",
                              [case[1:] for case in BAD_INPUTS],
                              ids=[case[0] for case in BAD_INPUTS])
-    def test_bad_input_exit_code(self, tmp_path, capsys, command, code, breakage):
+    def test_bad_input_exit_code(self, tmp_path, capsys, monkeypatch, command, code,
+                                 breakage):
         write_bad_inputs(tmp_path)
-        breakage(tmp_path)
+        for name, value in (breakage(tmp_path) or {}).items():
+            monkeypatch.setenv(name, value)
         assert main([arg.format(tmp=tmp_path) for arg in command]) == code
         assert "Traceback" not in capsys.readouterr().err
 
