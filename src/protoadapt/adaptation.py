@@ -57,43 +57,47 @@ class AdaptConfig:
             raise ConfigError("n_a, n_e, n_cl must be >= 1")
         if self.alpha < 0 or self.beta < 0:
             raise ConfigError("alpha and beta must be >= 0")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+        if min(self.epochs, self.seed) < 0:
+            raise ConfigError(f"epochs and seed must be >= 0, got {self.epochs}, {self.seed}")
         if not 0 <= self.warmup_epochs < self.switch_epoch:
             raise ConfigError("need 0 <= warmup_epochs < switch_epoch")
         if self.batch_size < 1 or self.lr0 <= 0:
             raise ConfigError("batch_size must be >= 1 and lr0 > 0")
 
 
+def check_complement_capacity(n_e: int, n_cl: int, k_s: int) -> None:
+    """n_e disjoint sets of n_cl classes must fit among the K_s-1
+    classes other than a sample's pseudo-label."""
+    if n_e * n_cl > k_s - 1:
+        raise ConfigError(f"n_e*n_cl={n_e * n_cl} exceeds K_s-1={k_s - 1}")
+
+
 class EnsembleState:
     """Target-classifier weights plus the logit history behind the
     moving-average predictions.
 
-    Every member starts as an exact copy of the frozen prototypes. The
-    history holds per-sample ensemble-mean logits for up to ``n_a``
-    epochs, most recent last.
+    ``weights`` is one (n_e, d_z, K_s) array; every member starts as an
+    exact copy of the frozen prototypes. The history holds per-sample
+    ensemble-mean logits for up to ``n_a`` epochs, most recent last.
     """
 
     def __init__(self, prototypes: PrototypeMatrix, n_e: int, n_a: int):
         if n_e < 1 or n_a < 1:
             raise ConfigError("n_e and n_a must be >= 1")
-        self.weights = [prototypes.weights.copy() for _ in range(n_e)]
+        self.weights = np.tile(prototypes.weights, (n_e, 1, 1))
         self.n_a = n_a
         self.history: deque[np.ndarray] = deque(maxlen=n_a)
 
     @property
     def n_e(self) -> int:
-        return len(self.weights)
+        return self.weights.shape[0]
 
     @property
     def n_hist(self) -> int:
         return len(self.history)
 
     def mean_logits(self, z_l2: np.ndarray) -> np.ndarray:
-        total = z_l2 @ self.weights[0]
-        for w in self.weights[1:]:
-            total = total + z_l2 @ w
-        return total / self.n_e
+        return (z_l2 @ self.weights).sum(axis=0) / self.n_e
 
     def push_epoch_logits(self, z_l2: np.ndarray) -> None:
         self.history.append(self.mean_logits(z_l2))
@@ -168,8 +172,7 @@ def gen_complement_sets(labels: np.ndarray, k_s: int, n_e: int, n_cl: int,
     forced last, and the first n_e*n_cl ranks become n_e sets of n_cl:
     pairwise disjoint, never the label, every choice equally likely.
     """
-    if n_e * n_cl > k_s - 1:
-        raise ConfigError(f"n_e*n_cl={n_e * n_cl} exceeds K_s-1={k_s - 1}")
+    check_complement_capacity(n_e, n_cl, k_s)
     labels = np.asarray(labels)
     keys = rng.random((labels.shape[0], k_s))
     np.put_along_axis(keys, labels[:, None], np.inf, axis=1)
@@ -198,54 +201,48 @@ def loss_align(probs: np.ndarray) -> tuple[float, np.ndarray]:
     return value, softmax_vjp(probs, dprobs)
 
 
-def nl_loss_terms(z_l2: np.ndarray, weights: list[np.ndarray],
-                  base_consts: list[np.ndarray], scale: float,
+def nl_loss_terms(z_l2: np.ndarray, weights: np.ndarray,
+                  base_consts: np.ndarray, scale: float,
                   masks: np.ndarray, n_cl: int
-                  ) -> tuple[float, np.ndarray, list[np.ndarray]]:
+                  ) -> tuple[float, np.ndarray, np.ndarray]:
     """Negative-learning ensemble loss with explicit constant terms.
 
-    Member m sees moving-average logits  base_consts[m] + scale * z_l2 @ w_m,
+    Member m sees moving-average logits  base_consts[m] + scale * z_l2 @ weights[m],
     so gradients reach only its own weights (and the encoder through its
     own live product); everything folded into base_consts is data. The
     per-element term is -(1-p) log(1-p) over that member's complementary
-    label mask, normalized by batch * n_cl and averaged over members.
+    label mask (``masks[:, m]``), normalized by batch * n_cl and averaged
+    over members. Returns the value, d/dz_l2 and the (n_e, d_z, K_s)
+    weight gradients.
     """
-    n = z_l2.shape[0]
-    n_e = len(weights)
-    value = 0.0
-    dz_l2 = np.zeros_like(z_l2)
-    d_weights = []
-    for m, w in enumerate(weights):
-        logits = base_consts[m] + scale * (z_l2 @ w)
-        p = softmax(logits, axis=-1)
-        mask = masks[:, m, :]
-        log1p = clamped_log(1.0 - p)
-        phi = -(1.0 - p) * log1p
-        value += float(phi[mask].sum()) / (n * n_cl * n_e)
-        dp = np.where(mask, log1p + 1.0, 0.0) / (n * n_cl * n_e)
-        dlogits = softmax_vjp(p, dp)
-        d_weights.append(scale * (z_l2.T @ dlogits))
-        dz_l2 += scale * (dlogits @ w.T)
-    return value, dz_l2, d_weights
+    n_e, n = weights.shape[0], z_l2.shape[0]
+    denom = n * n_cl * n_e
+    p = softmax(base_consts + scale * (z_l2 @ weights), axis=-1)
+    mask = np.moveaxis(masks, 1, 0)
+    log1p = clamped_log(1.0 - p)
+    phi = -(1.0 - p) * log1p
+    # summed member by member: one masked sum over all members rounds differently
+    value = sum(float(phi[m][mask[m]].sum()) / denom for m in range(n_e))
+    dlogits = softmax_vjp(p, np.where(mask, log1p + 1.0, 0.0) / denom)
+    dz_l2 = (scale * (dlogits @ weights.transpose(0, 2, 1))).sum(axis=0)
+    return value, dz_l2, scale * (z_l2.T @ dlogits)
 
 
-def nl_base_consts(z_l2: np.ndarray, weights: list[np.ndarray],
+def nl_base_consts(z_l2: np.ndarray, weights: np.ndarray,
                    hist_base_sum: np.ndarray, n_hist: int
-                   ) -> tuple[list[np.ndarray], float]:
+                   ) -> tuple[np.ndarray, float]:
     """Constant logit terms for each member: older history entries plus
     the other members' current contributions, evaluated at the current
     parameters but excluded from the gradient."""
-    n_e = len(weights)
-    live = [z_l2 @ w for w in weights]
-    mean_live = sum(live) / n_e
-    bases = [(hist_base_sum + mean_live - live[m] / n_e) / n_hist
-             for m in range(n_e)]
+    n_e = weights.shape[0]
+    live = z_l2 @ weights
+    bases = (hist_base_sum + live.sum(axis=0) / n_e - live / n_e) / n_hist
     return bases, 1.0 / (n_e * n_hist)
 
 
-def loss_nl(z_l2: np.ndarray, weights: list[np.ndarray],
+def loss_nl(z_l2: np.ndarray, weights: np.ndarray,
             hist_base_sum: np.ndarray, n_hist: int, masks: np.ndarray,
-            n_cl: int) -> tuple[float, np.ndarray, list[np.ndarray]]:
+            n_cl: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Ensemble negative-learning loss on a batch.
 
     ``hist_base_sum`` is the summed logit history excluding the current
@@ -351,8 +348,7 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
     if target.role != "target":
         raise ConfigError("adapt requires a target dataset")
     k_s = prototypes.k_s
-    if cfg.n_e * cfg.n_cl > k_s - 1:
-        raise ConfigError(f"n_e*n_cl={cfg.n_e * cfg.n_cl} exceeds K_s-1={k_s - 1}")
+    check_complement_capacity(cfg.n_e, cfg.n_cl, k_s)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     batch_rng = np.random.default_rng(seeds[0])
@@ -362,7 +358,7 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
     x = target.features
     enc_params = encoder.params()
     enc_vel = [np.zeros_like(p) for p in enc_params]
-    ens_vel = [np.zeros_like(w) for w in ensemble.weights]
+    ens_vel = np.zeros_like(ensemble.weights)
 
     if log_path is not None:
         csvlog.start(log_path, ADAPT_LOG_HEADER)
@@ -392,7 +388,7 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
             fwd = encoder.forward(x[idx])
             dz = np.zeros_like(fwd.z)
             dz_l2 = np.zeros_like(fwd.z_l2)
-            member_grads = [None] * ensemble.n_e
+            ens_grad = None  # for the members selected by ``members``
 
             out = classify(prototypes.weights, fwd.z_l2)
             align_val, dlogits = loss_align(out.probs)
@@ -401,11 +397,11 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
             sums["align"] += align_val * len(idx)
 
             if nl_phase:
-                nl_val, d_nl, d_ws = loss_nl(fwd.z_l2, ensemble.weights,
-                                             hist_base[idx], ensemble.n_hist,
-                                             comp_masks[idx], cfg.n_cl)
+                nl_val, d_nl, ens_grad = loss_nl(fwd.z_l2, ensemble.weights,
+                                                 hist_base[idx], ensemble.n_hist,
+                                                 comp_masks[idx], cfg.n_cl)
                 dz_l2 += d_nl
-                member_grads = d_ws
+                members = slice(None)
                 sums["nl"] += nl_val * len(idx)
                 weights_acc["nl"] += len(idx)
             elif ce_phase:
@@ -417,7 +413,7 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
                     dw0, d_sel = classify_backward(ensemble.weights[0],
                                                    fwd.z_l2[sel], d_ce)
                     dz_l2[sel] += d_sel
-                    member_grads[0] = dw0
+                    members, ens_grad = 0, dw0
                     sums["nl"] += ce_val * sel.size
                     weights_acc["nl"] += sel.size
 
@@ -440,10 +436,10 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
                 raise NumericError(f"adaptation diverged at epoch {epoch}")
             grads = encoder.backward(fwd.ctx, dz=dz, dz_l2=dz_l2)
             apply_sgd_momentum(enc_params, grads.as_list(), enc_vel, lr, MOMENTUM)
-            for m, g in enumerate(member_grads):
-                if g is not None:
-                    apply_sgd_momentum([ensemble.weights[m]], [g], [ens_vel[m]],
-                                       CLASSIFIER_LR_FACTOR * lr, MOMENTUM)
+            if ens_grad is not None:
+                apply_sgd_momentum([ensemble.weights[members]], [ens_grad],
+                                   [ens_vel[members]], CLASSIFIER_LR_FACTOR * lr,
+                                   MOMENTUM)
 
         target_acc = epoch_hook(epoch, encoder, ensemble) if epoch_hook else None
         n_sup = weights_acc["nl"] or 1

@@ -50,7 +50,7 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_eval(args) -> int:
     encoder, prototypes, ensemble = load_checkpoint(args.ckpt)
-    weights = ensemble[0] if ensemble else prototypes.weights
+    weights = prototypes.weights if ensemble is None else ensemble[0]
     dataset = read_feature_file(args.data)
     check_fits(encoder, prototypes, dataset)
     result = evaluate(encoder, weights, dataset)

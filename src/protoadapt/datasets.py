@@ -94,6 +94,8 @@ class SyntheticSpec:
             raise ConfigError("translation length must equal d_x")
         if min(self.source_per_class, self.target_per_class) < 1:
             raise ConfigError("samples per class must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
@@ -169,6 +171,9 @@ def read_feature_file(path) -> Dataset:
         d_x, k_s, role = int(meta["d"]), int(meta["k"]), meta["role"]
     except (ValueError, KeyError) as exc:
         raise DataFormatError(f"{path}: line 1: malformed header ({exc})") from exc
+    if k_s < 1 or d_x < 0:
+        bad = f"k={k_s} must be >= 1" if k_s < 1 else f"d={d_x} must be >= 0"
+        raise DataFormatError(f"{path}: line 1: {bad}")
     if role not in ("source", "target"):
         raise DataFormatError(f"{path}: line 1: unknown role {role!r}")
 

@@ -90,8 +90,7 @@ def check_loss_nl(seed: int) -> float:
     """Negative learning: each member's constant logit terms are frozen at
     the evaluation point, matching their backprop treatment."""
     rng, encoder, protos, x, labels = _instance(seed)
-    weights0 = [protos.weights + 0.1 * rng.standard_normal((D_Z, K_S))
-                for _ in range(NL_MEMBERS)]
+    weights0 = protos.weights + 0.1 * rng.standard_normal((NL_MEMBERS, D_Z, K_S))
     hist_base = rng.standard_normal((BATCH, K_S))  # summed older entries
     masks = np.zeros((BATCH, NL_MEMBERS, K_S), dtype=bool)
     np.put_along_axis(masks, gen_complement_sets(labels, K_S, NL_MEMBERS,
@@ -100,20 +99,18 @@ def check_loss_nl(seed: int) -> float:
     fwd = encoder.forward(x)
     bases0, scale = nl_base_consts(fwd.z_l2, weights0, hist_base, NL_HISTORY)
     n_enc = encoder.get_flat().size
-    w_size = D_Z * K_S
 
     def value(theta):
         enc = _with_flat(encoder, theta[:n_enc])
-        ws = [theta[n_enc + m * w_size: n_enc + (m + 1) * w_size].reshape(D_Z, K_S)
-              for m in range(NL_MEMBERS)]
+        ws = theta[n_enc:].reshape(NL_MEMBERS, D_Z, K_S)
         return nl_loss_terms(enc.forward(x).z_l2, ws, bases0, scale,
                              masks, NL_SET_SIZE)[0]
 
     _, dz_l2, d_ws = nl_loss_terms(fwd.z_l2, weights0, bases0, scale,
                                    masks, NL_SET_SIZE)
-    analytic = np.concatenate([encoder.backward(fwd.ctx, dz_l2=dz_l2).flat()]
-                              + [g.ravel() for g in d_ws])
-    theta0 = np.concatenate([encoder.get_flat()] + [w.ravel() for w in weights0])
+    analytic = np.concatenate([encoder.backward(fwd.ctx, dz_l2=dz_l2).flat(),
+                               d_ws.ravel()])
+    theta0 = np.concatenate([encoder.get_flat(), weights0.ravel()])
     return max_rel_err(analytic, finite_diff_grad(value, theta0))
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptation import AdaptConfig, AdaptResult, adapt
+from .adaptation import AdaptConfig, AdaptResult, adapt, check_complement_capacity
 from .datasets import (Dataset, SyntheticSpec, generate_synthetic,
                        read_feature_file, write_feature_file)
 from .errors import ConfigError, DataFormatError, EvaluationUnavailableError
@@ -72,9 +72,8 @@ def _is(kind: str, value) -> bool:
 
 def _fields(section: str, raw, kinds: dict[str, str] | type, required=()) -> dict:
     """Check a JSON object against ``kinds`` (key -> type name): unknown
-    keys, missing required keys, values of the wrong type and negative
-    seeds are ConfigErrors. A dataclass stands for its fields; lists
-    become tuples."""
+    keys, missing required keys and values of the wrong type are
+    ConfigErrors. A dataclass stands for its fields; lists become tuples."""
     if dataclasses.is_dataclass(kinds):
         fields = dataclasses.fields(kinds)
         required = [f.name for f in fields
@@ -91,13 +90,13 @@ def _fields(section: str, raw, kinds: dict[str, str] | type, required=()) -> dic
     for key, value in raw.items():
         if not _is(kinds[key], value):
             raise ConfigError(f"{section}.{key} must be {kinds[key]}, got {value!r}")
-        if key == "seed" and value < 0:
-            raise ConfigError(f"{section}.seed must be >= 0, got {value}")
     return {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
 
 
 def derive_seeds(seed: int) -> tuple[int, int, int, int]:
     """The data, model, source-phase and adapt-phase seeds of a master seed."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed} (master seed or {SEED_ENV_VAR})")
     return tuple(int(s) for s in np.random.SeedSequence(seed).generate_state(4))
 
 
@@ -135,7 +134,7 @@ def load_config(path) -> ExperimentConfig:
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
-            seed = _fields(SEED_ENV_VAR, {"seed": int(env_seed)}, {"seed": "int"})["seed"]
+            seed = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be a non-negative integer, "
                               f"got {env_seed!r}") from exc
@@ -262,9 +261,7 @@ def run_source_phase(cfg: ExperimentConfig, ckpt_path
     out.mkdir(parents=True, exist_ok=True)
     with _phase("data"):
         source = load_experiment_data(cfg, out, "source")
-    if cfg.adapt.n_e * cfg.adapt.n_cl > source.k_s - 1:
-        raise ConfigError(f"n_e*n_cl={cfg.adapt.n_e * cfg.adapt.n_cl} exceeds "
-                          f"K_s-1={source.k_s - 1}")
+    check_complement_capacity(cfg.adapt.n_e, cfg.adapt.n_cl, source.k_s)
     _, model_seed, _, _ = derive_seeds(cfg.seed)
     encoder = Encoder(source.d_x, list(cfg.model.hidden), cfg.model.d_z,
                       cfg.model.activation, seed=model_seed)

@@ -257,7 +257,7 @@ def _read_matrix(lines: list[str], pos: int, rows: int, cols: int) -> tuple[np.n
 
 
 def save_checkpoint(path, encoder: Encoder, prototypes: PrototypeMatrix,
-                    ensemble_weights: list[np.ndarray] | None = None) -> None:
+                    ensemble_weights: np.ndarray | None = None) -> None:
     """Versioned text checkpoint; floats are written with full round-trip
     precision so a reload reproduces forward outputs bit-exactly."""
     hidden = ",".join(str(h) for h in encoder.hidden) or "-"
@@ -278,7 +278,9 @@ def save_checkpoint(path, encoder: Encoder, prototypes: PrototypeMatrix,
         fh.write("\n".join(lines) + "\n")
 
 
-def load_checkpoint(path) -> tuple[Encoder, PrototypeMatrix, list[np.ndarray] | None]:
+def load_checkpoint(path) -> tuple[Encoder, PrototypeMatrix, np.ndarray | None]:
+    """The encoder, the prototypes and, if the file holds one, the
+    (n_e, d_z, K_s) ensemble, which must have n_e >= 1 and end the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -321,12 +323,12 @@ def _parse_checkpoint(path, lines: list[str]):
     weights, pos = _read_matrix(lines, pos, d_z, k_s)
     prototypes = PrototypeMatrix(weights, frozen=frozen)
 
-    ensemble = None
-    if pos < len(lines) and lines[pos].startswith("ensemble"):
-        n_e = int(lines[pos].split()[1])
-        pos += 1
-        ensemble = []
-        for _ in range(n_e):
-            w, pos = _read_matrix(lines, pos, d_z, k_s)
-            ensemble.append(w)
-    return encoder, prototypes, ensemble
+    if pos == len(lines):
+        return encoder, prototypes, None
+    head = lines[pos].split()
+    n_e = int(head[1]) if head[:1] == ["ensemble"] and len(head) == 2 else 0
+    if n_e < 1 or pos + 1 + n_e * d_z != len(lines):
+        raise DataFormatError(f"{path}: line {pos + 1}: expected 'ensemble <n>' with n >= 1, "
+                              f"then n {d_z}-row matrices ending the file")
+    ensemble, _ = _read_matrix(lines, pos + 1, n_e * d_z, k_s)
+    return encoder, prototypes, ensemble.reshape(n_e, d_z, k_s)

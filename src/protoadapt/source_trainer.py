@@ -35,8 +35,8 @@ class SourcePhaseConfig:
     def __post_init__(self):
         if self.eta < 0:
             raise ConfigError("eta must be >= 0")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+        if min(self.epochs, self.seed) < 0:
+            raise ConfigError(f"epochs and seed must be >= 0, got {self.epochs}, {self.seed}")
         if self.batch_size < 1 or self.lr0 <= 0:
             raise ConfigError("batch_size must be >= 1 and lr0 > 0")
 

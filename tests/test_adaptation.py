@@ -15,7 +15,7 @@ from protoadapt.adaptation import (AdaptConfig, EnsembleState,
                                    update_pseudo_labels)
 from protoadapt.datasets import SyntheticSpec, generate_synthetic
 from protoadapt.errors import ConfigError
-from protoadapt.model import Encoder, PrototypeMatrix
+from protoadapt.model import Encoder, PrototypeMatrix, load_checkpoint, save_checkpoint
 from protoadapt.numerics import softmax
 
 
@@ -108,9 +108,10 @@ class TestPseudoLabels:
     def test_members_start_as_prototype_copies(self):
         protos = frozen_prototypes(3, 4, seed=5)
         ens = EnsembleState(protos, n_e=3, n_a=2)
+        assert ens.weights.shape == (3, 3, 4)
+        assert not np.shares_memory(ens.weights, protos.weights)
         for w in ens.weights:
             np.testing.assert_array_equal(w, protos.weights)
-            assert w is not protos.weights
 
 
 class TestComplementSets:
@@ -190,7 +191,7 @@ class TestLossNl:
         w = np.array([[0.0, -60.0, 0.0], [0.0, 0.0, 0.0]])
         masks = np.zeros((1, 1, 3), dtype=bool)
         masks[0, 0, 1] = True
-        value, _, _ = loss_nl(z, [w], np.zeros((1, 3)), 1, masks, n_cl=1)
+        value, _, _ = loss_nl(z, w[None], np.zeros((1, 3)), 1, masks, n_cl=1)
         assert abs(value) < 1e-9
 
     def test_half_probability_complement(self):
@@ -199,7 +200,7 @@ class TestLossNl:
         w = np.zeros((1, 2))
         masks = np.zeros((1, 1, 2), dtype=bool)
         masks[0, 0, 1] = True
-        value, _, _ = loss_nl(z, [w], np.zeros((1, 2)), 1, masks, n_cl=1)
+        value, _, _ = loss_nl(z, w[None], np.zeros((1, 2)), 1, masks, n_cl=1)
         assert value == pytest.approx(-0.5 * math.log(0.5), abs=1e-12)
         assert value == pytest.approx(0.346574, abs=1e-6)
 
@@ -208,10 +209,11 @@ class TestLossNl:
         rng = np.random.default_rng(4)
         z = rng.standard_normal((6, 3))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        ws = [rng.standard_normal((3, 5)) for _ in range(2)]
+        ws = rng.standard_normal((2, 3, 5))
         masks = np.zeros((6, 2, 5), dtype=bool)
         masks[:, 0, 1] = True  # only member 0 has any complement entries
         _, _, d_ws = loss_nl(z, ws, rng.standard_normal((6, 5)), 2, masks, n_cl=1)
+        assert d_ws.shape == ws.shape
         assert np.any(d_ws[0] != 0)
         np.testing.assert_array_equal(d_ws[1], np.zeros((3, 5)))
 
@@ -421,6 +423,17 @@ class TestAdaptLoop:
                           share_complement_set=shared)
         adapt(Encoder(5, [8], 6, seed=6), frozen_prototypes(6, 8, seed=7), target, cfg)
         assert calls == [target.n] * 3
+
+    def test_ensemble_survives_checkpoint_round_trip(self, tmp_path):
+        target = small_target(seed=11)
+        encoder, protos = Encoder(5, [8], 6, seed=4), frozen_prototypes(6, 8, seed=5)
+        cfg = AdaptConfig(epochs=5, warmup_epochs=1, switch_epoch=2, n_a=2,
+                          n_e=3, n_cl=2, batch_size=16, seed=6)
+        result = adapt(encoder, protos, target, cfg)
+        save_checkpoint(tmp_path / "adapted.ckpt", encoder, protos, result.ensemble.weights)
+        _, _, ensemble = load_checkpoint(tmp_path / "adapted.ckpt")
+        assert result.ensemble.weights.shape == (3, 6, 8)
+        assert np.array_equal(ensemble, result.ensemble.weights)
 
     def test_determinism_same_seed(self):
         target = small_target(seed=10)

@@ -118,6 +118,15 @@ class TestFeatureFiles:
         with pytest.raises(DataFormatError, match="line 2"):
             read_feature_file(path)
 
+    @pytest.mark.parametrize("header, field", [
+        ("d=2 k=0", "k=0"), ("d=2 k=-3", "k=-3"), ("d=-1 k=3", "d=-1")])
+    @pytest.mark.parametrize("rows", ["", "?,1.0,2.0#0\n"], ids=["no-rows", "one-row"])
+    def test_header_sizes_out_of_range_rejected(self, tmp_path, header, field, rows):
+        path = tmp_path / "bad"
+        path.write_text(f"#pda-features v1 {header} role=target\n{rows}", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=f"line 1: {field} must be"):
+            read_feature_file(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad"
         path.write_text("1,2,3\n", encoding="utf-8")

@@ -8,13 +8,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from protoadapt.adaptation import AdaptConfig
 from protoadapt.cli import main
-from protoadapt.datasets import Dataset, read_feature_file, write_feature_file
+from protoadapt.datasets import (Dataset, SyntheticSpec, read_feature_file,
+                                 write_feature_file)
 from protoadapt.errors import ConfigError, EvaluationUnavailableError
-from protoadapt.harness import (apply_ablation, evaluate,
+from protoadapt.harness import (apply_ablation, derive_seeds, evaluate,
                                 load_config, run_experiment)
 from protoadapt.model import (Encoder, PrototypeMatrix, load_checkpoint,
                               save_checkpoint)
+from protoadapt.source_trainer import SourcePhaseConfig
 
 
 def identity_encoder(d):
@@ -112,6 +115,15 @@ class TestConfigLoading:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("build", [
+        lambda: AdaptConfig(seed=-1), lambda: SourcePhaseConfig(seed=-1),
+        lambda: SyntheticSpec(**{**TINY_SYNTHETIC, "translation": (1, 0, 0, 0, 0),
+                                 "seed": -1}),
+        lambda: derive_seeds(-1)], ids=["adapt", "source", "synthetic", "master"])
+    def test_negative_seed_rejected_without_the_parser(self, build):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            build()
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, tiny_config(tmp_path / "out"))
@@ -268,6 +280,14 @@ def rewrite(path, edit):
     path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
 
 
+def add_ensemble(path, count, n_matrices):
+    """Append an ``ensemble <count>`` section holding ``n_matrices``
+    copies of the tiny model's (6 x K_s) prototypes."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines + [f"ensemble {count}"] + lines[-6:] * n_matrices)
+                    + "\n", encoding="utf-8")
+
+
 def write_spec(tmp_path, spec):
     (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
 
@@ -297,6 +317,12 @@ BAD_INPUTS = [
     ("no evaluation labels", EVAL, 4, lambda t: rewrite(
         t / "t.features", lambda s: re.sub(r"#\d+", "", s))),
     ("checkpoint d_x differs", EVAL, 4, lambda t: save_model(t / "model.ckpt", 4, 6)),
+    ("checkpoint ensemble 0", EVAL, 4, lambda t: add_ensemble(t / "model.ckpt", 0, 0)),
+    ("checkpoint ensemble -1", EVAL, 4, lambda t: add_ensemble(t / "model.ckpt", -1, 0)),
+    ("checkpoint matrix past its ensemble count", EVAL, 4,
+     lambda t: add_ensemble(t / "model.ckpt", 1, 2)),
+    ("checkpoint trailing line", EVAL, 4, lambda t: rewrite(
+        t / "model.ckpt", lambda s: s + "0.5\n")),
     ("checkpoint K_s differs", EVAL, 4, lambda t: save_model(t / "model.ckpt", 5, 7)),
     ("checkpoint K_s differs in adapt", ADAPT, 4,
      lambda t: save_model(t / "model.ckpt", 5, 7)),

@@ -163,8 +163,7 @@ class TestCheckpoints:
         enc = Encoder(4, [6, 5], 3, seed=3)
         protos = PrototypeMatrix.random(3, 7, seed=4)
         protos.frozen = True
-        ensemble = [protos.weights + 0.01 * rng.standard_normal((3, 7))
-                    for _ in range(2)]
+        ensemble = protos.weights + 0.01 * rng.standard_normal((2, 3, 7))
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, enc, protos, ensemble)
         enc2, protos2, ensemble2 = load_checkpoint(path)
@@ -173,8 +172,7 @@ class TestCheckpoints:
         np.testing.assert_array_equal(enc.forward(x).z, enc2.forward(x).z)
         np.testing.assert_array_equal(protos.weights, protos2.weights)
         assert protos2.frozen
-        for w, w2 in zip(ensemble, ensemble2):
-            np.testing.assert_array_equal(w, w2)
+        np.testing.assert_array_equal(ensemble, ensemble2)
 
     def test_without_ensemble(self, tmp_path):
         enc = Encoder(2, [], 2, seed=0)

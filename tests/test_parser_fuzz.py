@@ -33,7 +33,7 @@ def valid(tmp_path_factory):
     protos = PrototypeMatrix.random(2, 3, seed=1)
     protos.frozen = True
     save_checkpoint(root / "c", Encoder(2, [3], 2, seed=0), protos,
-                    [protos.weights + 0.1, protos.weights - 0.1])
+                    np.stack([protos.weights + 0.1, protos.weights - 0.1]))
     texts = {name: (root / name).read_text(encoding="utf-8") for name in "tsc"}
     return {"features": [texts["t"], texts["s"]], "checkpoint": [texts["c"]],
             "path": root / "input"}
