@@ -138,22 +138,31 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     return source_ds, target_ds
 
 
-def _format_float(x: float) -> str:
-    return format(float(x), ".9g")
+# Rows formatted and written per chunk: the text held in memory stays a
+# few hundred lines whatever the file size.
+WRITE_CHUNK_ROWS = 256
 
 
 def write_feature_file(dataset: Dataset, path) -> None:
-    """Line-oriented text serialization, 9 significant digits per float."""
-    lines = [f"{FEATURE_HEADER_PREFIX} d={dataset.d_x} k={dataset.k_s} role={dataset.role}"]
-    for i in range(dataset.n):
-        label = "?" if dataset.labels is None else str(int(dataset.labels[i]))
-        row = ",".join(_format_float(v) for v in dataset.features[i])
-        line = f"{label},{row}" if dataset.d_x else label
-        if dataset.hidden_labels is not None:
-            line += f"#{int(dataset.hidden_labels[i])}"
-        lines.append(line)
+    """Line-oriented text serialization, floats as ``%.9g``.
+
+    Each row is one ``%`` call on Python floats, so the text equals
+    ``format(v, ".9g")`` per value; rows go to the file in chunks of
+    ``WRITE_CHUNK_ROWS``.
+    """
+    row_fmt = (("?" if dataset.labels is None else "%d") + ",%.9g" * dataset.d_x
+               + ("" if dataset.hidden_labels is None else "#%d") + "\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{FEATURE_HEADER_PREFIX} d={dataset.d_x} k={dataset.k_s} "
+                 f"role={dataset.role}\n")
+        for start in range(0, dataset.n, WRITE_CHUNK_ROWS):
+            chunk = slice(start, start + WRITE_CHUNK_ROWS)
+            rows = dataset.features[chunk].tolist()
+            if dataset.labels is not None:
+                rows = [[lb, *row] for lb, row in zip(dataset.labels[chunk].tolist(), rows)]
+            if dataset.hidden_labels is not None:
+                rows = [[*row, lb] for row, lb in zip(rows, dataset.hidden_labels[chunk].tolist())]
+            fh.write("".join([row_fmt % tuple(row) for row in rows]))
 
 
 def read_feature_file(path) -> Dataset:

@@ -125,7 +125,8 @@ def load_config(path) -> ExperimentConfig:
     """Parse a JSON experiment config, rejecting unknown keys and values
     of the wrong type.
 
-    The PDA_SEED environment variable, when set, overrides the seed.
+    The PDA_SEED environment variable, when set, overrides the seed; it
+    must be ASCII digits only.
     """
     raw = _fields(str(path), _read_json(path),
                   {"seed": "int", "out_dir": "str", "data": "dict", "model": "dict",
@@ -133,11 +134,10 @@ def load_config(path) -> ExperimentConfig:
     seed = raw["seed"]
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be a non-negative integer, "
-                              f"got {env_seed!r}") from exc
+        # int() alone would also take "1_0", "+7", " 7 " and non-ASCII digits
+        if not (env_seed.isascii() and env_seed.isdigit()):
+            raise ConfigError(f"{SEED_ENV_VAR} must be ASCII digits 0-9, got {env_seed!r}")
+        seed = int(env_seed)
 
     # Phase seeds not given explicitly derive from the master seed.
     data_seed, _, source_seed, adapt_seed = derive_seeds(seed)

@@ -242,8 +242,10 @@ def lr_schedule(n: int, lr0: float, gamma_lr: float = 0.0002,
 
 
 def _write_matrix(lines: list[str], m: np.ndarray) -> None:
-    for row in np.atleast_2d(m):
-        lines.append(" ".join(repr(float(v)) for v in row))
+    """One line per row, each value as ``repr`` of its Python float."""
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    row_fmt = " ".join(["%r"] * m.shape[1])
+    lines.extend([row_fmt % tuple(row) for row in m.tolist()])
 
 
 def _read_matrix(lines: list[str], pos: int, rows: int, cols: int) -> tuple[np.ndarray, int]:
@@ -272,8 +274,7 @@ def save_checkpoint(path, encoder: Encoder, prototypes: PrototypeMatrix,
     _write_matrix(lines, prototypes.weights)
     if ensemble_weights is not None:
         lines.append(f"ensemble {len(ensemble_weights)}")
-        for w in ensemble_weights:
-            _write_matrix(lines, w)
+        _write_matrix(lines, ensemble_weights.reshape(-1, prototypes.k_s))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -313,8 +314,9 @@ def _parse_checkpoint(path, lines: list[str]):
         encoder.biases[i] = bias[0]
 
     head = lines[pos].split()
-    if head[0] != "prototypes":
-        raise DataFormatError(f"{path}: expected prototypes at line {pos + 1}")
+    if len(head) != 4 or head[0] != "prototypes" or head[3] not in ("frozen=0", "frozen=1"):
+        raise DataFormatError(f"{path}: line {pos + 1}: expected "
+                              "'prototypes <d_z> <k_s> frozen=0|1'")
     d_z, k_s = int(head[1]), int(head[2])
     if d_z != encoder.d_z:
         raise DataFormatError(f"{path}: prototypes have d_z={d_z}, encoder {encoder.d_z}")

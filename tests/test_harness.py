@@ -323,6 +323,12 @@ BAD_INPUTS = [
      lambda t: add_ensemble(t / "model.ckpt", 1, 2)),
     ("checkpoint trailing line", EVAL, 4, lambda t: rewrite(
         t / "model.ckpt", lambda s: s + "0.5\n")),
+    ("checkpoint frozen=yes", ADAPT, 4, lambda t: rewrite(
+        t / "model.ckpt", lambda s: s.replace("frozen=1", "frozen=yes"))),
+    ("checkpoint frozen=2", ADAPT, 4, lambda t: rewrite(
+        t / "model.ckpt", lambda s: s.replace("frozen=1", "frozen=2"))),
+    ("checkpoint extra prototypes field", ADAPT, 4, lambda t: rewrite(
+        t / "model.ckpt", lambda s: s.replace("frozen=1", "frozen=1 x"))),
     ("checkpoint K_s differs", EVAL, 4, lambda t: save_model(t / "model.ckpt", 5, 7)),
     ("checkpoint K_s differs in adapt", ADAPT, 4,
      lambda t: save_model(t / "model.ckpt", 5, 7)),
@@ -333,6 +339,8 @@ BAD_INPUTS = [
         t, lambda c: c.update(data={"synthetic": {"k_s": 6, "k_t": 3}}))),
     ("negative seed", TRAIN, 2, lambda t: edit_config(t, lambda c: c.update(seed=-1))),
     ("negative PDA_SEED", TRAIN, 2, lambda t: {"PDA_SEED": "-5"}),
+    *[(f"PDA_SEED {value!r}", TRAIN, 2, lambda t, v=value: {"PDA_SEED": v})
+      for value in ("1_0", "+7", " 7 ", "٣")],
     ("negative adapt seed", ADAPT, 2, lambda t: edit_config(
         t, lambda c: c["adapt"].update(seed=-3))),
     ("negative source seed", TRAIN, 2, lambda t: edit_config(
