@@ -356,8 +356,7 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
 
     ensemble = EnsembleState(prototypes, cfg.n_e, cfg.n_a)
     x = target.features
-    enc_params = encoder.params()
-    enc_vel = [np.zeros_like(p) for p in enc_params]
+    enc_vel = np.zeros_like(encoder.theta)
     ens_vel = np.zeros_like(ensemble.weights)
 
     if log_path is not None:
@@ -434,12 +433,11 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
 
             if not np.isfinite(sums["align"] + sums["nl"] + sums["inter"] + sums["intra"]):
                 raise NumericError(f"adaptation diverged at epoch {epoch}")
-            grads = encoder.backward(fwd.ctx, dz=dz, dz_l2=dz_l2)
-            apply_sgd_momentum(enc_params, grads.as_list(), enc_vel, lr, MOMENTUM)
+            apply_sgd_momentum(encoder.theta, encoder.backward(fwd.ctx, dz=dz, dz_l2=dz_l2),
+                               enc_vel, lr, MOMENTUM)
             if ens_grad is not None:
-                apply_sgd_momentum([ensemble.weights[members]], [ens_grad],
-                                   [ens_vel[members]], CLASSIFIER_LR_FACTOR * lr,
-                                   MOMENTUM)
+                apply_sgd_momentum(ensemble.weights[members], ens_grad, ens_vel[members],
+                                   CLASSIFIER_LR_FACTOR * lr, MOMENTUM)
 
         target_acc = epoch_hook(epoch, encoder, ensemble) if epoch_hook else None
         n_sup = weights_acc["nl"] or 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, parse_digits
 
 FEATURE_HEADER_PREFIX = "#pda-features v1"
 
@@ -177,12 +177,17 @@ def read_feature_file(path) -> Dataset:
     fields = raw[0][len(FEATURE_HEADER_PREFIX):].split()
     try:
         meta = dict(item.split("=", 1) for item in fields)
-        d_x, k_s, role = int(meta["d"]), int(meta["k"]), meta["role"]
+        sizes, role = [meta["d"], meta["k"]], meta["role"]
     except (ValueError, KeyError) as exc:
         raise DataFormatError(f"{path}: line 1: malformed header ({exc})") from exc
-    if k_s < 1 or d_x < 0:
-        bad = f"k={k_s} must be >= 1" if k_s < 1 else f"d={d_x} must be >= 0"
-        raise DataFormatError(f"{path}: line 1: {bad}")
+    for i, (key, low) in enumerate((("d", 0), ("k", 1))):
+        try:
+            sizes[i] = parse_digits(sizes[i])
+        except ValueError:
+            sizes[i] = -1
+        if sizes[i] < low:
+            raise DataFormatError(f"{path}: line 1: {key}={meta[key]} must be ASCII digits >= {low}")
+    d_x, k_s = sizes
     if role not in ("source", "target"):
         raise DataFormatError(f"{path}: line 1: unknown role {role!r}")
 
@@ -196,9 +201,11 @@ def read_feature_file(path) -> Dataset:
             raise DataFormatError(
                 f"{path}: line {lineno}: expected {d_x} features, got {len(parts) - 1}")
         try:
-            label = None if parts[0] == "?" else int(parts[0])
+            label = None if parts[0] == "?" else parse_digits(parts[0])
+            if "_" in body:  # float() would read "1_0" as 10.0
+                raise ValueError(f"'_' in {body!r}")
             row = [float(v) for v in parts[1:]]
-            hidden_label = int(comment) if comment else None
+            hidden_label = parse_digits(comment) if comment else None
         except ValueError as exc:
             raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
         for lb in (label, hidden_label):

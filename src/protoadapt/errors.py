@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one integer parser.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
 NumericError -> 3, DataFormatError, EvaluationUnavailableError and
@@ -24,3 +24,10 @@ class DegenerateVectorError(ValueError):
 
 class EvaluationUnavailableError(RuntimeError):
     """Evaluation requested on a dataset without evaluation labels."""
+
+
+def parse_digits(text: str) -> int:
+    """ASCII digits 0-9 only, where ``int()`` also takes "+1", " 1 " and "1_0"."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not ASCII digits 0-9")
+    return int(text)

@@ -41,9 +41,9 @@ def _instance(seed: int):
     return rng, encoder, protos, x, labels
 
 
-def _with_flat(encoder: Encoder, flat: np.ndarray) -> Encoder:
+def _with_theta(encoder: Encoder, theta: np.ndarray) -> Encoder:
     clone = encoder.copy()
-    clone.set_flat(flat)
+    clone.theta[...] = theta
     return clone
 
 
@@ -52,10 +52,10 @@ def _check_classifier_loss(seed: int, loss_fn) -> float:
     the encoder parameters and the classifier weights."""
     _, encoder, protos, x, labels = _instance(seed)
     y = one_hot(labels, K_S)
-    n_enc = encoder.get_flat().size
+    n_enc = encoder.theta.size
 
     def value(theta):
-        enc = _with_flat(encoder, theta[:n_enc])
+        enc = _with_theta(encoder, theta[:n_enc])
         w = theta[n_enc:].reshape(D_Z, K_S)
         out = classify(w, enc.forward(x).z_l2)
         return loss_fn(out.probs, y)[0]
@@ -64,9 +64,8 @@ def _check_classifier_loss(seed: int, loss_fn) -> float:
     out = classify(protos.weights, fwd.z_l2)
     _, dlogits = loss_fn(out.probs, y)
     d_w, dz_l2 = classify_backward(protos.weights, fwd.z_l2, dlogits)
-    analytic = np.concatenate([encoder.backward(fwd.ctx, dz_l2=dz_l2).flat(),
-                               d_w.ravel()])
-    theta0 = np.concatenate([encoder.get_flat(), protos.weights.ravel()])
+    analytic = np.concatenate([encoder.backward(fwd.ctx, dz_l2=dz_l2), d_w.ravel()])
+    theta0 = np.concatenate([encoder.theta, protos.weights.ravel()])
     return max_rel_err(analytic, finite_diff_grad(value, theta0))
 
 
@@ -75,15 +74,15 @@ def check_loss_align(seed: int) -> float:
     _, encoder, protos, x, _ = _instance(seed)
 
     def value(theta):
-        out = classify(protos.weights, _with_flat(encoder, theta).forward(x).z_l2)
+        out = classify(protos.weights, _with_theta(encoder, theta).forward(x).z_l2)
         return loss_align(out.probs)[0]
 
     fwd = encoder.forward(x)
     out = classify(protos.weights, fwd.z_l2)
     _, dlogits = loss_align(out.probs)
     _, dz_l2 = classify_backward(protos.weights, fwd.z_l2, dlogits)
-    analytic = encoder.backward(fwd.ctx, dz_l2=dz_l2).flat()
-    return max_rel_err(analytic, finite_diff_grad(value, encoder.get_flat()))
+    analytic = encoder.backward(fwd.ctx, dz_l2=dz_l2)
+    return max_rel_err(analytic, finite_diff_grad(value, encoder.theta))
 
 
 def check_loss_nl(seed: int) -> float:
@@ -98,19 +97,18 @@ def check_loss_nl(seed: int) -> float:
 
     fwd = encoder.forward(x)
     bases0, scale = nl_base_consts(fwd.z_l2, weights0, hist_base, NL_HISTORY)
-    n_enc = encoder.get_flat().size
+    n_enc = encoder.theta.size
 
     def value(theta):
-        enc = _with_flat(encoder, theta[:n_enc])
+        enc = _with_theta(encoder, theta[:n_enc])
         ws = theta[n_enc:].reshape(NL_MEMBERS, D_Z, K_S)
         return nl_loss_terms(enc.forward(x).z_l2, ws, bases0, scale,
                              masks, NL_SET_SIZE)[0]
 
     _, dz_l2, d_ws = nl_loss_terms(fwd.z_l2, weights0, bases0, scale,
                                    masks, NL_SET_SIZE)
-    analytic = np.concatenate([encoder.backward(fwd.ctx, dz_l2=dz_l2).flat(),
-                               d_ws.ravel()])
-    theta0 = np.concatenate([encoder.get_flat(), weights0.ravel()])
+    analytic = np.concatenate([encoder.backward(fwd.ctx, dz_l2=dz_l2), d_ws.ravel()])
+    theta0 = np.concatenate([encoder.theta, weights0.ravel()])
     return max_rel_err(analytic, finite_diff_grad(value, theta0))
 
 
@@ -119,12 +117,12 @@ def _check_geometry_loss(seed: int, loss_fn) -> float:
     y = rng.integers(0, K_S, size=BATCH)
 
     def value(theta):
-        return loss_fn(_with_flat(encoder, theta).forward(x).z, y, protos.weights)[0]
+        return loss_fn(_with_theta(encoder, theta).forward(x).z, y, protos.weights)[0]
 
     fwd = encoder.forward(x)
     _, dz = loss_fn(fwd.z, y, protos.weights)
-    analytic = encoder.backward(fwd.ctx, dz=dz).flat()
-    return max_rel_err(analytic, finite_diff_grad(value, encoder.get_flat()))
+    analytic = encoder.backward(fwd.ctx, dz=dz)
+    return max_rel_err(analytic, finite_diff_grad(value, encoder.theta))
 
 
 CHECKS = {

@@ -21,7 +21,7 @@ import numpy as np
 from .adaptation import AdaptConfig, AdaptResult, adapt, check_complement_capacity
 from .datasets import (Dataset, SyntheticSpec, generate_synthetic,
                        read_feature_file, write_feature_file)
-from .errors import ConfigError, DataFormatError, EvaluationUnavailableError
+from .errors import ConfigError, DataFormatError, EvaluationUnavailableError, parse_digits
 from .model import Encoder, PrototypeMatrix, classify, save_checkpoint
 from .source_trainer import SourceEpochMetrics, SourcePhaseConfig, train_source
 
@@ -134,10 +134,10 @@ def load_config(path) -> ExperimentConfig:
     seed = raw["seed"]
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
-        # int() alone would also take "1_0", "+7", " 7 " and non-ASCII digits
-        if not (env_seed.isascii() and env_seed.isdigit()):
-            raise ConfigError(f"{SEED_ENV_VAR} must be ASCII digits 0-9, got {env_seed!r}")
-        seed = int(env_seed)
+        try:
+            seed = parse_digits(env_seed)
+        except ValueError as exc:
+            raise ConfigError(f"{SEED_ENV_VAR}: {exc}") from exc
 
     # Phase seeds not given explicitly derive from the master seed.
     data_seed, _, source_seed, adapt_seed = derive_seeds(seed)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, NumericError
+from .errors import ConfigError, DataFormatError, NumericError, parse_digits
 from .numerics import (l2_normalize_backward, l2_normalize_rows,
                        softmax)
 
@@ -34,29 +34,15 @@ class EncodeResult:
     ctx: tuple
 
 
-@dataclass
-class EncoderGradients:
-    """Per-parameter gradient arrays mirroring the encoder's shapes."""
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def as_list(self) -> list[np.ndarray]:
-        """Gradients interleaved in the same order as Encoder.params()."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([g.ravel() for g in self.as_list()])
-
-
 class Encoder:
     """MLP d_x -> hidden... -> d_z with a smooth nonlinearity on hidden
     layers and a linear output layer.
 
     Weights initialize uniformly in +/- sqrt(6/(fan_in+fan_out)) from the
-    given seed; the architecture is immutable after construction.
+    given seed; the architecture is immutable after construction. All
+    parameters live in one float64 vector ``theta``, laid out w0, b0, w1,
+    b1, ...; ``weights`` and ``biases`` are tuples of views into it, so a
+    layer is written with ``[...] =`` and can never be detached.
     """
 
     def __init__(self, d_x: int, hidden: list[int], d_z: int,
@@ -70,14 +56,23 @@ class Encoder:
         self.d_z = d_z
         self.activation = activation
         self.seed = seed
+        self._sizes = [d_x, *hidden, d_z]
+        self.theta = np.zeros(sum((i + 1) * o for i, o in zip(self._sizes, self._sizes[1:])))
+        self.weights, self.biases = self._views(self.theta)
         rng = np.random.default_rng(seed)
-        sizes = [d_x, *hidden, d_z]
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+        for w in self.weights:
+            limit = np.sqrt(6.0 / sum(w.shape))
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
+
+    def _views(self, flat: np.ndarray) -> tuple[tuple, tuple]:
+        """Per-layer weight and bias views of a vector laid out like theta."""
+        weights, biases, pos = [], [], 0
+        for fan_in, fan_out in zip(self._sizes, self._sizes[1:]):
+            weights.append(flat[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
+            pos += fan_in * fan_out
+            biases.append(flat[pos:pos + fan_out])
+            pos += fan_out
+        return tuple(weights), tuple(biases)
 
     @property
     def n_layers(self) -> int:
@@ -104,8 +99,8 @@ class Encoder:
         return EncodeResult(z, z_l2, (inputs, z, z_l2, norms))
 
     def backward(self, ctx: tuple, dz: np.ndarray | None = None,
-                 dz_l2: np.ndarray | None = None) -> EncoderGradients:
-        """Accumulate gradients from the raw-code and unit-code paths."""
+                 dz_l2: np.ndarray | None = None) -> np.ndarray:
+        """Gradients from the raw-code and unit-code paths, laid out like ``theta``."""
         inputs, z, z_l2, norms = ctx
         total = np.zeros_like(z)
         if dz is not None:
@@ -114,41 +109,20 @@ class Encoder:
             total = total + l2_normalize_backward(z, z_l2, norms, dz_l2)
 
         _, dact = _ACTIVATIONS[self.activation]
-        d_weights = [np.empty(0)] * self.n_layers
-        d_biases = [np.empty(0)] * self.n_layers
+        grad = np.empty_like(self.theta)
+        d_weights, d_biases = self._views(grad)
         upstream = total
         for i in range(self.n_layers - 1, -1, -1):
-            d_weights[i] = inputs[i].T @ upstream
-            d_biases[i] = upstream.sum(axis=0)
+            np.matmul(inputs[i].T, upstream, out=d_weights[i])
+            upstream.sum(axis=0, out=d_biases[i])
             if i > 0:
                 upstream = upstream @ self.weights[i].T
                 upstream = upstream * dact(inputs[i])
-        return EncoderGradients(d_weights, d_biases)
-
-    # -- parameter plumbing ------------------------------------------------
-
-    def params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params()])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=float)
-        pos = 0
-        for p in self.params():
-            p[...] = flat[pos:pos + p.size].reshape(p.shape)
-            pos += p.size
-        if pos != flat.size:
-            raise ValueError("flat parameter vector has wrong length")
+        return grad
 
     def copy(self) -> "Encoder":
         clone = Encoder(self.d_x, self.hidden, self.d_z, self.activation, self.seed)
-        clone.weights = [w.copy() for w in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
+        clone.theta[...] = self.theta
         return clone
 
 
@@ -179,8 +153,8 @@ def classify_backward(weights: np.ndarray, z_l2: np.ndarray,
 class PrototypeMatrix:
     """Zero-bias classifier weights, one column per source class.
 
-    No bias parameters exist by construction. Once ``frozen`` is set the
-    matrix ignores optimizer steps.
+    No bias parameters exist by construction. ``frozen`` is set when the
+    source phase ends; adaptation refuses unfrozen prototypes.
     """
 
     weights: np.ndarray
@@ -208,26 +182,16 @@ class PrototypeMatrix:
     def checksum(self) -> str:
         return hashlib.sha256(np.ascontiguousarray(self.weights).tobytes()).hexdigest()
 
-    def step(self, grad: np.ndarray, velocity: np.ndarray, lr: float,
-             momentum: float = 0.9) -> None:
-        """Momentum step, short-circuited bitwise when frozen."""
-        if self.frozen:
-            return
-        apply_sgd_momentum([self.weights], [grad], [velocity], lr, momentum)
-
-
-def apply_sgd_momentum(params: list[np.ndarray], grads: list[np.ndarray],
-                       velocity: list[np.ndarray], lr: float,
-                       momentum: float = 0.9) -> None:
+def apply_sgd_momentum(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
+                       lr: float, momentum: float = 0.9) -> None:
     """Classical momentum, in place: v <- momentum*v + g; p <- p - lr*v."""
-    for p, g, v in zip(params, grads, velocity, strict=True):
-        if p.shape != g.shape or p.shape != v.shape:
-            raise ValueError("parameter/gradient/velocity shape mismatch")
-        v *= momentum
-        v += g
-        p -= lr * v
-        if not np.all(np.isfinite(p)):
-            raise NumericError("non-finite parameter after SGD update")
+    if param.shape != grad.shape or param.shape != velocity.shape:
+        raise ValueError("parameter/gradient/velocity shape mismatch")
+    velocity *= momentum
+    velocity += grad
+    param -= lr * velocity
+    if not np.all(np.isfinite(param)):
+        raise NumericError("non-finite parameter after SGD update")
 
 
 def lr_schedule(n: int, lr0: float, gamma_lr: float = 0.0002,
@@ -255,7 +219,10 @@ def _read_matrix(lines: list[str], pos: int, rows: int, cols: int) -> tuple[np.n
         if len(values) != cols:
             raise DataFormatError(f"checkpoint line {pos + r + 1}: expected {cols} values")
         data.append([float(v) for v in values])
-    return np.asarray(data, dtype=float), pos + rows
+    m = np.asarray(data, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise DataFormatError(f"checkpoint lines {pos + 1}-{pos + rows}: non-finite value")
+    return m, pos + rows
 
 
 def save_checkpoint(path, encoder: Encoder, prototypes: PrototypeMatrix,
@@ -295,12 +262,17 @@ def load_checkpoint(path) -> tuple[Encoder, PrototypeMatrix, np.ndarray | None]:
 
 
 def _parse_checkpoint(path, lines: list[str]):
-    meta = dict(item.split("=", 1) for item in lines[1].split()[1:])
-    hidden = [] if meta["hidden"] == "-" else [int(h) for h in meta["hidden"].split(",")]
-    d_x, d_z = int(meta["d_x"]), int(meta["d_z"])
+    tokens = lines[1].split()
+    meta = dict(item.partition("=")[::2] for item in tokens[1:])
+    if (tokens[:1] != ["encoder"] or len(meta) != len(tokens) - 1
+            or meta.keys() != {"d_x", "hidden", "d_z", "activation", "seed"}):
+        raise DataFormatError(f"{path}: line 2: expected 'encoder' then d_x, hidden, d_z, "
+                              "activation and seed, each once as key=value")
+    hidden = [] if meta["hidden"] == "-" else [parse_digits(h) for h in meta["hidden"].split(",")]
+    d_x, d_z = parse_digits(meta["d_x"]), parse_digits(meta["d_z"])
     if d_x + sum(hidden) + d_z > len(lines):  # each width is some matrix's row count
         raise DataFormatError(f"{path}: layer widths exceed the file's {len(lines)} lines")
-    encoder = Encoder(d_x, hidden, d_z, meta["activation"], int(meta["seed"]))
+    encoder = Encoder(d_x, hidden, d_z, meta["activation"], parse_digits(meta["seed"]))
 
     pos = 2
     for i in range(encoder.n_layers):
@@ -308,27 +280,23 @@ def _parse_checkpoint(path, lines: list[str]):
         rows, cols = encoder.weights[i].shape
         if head != ["layer", str(i), str(rows), str(cols)]:
             raise DataFormatError(f"{path}: expected layer {i} {rows} {cols} at line {pos + 1}")
-        pos += 1
-        encoder.weights[i], pos = _read_matrix(lines, pos, rows, cols)
-        bias, pos = _read_matrix(lines, pos, 1, cols)
-        encoder.biases[i] = bias[0]
+        encoder.weights[i][...], pos = _read_matrix(lines, pos + 1, rows, cols)
+        encoder.biases[i][...], pos = _read_matrix(lines, pos, 1, cols)
 
     head = lines[pos].split()
     if len(head) != 4 or head[0] != "prototypes" or head[3] not in ("frozen=0", "frozen=1"):
         raise DataFormatError(f"{path}: line {pos + 1}: expected "
                               "'prototypes <d_z> <k_s> frozen=0|1'")
-    d_z, k_s = int(head[1]), int(head[2])
+    d_z, k_s = parse_digits(head[1]), parse_digits(head[2])
     if d_z != encoder.d_z:
         raise DataFormatError(f"{path}: prototypes have d_z={d_z}, encoder {encoder.d_z}")
-    frozen = head[3] == "frozen=1"
-    pos += 1
-    weights, pos = _read_matrix(lines, pos, d_z, k_s)
-    prototypes = PrototypeMatrix(weights, frozen=frozen)
+    weights, pos = _read_matrix(lines, pos + 1, d_z, k_s)
+    prototypes = PrototypeMatrix(weights, frozen=head[3] == "frozen=1")
 
     if pos == len(lines):
         return encoder, prototypes, None
     head = lines[pos].split()
-    n_e = int(head[1]) if head[:1] == ["ensemble"] and len(head) == 2 else 0
+    n_e = parse_digits(head[1]) if head[:1] == ["ensemble"] and len(head) == 2 else 0
     if n_e < 1 or pos + 1 + n_e * d_z != len(lines):
         raise DataFormatError(f"{path}: line {pos + 1}: expected 'ensemble <n>' with n >= 1, "
                               f"then n {d_z}-row matrices ending the file")

@@ -109,8 +109,7 @@ def train_source(encoder: Encoder, prototypes: PrototypeMatrix, source: Dataset,
     y_all = one_hot(source.labels, k_s)
     rng = np.random.default_rng(cfg.seed)
 
-    enc_params = encoder.params()
-    enc_vel = [np.zeros_like(p) for p in enc_params]
+    enc_vel = np.zeros_like(encoder.theta)
     proto_vel = np.zeros_like(prototypes.weights)
 
     if log_path is not None:
@@ -129,9 +128,10 @@ def train_source(encoder: Encoder, prototypes: PrototypeMatrix, source: Dataset,
                 raise NumericError(f"source training diverged at epoch {epoch}")
             dlogits = d_ce if cfg.eta == 0.0 else d_ce + cfg.eta * d_comp
             d_proto, dz_l2 = classify_backward(prototypes.weights, enc_out.z_l2, dlogits)
-            grads = encoder.backward(enc_out.ctx, dz_l2=dz_l2)
-            apply_sgd_momentum(enc_params, grads.as_list(), enc_vel, lr, MOMENTUM)
-            prototypes.step(d_proto, proto_vel, CLASSIFIER_LR_FACTOR * lr, MOMENTUM)
+            apply_sgd_momentum(encoder.theta, encoder.backward(enc_out.ctx, dz_l2=dz_l2),
+                               enc_vel, lr, MOMENTUM)
+            apply_sgd_momentum(prototypes.weights, d_proto, proto_vel,
+                               CLASSIFIER_LR_FACTOR * lr, MOMENTUM)
             ce_sum += ce_val * len(idx)
             comp_sum += comp_val * len(idx)
         acc = _source_accuracy(encoder, prototypes, source)

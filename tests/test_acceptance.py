@@ -129,8 +129,7 @@ def _pure_ce_reference_run(source, cfg, enc_seed, proto_seed):
     protos = PrototypeMatrix.random(6, source.k_s, seed=proto_seed)
     y_all = one_hot(source.labels, source.k_s)
     rng = np.random.default_rng(cfg.seed)
-    params = enc.params()
-    vel = [np.zeros_like(p) for p in params]
+    vel = np.zeros_like(enc.theta)
     proto_vel = np.zeros_like(protos.weights)
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg.lr0)
@@ -139,9 +138,9 @@ def _pure_ce_reference_run(source, cfg, enc_seed, proto_seed):
             out = classify(protos.weights, enc_out.z_l2)
             _, d_ce = loss_ce(out.probs, y_all[idx])
             d_proto, dz_l2 = classify_backward(protos.weights, enc_out.z_l2, d_ce)
-            grads = enc.backward(enc_out.ctx, dz_l2=dz_l2)
-            apply_sgd_momentum(params, grads.as_list(), vel, lr, 0.9)
-            protos.step(d_proto, proto_vel, 10 * lr, 0.9)
+            apply_sgd_momentum(enc.theta, enc.backward(enc_out.ctx, dz_l2=dz_l2),
+                               vel, lr, 0.9)
+            apply_sgd_momentum(protos.weights, d_proto, proto_vel, 10 * lr, 0.9)
     return enc, protos
 
 
@@ -156,7 +155,7 @@ def test_ablation_reductions(tmp_path):
     train_source(enc, protos, source, cfg)
     ref_enc, ref_protos = _pure_ce_reference_run(source, cfg, enc_seed=2,
                                                  proto_seed=3)
-    assert np.array_equal(enc.get_flat(), ref_enc.get_flat())
+    assert np.array_equal(enc.theta, ref_enc.theta)
     assert np.array_equal(protos.weights, ref_protos.weights)
 
     # n_e = n_a = 1 pseudo-labels equal direct single-classifier softmax

@@ -322,11 +322,11 @@ class TestAdaptLoop:
     def test_zero_epochs_is_identity(self):
         target = small_target()
         encoder = Encoder(5, [8], 6, seed=0)
-        before = encoder.get_flat().copy()
+        before = encoder.theta.copy()
         protos = frozen_prototypes(6, 8, seed=1)
         result = adapt(encoder, protos, target,
                        AdaptConfig(epochs=0, n_e=2, n_cl=2, seed=0))
-        np.testing.assert_array_equal(encoder.get_flat(), before)
+        np.testing.assert_array_equal(encoder.theta, before)
         assert result.history == []
         for w in result.ensemble.weights:
             np.testing.assert_array_equal(w, protos.weights)
@@ -365,7 +365,7 @@ class TestAdaptLoop:
         protos = frozen_prototypes(6, 8, seed=6)
         res_a = adapt(enc_a, protos, target, cfg_a)
         res_b = adapt(enc_b, protos, target, cfg_b)
-        np.testing.assert_array_equal(enc_a.get_flat(), enc_b.get_flat())
+        np.testing.assert_array_equal(enc_a.theta, enc_b.theta)
         for row_a, row_b in zip(res_a.history, res_b.history):
             assert row_a.loss_align == row_b.loss_align
             assert row_a.loss_nl == row_b.loss_nl == 0.0
@@ -443,5 +443,5 @@ class TestAdaptLoop:
         for _ in range(2):
             enc = Encoder(5, [8], 6, seed=12)
             adapt(enc, frozen_prototypes(6, 8, seed=13), target, cfg)
-            flats.append(enc.get_flat())
+            flats.append(enc.theta)
         np.testing.assert_array_equal(flats[0], flats[1])

@@ -77,8 +77,8 @@ def test_matrix_writer_matches_reference(m):
 def checkpoints(draw):
     d_x, d_z, k_s = (draw(st.integers(1, 3)) for _ in range(3))
     encoder = Encoder(d_x, draw(st.lists(st.integers(1, 3), max_size=2)), d_z)
-    for params in (encoder.weights, encoder.biases):
-        params[:] = [draw(arrays(np.float64, p.shape, elements=FINITE)) for p in params]
+    for p in (*encoder.weights, *encoder.biases):
+        p[...] = draw(arrays(np.float64, p.shape, elements=FINITE))
     prototypes = PrototypeMatrix(draw(arrays(np.float64, (d_z, k_s), elements=FINITE)),
                                  frozen=draw(st.booleans()))
     n_e = draw(st.integers(0, 3))
@@ -96,8 +96,7 @@ def test_checkpoint_round_trip_bit_exact(path, ckpt):
     encoder, prototypes, ensemble = ckpt
     save_checkpoint(path, encoder, prototypes, ensemble)
     enc2, protos2, ens2 = load_checkpoint(path)
-    for a, b in zip(encoder.params(), enc2.params(), strict=True):
-        assert same_bits(a, b)
+    assert same_bits(encoder.theta, enc2.theta)
     assert same_bits(prototypes.weights, protos2.weights)
     assert protos2.frozen == prototypes.frozen
     assert (ens2 is None) if ensemble is None else same_bits(ensemble, ens2)
@@ -138,8 +137,8 @@ def test_feature_file_golden_text(path):
 
 def test_checkpoint_golden_text(path):
     encoder = Encoder(2, [], 2, activation="identity", seed=5)
-    encoder.weights[0] = np.array([[0.1, -0.0], [1e-7, 123456789012.0]])
-    encoder.biases[0] = np.array([0.30000000000000004, 5e-324])
+    encoder.weights[0][...] = [[0.1, -0.0], [1e-7, 123456789012.0]]
+    encoder.biases[0][...] = [0.30000000000000004, 5e-324]
     prototypes = PrototypeMatrix(np.array([[1.0, -1.0], [0.5, 1e16]]), frozen=True)
     save_checkpoint(path, encoder, prototypes, np.array([[[0.25, -0.75], [1e-5, 3.0]]]))
     assert path.read_text(encoding="utf-8") == GOLDEN_CHECKPOINT

@@ -22,7 +22,7 @@ from protoadapt.source_trainer import SourcePhaseConfig
 
 def identity_encoder(d):
     enc = Encoder(d, [], d, activation="identity", seed=0)
-    enc.weights[0] = np.eye(d)
+    enc.weights[0][...] = np.eye(d)
     return enc
 
 
@@ -280,6 +280,13 @@ def rewrite(path, edit):
     path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
 
 
+def first_weight(text, value):
+    """``text`` with the first weight of layer 0 (line 4) set to ``value``."""
+    lines = text.splitlines(keepends=True)
+    lines[3] = value + lines[3][lines[3].index(" "):]
+    return "".join(lines)
+
+
 def add_ensemble(path, count, n_matrices):
     """Append an ``ensemble <count>`` section holding ``n_matrices``
     copies of the tiny model's (6 x K_s) prototypes."""
@@ -329,6 +336,26 @@ BAD_INPUTS = [
         t / "model.ckpt", lambda s: s.replace("frozen=1", "frozen=2"))),
     ("checkpoint extra prototypes field", ADAPT, 4, lambda t: rewrite(
         t / "model.ckpt", lambda s: s.replace("frozen=1", "frozen=1 x"))),
+    *[(f"checkpoint weight {value}", EVAL, 4, lambda t, v=value: rewrite(
+        t / "model.ckpt", lambda s: first_weight(s, v))) for value in ("nan", "inf", "1e400")],
+    ("checkpoint duplicate encoder key", EVAL, 4, lambda t: rewrite(
+        t / "model.ckpt", lambda s: s.replace("seed=0", "seed=0 seed=5", 1))),
+    ("checkpoint extra encoder key", EVAL, 4, lambda t: rewrite(
+        t / "model.ckpt", lambda s: s.replace("seed=0", "seed=0 x=1", 1))),
+    ("checkpoint prototypes +6", EVAL, 4, lambda t: rewrite(
+        t / "model.ckpt", lambda s: s.replace("prototypes 6", "prototypes +6"))),
+    ("checkpoint ensemble +1", EVAL, 4, lambda t: add_ensemble(t / "model.ckpt", "+1", 1)),
+    ("header d=+5", EVAL, 4, lambda t: rewrite(
+        t / "t.features", lambda s: s.replace(" d=5 ", " d=+5 ", 1))),
+    ("header k=0_6", EVAL, 4, lambda t: rewrite(
+        t / "t.features", lambda s: s.replace(" k=6 ", " k=0_6 ", 1))),
+    *[(f"label {value!r}", TRAIN, 4, lambda t, v=value: rewrite(
+        t / "s.features", lambda s: re.sub(r"\n\d+,", f"\n{v},", s, count=1)))
+      for value in ("+0", " 0 ", "0_1")],
+    ("hidden label '#0_1'", EVAL, 4, lambda t: rewrite(
+        t / "t.features", lambda s: re.sub(r"#\d+\n", "#0_1\n", s, count=1))),
+    ("feature '1_0'", EVAL, 4, lambda t: rewrite(
+        t / "t.features", lambda s: re.sub(r"\n\?,[^,]*,", "\n?,1_0,", s, count=1))),
     ("checkpoint K_s differs", EVAL, 4, lambda t: save_model(t / "model.ckpt", 5, 7)),
     ("checkpoint K_s differs in adapt", ADAPT, 4,
      lambda t: save_model(t / "model.ckpt", 5, 7)),
@@ -443,15 +470,16 @@ class TestCli:
         assert main(["eval", "--ckpt", str(tmp_path / "missing.ckpt"),
                      "--data", str(tmp_path / "missing.features")]) == 4
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_exit_code_numeric_failure(self, tmp_path, capsys):
+        # a finite checkpoint whose first layer overflows on finite input
         from protoadapt.model import PrototypeMatrix, save_checkpoint
         enc = identity_encoder(2)
-        enc.weights[0][0, 0] = np.inf
+        enc.weights[0][0, 0] = 1e308
         protos = PrototypeMatrix.random(2, 2, seed=0)
         protos.frozen = True
         save_checkpoint(tmp_path / "broken.ckpt", enc, protos)
-        ds = Dataset(np.eye(2), None, 2, 2, "target",
+        ds = Dataset(4 * np.eye(2), None, 2, 2, "target",
                      hidden_labels=np.array([0, 1]))
         write_feature_file(ds, tmp_path / "t.features")
         assert main(["eval", "--ckpt", str(tmp_path / "broken.ckpt"),

@@ -11,11 +11,49 @@ from protoadapt.model import (Encoder, PrototypeMatrix, apply_sgd_momentum,
 from protoadapt.numerics import finite_diff_grad
 
 
+class TestParameterBuffer:
+    def test_layers_are_views_in_layout_order(self):
+        enc = Encoder(4, [6, 5], 3, seed=1)
+        enc.theta[...] = np.arange(enc.theta.size)
+        pos = 0
+        for w, b in zip(enc.weights, enc.biases, strict=True):
+            for p in (w, b):
+                assert np.shares_memory(p, enc.theta)
+                np.testing.assert_array_equal(p.ravel(), np.arange(pos, pos + p.size))
+                pos += p.size
+        assert pos == enc.theta.size == 4 * 6 + 6 + 6 * 5 + 5 + 5 * 3 + 3
+
+    def test_layers_cannot_be_rebound(self):
+        enc = Encoder(2, [3], 2, seed=0)
+        with pytest.raises(TypeError):
+            enc.weights[0] = np.zeros((2, 3))
+        with pytest.raises(TypeError):
+            enc.biases[1] = np.zeros(2)
+
+    def test_copy_shares_no_memory(self):
+        enc = Encoder(3, [4], 2, seed=2)
+        clone = enc.copy()
+        np.testing.assert_array_equal(clone.theta, enc.theta)
+        for a in (clone.theta, *clone.weights, *clone.biases):
+            assert not np.shares_memory(a, enc.theta)
+
+    def test_loaded_views_alias_theta(self, tmp_path):
+        save_checkpoint(tmp_path / "m", Encoder(3, [4], 2, seed=2),
+                        PrototypeMatrix.random(2, 3, seed=1))
+        enc, _, _ = load_checkpoint(tmp_path / "m")
+        assert all(np.shares_memory(p, enc.theta) for p in (*enc.weights, *enc.biases))
+        x = np.random.default_rng(0).standard_normal((4, 3))
+        before = enc.forward(x).z
+        apply_sgd_momentum(enc.theta, np.ones_like(enc.theta),
+                           np.zeros_like(enc.theta), lr=0.1)
+        assert not np.array_equal(enc.forward(x).z, before)
+
+
 class TestEncoderForward:
     def test_identity_configuration(self):
         # single linear layer (no hidden => no nonlinearity), weights = I
         enc = Encoder(3, [], 3, activation="identity", seed=0)
-        enc.weights[0] = np.eye(3)
+        enc.weights[0][...] = np.eye(3)
         x = np.array([[1.0, -2.0, 0.5], [0.0, 4.0, 1.0]])
         out = enc.forward(x)
         np.testing.assert_array_equal(out.z, x)
@@ -40,12 +78,12 @@ class TestEncoderForward:
 
         def value(theta):
             clone = enc.copy()
-            clone.set_flat(theta)
+            clone.theta[...] = theta
             return float(clone.forward(x).z_l2.sum())
 
         out = enc.forward(x)
-        analytic = enc.backward(out.ctx, dz_l2=np.ones_like(out.z_l2)).flat()
-        numeric = finite_diff_grad(value, enc.get_flat())
+        analytic = enc.backward(out.ctx, dz_l2=np.ones_like(out.z_l2))
+        numeric = finite_diff_grad(value, enc.theta)
         scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
         assert (np.abs(analytic - numeric) / scale).max() < 1e-4
 
@@ -99,42 +137,28 @@ class TestClassify:
 class TestSgdMomentum:
     def test_zero_grad_no_motion(self):
         p = np.array([1.0, 2.0])
-        apply_sgd_momentum([p], [np.zeros(2)], [np.zeros(2)], lr=0.1)
+        apply_sgd_momentum(p, np.zeros(2), np.zeros(2), lr=0.1)
         np.testing.assert_array_equal(p, [1.0, 2.0])
 
     def test_momentum_zero_is_plain_sgd(self):
         p, g = np.array([1.0]), np.array([0.5])
-        apply_sgd_momentum([p], [g], [np.zeros(1)], lr=0.2, momentum=0.0)
+        apply_sgd_momentum(p, g, np.zeros(1), lr=0.2, momentum=0.0)
         np.testing.assert_allclose(p, [0.9], atol=1e-15)
 
     def test_two_steps_constant_gradient(self):
         # v1 = g, v2 = 1.9 g  =>  total displacement lr*g*(1 + 1.9)
         p, v = np.zeros(1), np.zeros(1)
         g = np.array([2.0])
-        apply_sgd_momentum([p], [g], [v], lr=0.1, momentum=0.9)
-        apply_sgd_momentum([p], [g], [v], lr=0.1, momentum=0.9)
+        apply_sgd_momentum(p, g, v, lr=0.1, momentum=0.9)
+        apply_sgd_momentum(p, g, v, lr=0.1, momentum=0.9)
         np.testing.assert_allclose(p, [-0.1 * 2.0 * 2.9], atol=1e-12)
 
     def test_non_finite_update_raises(self):
         with pytest.raises(NumericError):
-            apply_sgd_momentum([np.zeros(1)], [np.array([np.inf])],
-                               [np.zeros(1)], lr=0.1)
+            apply_sgd_momentum(np.zeros(1), np.array([np.inf]), np.zeros(1), lr=0.1)
 
 
 class TestPrototypeMatrix:
-    def test_frozen_is_bitwise_unchanged(self):
-        protos = PrototypeMatrix.random(4, 3, seed=0)
-        protos.frozen = True
-        before = protos.weights.tobytes()
-        protos.step(np.ones_like(protos.weights), np.zeros_like(protos.weights), 0.5)
-        assert protos.weights.tobytes() == before
-
-    def test_unfrozen_moves(self):
-        protos = PrototypeMatrix.random(4, 3, seed=0)
-        before = protos.weights.copy()
-        protos.step(np.ones_like(before), np.zeros_like(before), 0.5)
-        assert not np.array_equal(protos.weights, before)
-
     def test_checksum_tracks_content(self):
         a = PrototypeMatrix.random(4, 3, seed=0)
         b = PrototypeMatrix.random(4, 3, seed=0)

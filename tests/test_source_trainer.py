@@ -130,15 +130,16 @@ class TestTrainSource:
 
         enc_a = Encoder(4, [8], 6, seed=3)
         protos_a = PrototypeMatrix.random(6, 3, seed=4)
+        protos_init = protos_a.weights.copy()
         history = train_source(enc_a, protos_a, source, cfg)
+        assert not np.array_equal(protos_a.weights, protos_init)
 
         # independent cross-entropy-only loop built from the same primitives
         enc_b = Encoder(4, [8], 6, seed=3)
         protos_b = PrototypeMatrix.random(6, 3, seed=4)
         y_all = one_hot(source.labels, 3)
         rng = np.random.default_rng(cfg.seed)
-        params = enc_b.params()
-        vel = [np.zeros_like(p) for p in params]
+        vel = np.zeros_like(enc_b.theta)
         proto_vel = np.zeros_like(protos_b.weights)
         ce_curve = []
         for epoch in range(cfg.epochs):
@@ -149,27 +150,26 @@ class TestTrainSource:
                 out = classify(protos_b.weights, enc_out.z_l2)
                 ce_val, d_ce = loss_ce(out.probs, y_all[idx])
                 d_proto, dz_l2 = classify_backward(protos_b.weights, enc_out.z_l2, d_ce)
-                grads = enc_b.backward(enc_out.ctx, dz_l2=dz_l2)
-                apply_sgd_momentum(params, grads.as_list(), vel, lr, 0.9)
-                protos_b.step(d_proto, proto_vel, 10 * lr, 0.9)
+                apply_sgd_momentum(enc_b.theta, enc_b.backward(enc_out.ctx, dz_l2=dz_l2),
+                                   vel, lr, 0.9)
+                apply_sgd_momentum(protos_b.weights, d_proto, proto_vel, 10 * lr, 0.9)
                 ce_sum += ce_val * len(idx)
             ce_curve.append(ce_sum / source.n)
 
-        for w_a, w_b in zip(enc_a.params(), enc_b.params()):
-            np.testing.assert_array_equal(w_a, w_b)
+        np.testing.assert_array_equal(enc_a.theta, enc_b.theta)
         np.testing.assert_array_equal(protos_a.weights, protos_b.weights)
         assert [row.loss_ce for row in history] == ce_curve
 
     def test_zero_epochs_returns_initial_parameters(self):
         source = separable_task()
         encoder = Encoder(4, [8], 6, seed=11)
-        before = encoder.get_flat().copy()
+        before = encoder.theta.copy()
         protos = PrototypeMatrix.random(6, 3, seed=12)
         proto_before = protos.weights.copy()
         history = train_source(encoder, protos, source,
                                SourcePhaseConfig(epochs=0, seed=0))
         assert history == []
-        np.testing.assert_array_equal(encoder.get_flat(), before)
+        np.testing.assert_array_equal(encoder.theta, before)
         np.testing.assert_array_equal(protos.weights, proto_before)
         assert protos.frozen
 
@@ -191,11 +191,11 @@ class TestTrainSource:
         x = rng.standard_normal((8, 6))
         y = one_hot(rng.integers(0, 5, 8), 5)
         eta = 1.5
-        n_enc = encoder.get_flat().size
+        n_enc = encoder.theta.size
 
         def value(theta):
             clone = encoder.copy()
-            clone.set_flat(theta[:n_enc])
+            clone.theta[...] = theta[:n_enc]
             w = theta[n_enc:].reshape(4, 5)
             out = classify(w, clone.forward(x).z_l2)
             return loss_ce(out.probs, y)[0] + eta * loss_comp(out.probs, y)[0]
@@ -205,9 +205,9 @@ class TestTrainSource:
         _, d_ce = loss_ce(out.probs, y)
         _, d_comp = loss_comp(out.probs, y)
         d_w, dz_l2 = classify_backward(protos.weights, fwd.z_l2, d_ce + eta * d_comp)
-        analytic = np.concatenate([encoder.backward(fwd.ctx, dz_l2=dz_l2).flat(),
+        analytic = np.concatenate([encoder.backward(fwd.ctx, dz_l2=dz_l2),
                                    d_w.ravel()])
-        theta0 = np.concatenate([encoder.get_flat(), protos.weights.ravel()])
+        theta0 = np.concatenate([encoder.theta, protos.weights.ravel()])
         numeric = finite_diff_grad(value, theta0)
         scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
         assert (np.abs(analytic - numeric) / scale).max() < 1e-4
