@@ -125,10 +125,10 @@ class PseudoLabelTable:
 
 @dataclass
 class ConfidentSubset:
-    """Indices whose CAC strictly exceeds the epoch mean ``tau``."""
+    """Boolean mask of the samples whose CAC strictly exceeds the epoch
+    mean ``tau``."""
     tau: float
-    indices: np.ndarray
-    labels: np.ndarray
+    mask: np.ndarray
 
 
 def update_pseudo_labels(ensemble: EnsembleState) -> PseudoLabelTable:
@@ -138,19 +138,21 @@ def update_pseudo_labels(ensemble: EnsembleState) -> PseudoLabelTable:
     """
     probs = softmax(ensemble.history_mean(), axis=-1)
     labels = probs.argmax(axis=1)
-    return PseudoLabelTable(probs, labels, cac(probs, probs.shape[1]))
+    return PseudoLabelTable(probs, labels, cac(probs))
 
 
-def cac(p: np.ndarray, k_s: int) -> float | np.ndarray:
-    """Confidence-adjusted certainty: 1 - H2(p)(1 - max p)/log2(K_s).
+def cac(p: np.ndarray) -> float | np.ndarray:
+    """Confidence-adjusted certainty: 1 - H2(p)(1 - max p)/log2(K_s),
+    with K_s the width of ``p``'s last axis.
 
     One-hot inputs score 1, the uniform distribution scores 1/K_s, and
     every distribution lands in [0, 1]. Base-two entropy is required for
     the log2 normalization to cancel.
     """
+    p = np.asarray(p, dtype=float)
+    k_s = p.shape[-1]
     if k_s < 2:
         raise ValueError("cac needs at least 2 classes")
-    p = np.asarray(p, dtype=float)
     h2 = entropy(p, base="two")
     value = 1.0 - h2 * (1.0 - p.max(axis=-1)) / math.log2(k_s)
     return float(value) if np.ndim(value) == 0 else value
@@ -160,8 +162,7 @@ def build_confident_subset(table: PseudoLabelTable) -> ConfidentSubset:
     """tau = mean CAC over the full target set; membership is strict,
     so identical scores everywhere yield an empty subset."""
     tau = float(table.cac.mean())
-    indices = np.flatnonzero(table.cac > tau)
-    return ConfidentSubset(tau, indices, table.labels[indices])
+    return ConfidentSubset(tau, table.cac > tau)
 
 
 def gen_complement_sets(labels: np.ndarray, k_s: int, n_e: int, n_cl: int,
@@ -196,8 +197,9 @@ def loss_align(probs: np.ndarray) -> tuple[float, np.ndarray]:
     gradient w.r.t. the logits. The caller routes the gradient into the
     encoder only; the prototypes receive nothing."""
     n = probs.shape[0]
-    value = float(-(probs * clamped_log(probs)).sum() / n)
-    dprobs = -(clamped_log(probs) + 1.0) / n
+    log_p = clamped_log(probs)
+    value = float(-(probs * log_p).sum() / n)
+    dprobs = -(log_p + 1.0) / n
     return value, softmax_vjp(probs, dprobs)
 
 
@@ -255,34 +257,28 @@ def loss_nl(z_l2: np.ndarray, weights: np.ndarray,
 # -- class-geometry objectives ----------------------------------------------
 
 
-def _pair_cosine_term(z: np.ndarray, mask: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cosine distance over the masked sample pairs and its gradient.
-    ``mask`` is symmetric with a False diagonal; zero pairs contribute 0."""
-    cnt = int(mask.sum())
-    if cnt == 0:
-        return 0.0, np.zeros_like(z)
-    u, r = l2_normalize_rows(z)
-    cos = u @ u.T
-    value = float(((1.0 - cos) * mask).sum() / cnt)
-    s = mask.astype(float)
-    s = (s + s.T) / cnt
-    dz = -((s @ u) - (s * cos).sum(axis=1)[:, None] * u) / r[:, None]
-    return value, dz
-
-
-def _proto_cosine_term(z: np.ndarray, proto_weights: np.ndarray,
-                       mask: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cosine distance over masked (sample, prototype) pairs; the
-    prototypes are constants."""
-    cnt = int(mask.sum())
-    if cnt == 0:
-        return 0.0, np.zeros_like(z)
+def _geometry_term(z: np.ndarray, y: np.ndarray, proto_weights: np.ndarray,
+                   same: bool) -> tuple[float, np.ndarray]:
+    """Mean cosine distance over the sample pairs whose labels are equal
+    (``same``, diagonal excluded) or differ, plus the same over (sample,
+    prototype) pairs, with the gradient w.r.t. the raw codes. A pair
+    weighs 2/cnt in the gradient since both its ends move; a prototype is
+    a constant and weighs 1/cnt. An empty mask contributes 0."""
     u, r = l2_normalize_rows(z)
     v_unit, _ = l2_normalize_rows(proto_weights.T)
-    cos = u @ v_unit.T
-    value = float(((1.0 - cos) * mask).sum() / cnt)
-    a = mask.astype(float) / cnt
-    dz = -((a @ v_unit) - (a * cos).sum(axis=1)[:, None] * u) / r[:, None]
+    pair_mask = (y[:, None] == y[None, :]) == same
+    if same:
+        np.fill_diagonal(pair_mask, False)
+    proto_mask = (y[:, None] == np.arange(proto_weights.shape[1])[None, :]) == same
+    value, dz = 0.0, np.zeros_like(z)
+    for other, mask, w in ((u, pair_mask, 2.0), (v_unit, proto_mask, 1.0)):
+        cnt = int(mask.sum())
+        if cnt == 0:
+            continue
+        cos = u @ other.T
+        value += float(((1.0 - cos) * mask).sum() / cnt)
+        a = mask * (w / cnt)
+        dz += -((a @ other) - (a * cos).sum(axis=1)[:, None] * u) / r[:, None]
     return value, dz
 
 
@@ -291,25 +287,15 @@ def loss_inter(z: np.ndarray, y_tilde: np.ndarray,
     """Negated mean cosine distance between differently-labeled target
     pairs and between each sample and the prototypes of other classes;
     minimizing widens both gaps. Gradient w.r.t. the raw codes only."""
-    y = np.asarray(y_tilde)
-    pair_mask = y[:, None] != y[None, :]
-    proto_mask = y[:, None] != np.arange(proto_weights.shape[1])[None, :]
-    v1, d1 = _pair_cosine_term(z, pair_mask)
-    v2, d2 = _proto_cosine_term(z, proto_weights, proto_mask)
-    return -(v1 + v2), -(d1 + d2)
+    value, dz = _geometry_term(z, np.asarray(y_tilde), proto_weights, same=False)
+    return -value, -dz
 
 
 def loss_intra(z: np.ndarray, y_tilde: np.ndarray,
                proto_weights: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cosine distance between same-labeled target pairs and between
     each sample and its own class prototype; minimizing compacts classes."""
-    y = np.asarray(y_tilde)
-    n = y.shape[0]
-    pair_mask = (y[:, None] == y[None, :]) & ~np.eye(n, dtype=bool)
-    proto_mask = y[:, None] == np.arange(proto_weights.shape[1])[None, :]
-    v1, d1 = _pair_cosine_term(z, pair_mask)
-    v2, d2 = _proto_cosine_term(z, proto_weights, proto_mask)
-    return v1 + v2, d1 + d2
+    return _geometry_term(z, np.asarray(y_tilde), proto_weights, same=True)
 
 
 # -- the adaptation loop -----------------------------------------------------
@@ -368,11 +354,7 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
         ensemble.push_epoch_logits(full.z_l2)
         table = update_pseudo_labels(ensemble)
         subset = build_confident_subset(table)
-        if cfg.use_confident_subset:
-            conf_mask = np.zeros(target.n, dtype=bool)
-            conf_mask[subset.indices] = True
-        else:
-            conf_mask = np.ones(target.n, dtype=bool)
+        conf_mask = subset.mask if cfg.use_confident_subset else np.ones(target.n, dtype=bool)
 
         nl_phase = cfg.warmup_epochs <= epoch <= cfg.switch_epoch
         ce_phase = epoch > cfg.switch_epoch
@@ -388,6 +370,7 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
             dz = np.zeros_like(fwd.z)
             dz_l2 = np.zeros_like(fwd.z_l2)
             ens_grad = None  # for the members selected by ``members``
+            sel = np.flatnonzero(conf_mask[idx])
 
             out = classify(prototypes.weights, fwd.z_l2)
             align_val, dlogits = loss_align(out.probs)
@@ -403,33 +386,29 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
                 members = slice(None)
                 sums["nl"] += nl_val * len(idx)
                 weights_acc["nl"] += len(idx)
-            elif ce_phase:
-                sel = np.flatnonzero(conf_mask[idx])
-                if sel.size:
-                    out0 = classify(ensemble.weights[0], fwd.z_l2[sel])
-                    ce_val, d_ce = loss_ce(out0.probs,
-                                           one_hot(table.labels[idx[sel]], k_s))
-                    dw0, d_sel = classify_backward(ensemble.weights[0],
-                                                   fwd.z_l2[sel], d_ce)
-                    dz_l2[sel] += d_sel
-                    members, ens_grad = 0, dw0
-                    sums["nl"] += ce_val * sel.size
-                    weights_acc["nl"] += sel.size
+            elif ce_phase and sel.size:
+                out0 = classify(ensemble.weights[0], fwd.z_l2[sel])
+                ce_val, d_ce = loss_ce(out0.probs,
+                                       one_hot(table.labels[idx[sel]], k_s))
+                dw0, d_sel = classify_backward(ensemble.weights[0],
+                                               fwd.z_l2[sel], d_ce)
+                dz_l2[sel] += d_sel
+                members, ens_grad = 0, dw0
+                sums["nl"] += ce_val * sel.size
+                weights_acc["nl"] += sel.size
 
-            if geometry:
-                sel = np.flatnonzero(conf_mask[idx])
-                if sel.size:
-                    zc = fwd.z[sel]
-                    yc = table.labels[idx[sel]]
-                    if cfg.alpha != 0.0:
-                        v, d = loss_inter(zc, yc, prototypes.weights)
-                        dz[sel] += cfg.alpha * d
-                        sums["inter"] += v * sel.size
-                    if cfg.beta != 0.0:
-                        v, d = loss_intra(zc, yc, prototypes.weights)
-                        dz[sel] += cfg.beta * d
-                        sums["intra"] += v * sel.size
-                    weights_acc["geom"] += sel.size
+            if geometry and sel.size:
+                zc = fwd.z[sel]
+                yc = table.labels[idx[sel]]
+                if cfg.alpha != 0.0:
+                    v, d = loss_inter(zc, yc, prototypes.weights)
+                    dz[sel] += cfg.alpha * d
+                    sums["inter"] += v * sel.size
+                if cfg.beta != 0.0:
+                    v, d = loss_intra(zc, yc, prototypes.weights)
+                    dz[sel] += cfg.beta * d
+                    sums["intra"] += v * sel.size
+                weights_acc["geom"] += sel.size
 
             if not np.isfinite(sums["align"] + sums["nl"] + sums["inter"] + sums["intra"]):
                 raise NumericError(f"adaptation diverged at epoch {epoch}")
@@ -448,18 +427,11 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
             subset.tau, int(conf_mask.sum()), target_acc)
         history.append(row)
         if log_path is not None:
-            csvlog.append(log_path, _log_row(row))
+            csvlog.append(log_path, row)
 
     return AdaptResult(encoder, ensemble, history)
 
 
 ADAPT_LOG_HEADER = ["epoch", "loss_nl", "loss_inter", "loss_intra",
                     "loss_align", "tau", "|D_tau|", "target_acc"]
-
-
-def _log_row(row: AdaptEpochMetrics) -> list:
-    acc = "" if row.target_acc is None else repr(row.target_acc)
-    return [row.epoch, repr(row.loss_nl), repr(row.loss_inter),
-            repr(row.loss_intra), repr(row.loss_align), repr(row.tau),
-            row.d_tau_size, acc]
 

@@ -1,7 +1,9 @@
 """Per-epoch CSV metric logging.
 
 The header is written once, then each completed epoch appends and closes
-one row, so a consumer tailing the file never blocks the trainer.
+one row, so a consumer tailing the file never blocks the trainer. A row
+is an epoch's metrics dataclass, each field written as its ``repr``
+(full round-trip precision) and ``None`` as an empty cell.
 """
 
 import csv
@@ -12,6 +14,7 @@ def start(path, header):
         csv.writer(fh, lineterminator="\n").writerow(header)
 
 
-def append(path, values):
+def append(path, row):
+    values = ["" if v is None else repr(v) for v in vars(row).values()]
     with open(path, "a", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(values)

@@ -216,8 +216,9 @@ def _read_matrix(lines: list[str], pos: int, rows: int, cols: int) -> tuple[np.n
     data = []
     for r in range(rows):
         values = lines[pos + r].split()
-        if len(values) != cols:
-            raise DataFormatError(f"checkpoint line {pos + r + 1}: expected {cols} values")
+        if len(values) != cols or "_" in lines[pos + r]:  # float() reads "1_0" as 10.0
+            raise DataFormatError(f"checkpoint line {pos + r + 1}: expected {cols} "
+                                  "values without '_'")
         data.append([float(v) for v in values])
     m = np.asarray(data, dtype=float)
     if not np.all(np.isfinite(m)):

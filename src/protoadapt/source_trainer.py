@@ -139,7 +139,7 @@ def train_source(encoder: Encoder, prototypes: PrototypeMatrix, source: Dataset,
                                  acc, lr)
         history.append(row)
         if log_path is not None:
-            csvlog.append(log_path, _log_row(row))
+            csvlog.append(log_path, row)
     prototypes.frozen = True
     return history
 
@@ -151,9 +151,4 @@ def _source_accuracy(encoder: Encoder, prototypes: PrototypeMatrix,
 
 
 SOURCE_LOG_HEADER = ["epoch", "loss_ce", "loss_comp", "source_acc", "lr"]
-
-
-def _log_row(row: SourceEpochMetrics) -> list:
-    return [row.epoch, repr(row.loss_ce), repr(row.loss_comp),
-            repr(row.source_acc), repr(row.lr)]
 

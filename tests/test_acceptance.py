@@ -102,14 +102,14 @@ def test_complement_set_properties():
 
 def test_cac_properties():
     for k in range(2, 65):
-        assert cac(np.eye(k)[0], k) == pytest.approx(1.0, abs=1e-9)
-        assert cac(np.full(k, 1.0 / k), k) == pytest.approx(1.0 / k, abs=1e-9)
+        assert cac(np.eye(k)[0]) == pytest.approx(1.0, abs=1e-9)
+        assert cac(np.full(k, 1.0 / k)) == pytest.approx(1.0 / k, abs=1e-9)
     rng = np.random.default_rng(7)
     total = 0
     for k in (2, 3, 5, 8, 13, 21, 34, 64):
         p = rng.random((12_500, k)) + 1e-12
         p /= p.sum(axis=1, keepdims=True)
-        scores = cac(p, k)
+        scores = cac(p)
         assert np.all(scores >= 0.0) and np.all(scores <= 1.0)
         total += len(scores)
     assert total == 100_000

@@ -16,7 +16,7 @@ from protoadapt.adaptation import (AdaptConfig, EnsembleState,
 from protoadapt.datasets import SyntheticSpec, generate_synthetic
 from protoadapt.errors import ConfigError
 from protoadapt.model import Encoder, PrototypeMatrix, load_checkpoint, save_checkpoint
-from protoadapt.numerics import softmax
+from protoadapt.numerics import finite_diff_grad, softmax
 
 
 def frozen_prototypes(d_z, k_s, seed=0):
@@ -221,14 +221,14 @@ class TestLossNl:
 class TestCac:
     def test_one_hot_scores_one(self):
         for k in range(2, 65):
-            assert cac(np.eye(k)[0], k) == pytest.approx(1.0, abs=1e-9)
+            assert cac(np.eye(k)[0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_scores_inverse_k(self):
         for k in range(2, 65):
-            assert cac(np.full(k, 1.0 / k), k) == pytest.approx(1.0 / k, abs=1e-9)
+            assert cac(np.full(k, 1.0 / k)) == pytest.approx(1.0 / k, abs=1e-9)
 
     def test_hand_evaluated_value(self):
-        assert cac(np.array([0.5, 0.5, 0.0, 0.0]), 4) == pytest.approx(0.75, abs=1e-9)
+        assert cac(np.array([0.5, 0.5, 0.0, 0.0])) == pytest.approx(0.75, abs=1e-9)
 
     def test_bounds_on_random_distributions(self):
         rng = np.random.default_rng(5)
@@ -236,12 +236,16 @@ class TestCac:
             k = int(rng.integers(2, 20))
             p = rng.random(k) + 1e-12
             p /= p.sum()
-            score = cac(p, k)
+            score = cac(p)
             assert 0.0 <= score <= 1.0
 
     def test_rows(self):
         p = np.array([[1.0, 0.0], [0.5, 0.5]])
-        np.testing.assert_allclose(cac(p, 2), [1.0, 0.5], atol=1e-9)
+        np.testing.assert_allclose(cac(p), [1.0, 0.5], atol=1e-9)
+
+    def test_needs_two_classes(self):
+        with pytest.raises(ValueError):
+            cac(np.array([[1.0], [1.0]]))
 
 
 class TestConfidentSubset:
@@ -254,27 +258,28 @@ class TestConfidentSubset:
     def test_two_point_example(self):
         subset = build_confident_subset(self._table([1.0, 0.0]))
         assert subset.tau == pytest.approx(0.5)
-        np.testing.assert_array_equal(subset.indices, [0])
+        assert subset.mask.dtype == bool and subset.mask.shape == (2,)
+        np.testing.assert_array_equal(np.flatnonzero(subset.mask), [0])
 
     def test_all_equal_scores_empty(self):
         subset = build_confident_subset(self._table([0.4, 0.4, 0.4]))
-        assert subset.indices.size == 0
+        assert np.flatnonzero(subset.mask).size == 0
 
     def test_mean_threshold(self):
         subset = build_confident_subset(self._table([0.9, 0.8, 0.1]))
         assert subset.tau == pytest.approx(0.6, abs=1e-12)
-        np.testing.assert_array_equal(subset.indices, [0, 1])
+        np.testing.assert_array_equal(np.flatnonzero(subset.mask), [0, 1])
 
     def test_strictness(self):
         subset = build_confident_subset(self._table([0.5, 0.5, 1.0, 0.0]))
-        np.testing.assert_array_equal(subset.indices, [2])
+        np.testing.assert_array_equal(np.flatnonzero(subset.mask), [2])
 
     def test_every_member_strictly_above_mean(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
             scores = rng.random(int(rng.integers(1, 40)))
             subset = build_confident_subset(self._table(scores))
-            assert np.all(scores[subset.indices] > subset.tau)
+            assert np.all(scores[np.flatnonzero(subset.mask)] > subset.tau)
             assert subset.tau == pytest.approx(scores.mean(), abs=1e-12)
 
 
@@ -283,10 +288,12 @@ class TestGeometryLosses:
         z = np.array([[1.0, 0.0], [0.9, 0.1]])
         y = np.array([0, 0])
         protos = np.eye(2)
-        value, _ = loss_inter(z, y, protos)
-        from protoadapt.adaptation import _proto_cosine_term
-        proto_only, _ = _proto_cosine_term(z, protos, y[:, None] != np.arange(2))
-        assert value == pytest.approx(-proto_only, abs=1e-12)
+        value, dz = loss_inter(z, y, protos)
+        # no differently-labeled pairs; each sample against prototype e1:
+        # distances 1 and 1 - 0.1/|z1|, so the value is minus their mean
+        assert value == pytest.approx(-(1.0 - 0.05 / math.sqrt(0.82)), abs=1e-12)
+        # z0 = e0 is orthogonal to e1: its gradient is e1 / cnt
+        np.testing.assert_allclose(dz[0], [0.0, 0.5], atol=1e-12)
 
     def test_inter_orthogonal_hand_value(self):
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -303,12 +310,48 @@ class TestGeometryLosses:
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_intra_antipodal_pair_term(self):
-        from protoadapt.adaptation import _pair_cosine_term
         v = np.array([1.0, 2.0])
         z = np.vstack([v, -v])
-        mask = np.array([[False, True], [True, False]])
-        value, _ = _pair_cosine_term(z, mask)
-        assert value == pytest.approx(2.0, abs=1e-12)
+        protos = np.column_stack([v, np.array([1.0, 0.0])])
+        value, _ = loss_intra(z, np.array([0, 0]), protos)
+        # the pair sits at distance 2; against prototype v the samples sit
+        # at 0 and 2, mean 1
+        assert value == pytest.approx(3.0, abs=1e-12)
+
+    @staticmethod
+    def _pairwise_reference(z, y, protos, same):
+        """Mean cosine distance over the (i, j), i != j, sample pairs and
+        the (i, c) sample-prototype pairs whose label equality is
+        ``same``, one pair at a time; an empty set contributes 0."""
+        def dist(a, b):
+            return 1.0 - float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        total = 0.0
+        for pairs in ([(z[i], z[j]) for i in range(len(y)) for j in range(len(y))
+                       if i != j and (y[i] == y[j]) == same],
+                      [(z[i], protos[:, c]) for i in range(len(y))
+                       for c in range(protos.shape[1]) if (y[i] == c) == same]):
+            if pairs:
+                total += sum(dist(a, b) for a, b in pairs) / len(pairs)
+        return total
+
+    def test_geometry_matches_pairwise_reference(self):
+        rng = np.random.default_rng(13)
+        batches = [([0, 0, 1, 2, 2, 2], 4),  # repeats, a singleton class, an absent class
+                   ([3, 3, 3, 3], 5),        # one label: no differently-labeled pairs
+                   ([0, 1, 2, 3], 4),        # all distinct: no same-labeled pairs
+                   ([0, 0, 0], 1),           # one class: no other-class prototypes
+                   ([2], 3)]                 # one sample: no pairs at all
+        for labels, k in batches:
+            y = np.array(labels)
+            z = rng.normal(size=(len(y), 4))
+            protos = rng.normal(size=(4, k))
+            for loss, same, sign in ((loss_inter, False, -1.0), (loss_intra, True, 1.0)):
+                value, dz = loss(z, y, protos)
+                ref = lambda t: sign * self._pairwise_reference(
+                    t.reshape(z.shape), y, protos, same)
+                assert value == pytest.approx(ref(z.ravel()), abs=1e-12), (labels, same)
+                np.testing.assert_allclose(dz.ravel(), finite_diff_grad(ref, z.ravel()),
+                                           atol=1e-8, err_msg=str((labels, same)))
 
     def test_empty_masks_contribute_zero(self):
         z = np.array([[1.0, 0.0]])

@@ -337,7 +337,7 @@ BAD_INPUTS = [
     ("checkpoint extra prototypes field", ADAPT, 4, lambda t: rewrite(
         t / "model.ckpt", lambda s: s.replace("frozen=1", "frozen=1 x"))),
     *[(f"checkpoint weight {value}", EVAL, 4, lambda t, v=value: rewrite(
-        t / "model.ckpt", lambda s: first_weight(s, v))) for value in ("nan", "inf", "1e400")],
+        t / "model.ckpt", lambda s: first_weight(s, v))) for value in ("nan", "inf", "1e400", "1_0")],
     ("checkpoint duplicate encoder key", EVAL, 4, lambda t: rewrite(
         t / "model.ckpt", lambda s: s.replace("seed=0", "seed=0 seed=5", 1))),
     ("checkpoint extra encoder key", EVAL, 4, lambda t: rewrite(
