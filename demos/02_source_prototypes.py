@@ -9,8 +9,7 @@ classes; eta balances the two.
 import numpy as np
 
 from protoadapt import (Encoder, PrototypeMatrix, SourcePhaseConfig,
-                        SyntheticSpec, cosine_distance, generate_synthetic,
-                        train_source)
+                        SyntheticSpec, generate_synthetic, train_source)
 
 spec = SyntheticSpec(k_s=8, k_t=4, d_x=10, source_per_class=200,
                      target_per_class=100, seed=0)
@@ -30,7 +29,7 @@ print(f"final  {history[-1].loss_ce:8.4f}  {history[-1].loss_comp:9.4f}  "
 
 # after training the prototypes are frozen and well separated
 print(f"\nprototypes frozen: {prototypes.frozen}")
-pairwise = [cosine_distance(prototypes.weights[:, i], prototypes.weights[:, j])
-            for i in range(8) for j in range(i + 1, 8)]
+unit = prototypes.weights / np.linalg.norm(prototypes.weights, axis=0)
+pairwise = (1.0 - unit.T @ unit)[np.triu_indices(8, k=1)]
 print(f"pairwise prototype cosine distance: min {min(pairwise):.3f}, "
       f"mean {np.mean(pairwise):.3f}")

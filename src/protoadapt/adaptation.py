@@ -85,7 +85,6 @@ class EnsembleState:
         if n_e < 1 or n_a < 1:
             raise ConfigError("n_e and n_a must be >= 1")
         self.weights = np.tile(prototypes.weights, (n_e, 1, 1))
-        self.n_a = n_a
         self.history: deque[np.ndarray] = deque(maxlen=n_a)
 
     @property
@@ -96,11 +95,8 @@ class EnsembleState:
     def n_hist(self) -> int:
         return len(self.history)
 
-    def mean_logits(self, z_l2: np.ndarray) -> np.ndarray:
-        return (z_l2 @ self.weights).sum(axis=0) / self.n_e
-
     def push_epoch_logits(self, z_l2: np.ndarray) -> None:
-        self.history.append(self.mean_logits(z_l2))
+        self.history.append((z_l2 @ self.weights).sum(axis=0) / self.n_e)
 
     def history_mean(self) -> np.ndarray:
         if not self.history:
@@ -136,7 +132,7 @@ def update_pseudo_labels(ensemble: EnsembleState) -> PseudoLabelTable:
 
     argmax ties break toward the lowest class index.
     """
-    probs = softmax(ensemble.history_mean(), axis=-1)
+    probs = softmax(ensemble.history_mean())
     labels = probs.argmax(axis=1)
     return PseudoLabelTable(probs, labels, cac(probs))
 
@@ -153,7 +149,7 @@ def cac(p: np.ndarray) -> float | np.ndarray:
     k_s = p.shape[-1]
     if k_s < 2:
         raise ValueError("cac needs at least 2 classes")
-    h2 = entropy(p, base="two")
+    h2 = entropy(p) / math.log(2.0)
     value = 1.0 - h2 * (1.0 - p.max(axis=-1)) / math.log2(k_s)
     return float(value) if np.ndim(value) == 0 else value
 
@@ -219,7 +215,7 @@ def nl_loss_terms(z_l2: np.ndarray, weights: np.ndarray,
     """
     n_e, n = weights.shape[0], z_l2.shape[0]
     denom = n * n_cl * n_e
-    p = softmax(base_consts + scale * (z_l2 @ weights), axis=-1)
+    p = softmax(base_consts + scale * (z_l2 @ weights))
     mask = np.moveaxis(masks, 1, 0)
     log1p = clamped_log(1.0 - p)
     phi = -(1.0 - p) * log1p
@@ -315,14 +311,13 @@ class AdaptEpochMetrics:
 
 @dataclass
 class AdaptResult:
-    encoder: Encoder
     ensemble: EnsembleState
     history: list[AdaptEpochMetrics]
 
 
 def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
           cfg: AdaptConfig, epoch_hook=None, log_path=None) -> AdaptResult:
-    """Run the full adaptation schedule on an unlabeled target set.
+    """Adapt ``encoder`` in place to an unlabeled target set.
 
     ``epoch_hook(epoch, encoder, ensemble)`` may return a target accuracy
     to record; it is the only channel through which evaluation enters the
@@ -429,7 +424,7 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
         if log_path is not None:
             csvlog.append(log_path, row)
 
-    return AdaptResult(encoder, ensemble, history)
+    return AdaptResult(ensemble, history)
 
 
 ADAPT_LOG_HEADER = ["epoch", "loss_nl", "loss_inter", "loss_intra",

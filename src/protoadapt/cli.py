@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure,
-4 I/O or file-format error.
+Exit codes: 0 success, 2 configuration error or sizes too large to
+allocate, 3 numeric failure, 4 I/O or file-format error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .datasets import read_feature_file
 from .errors import (ConfigError, DataFormatError, EvaluationUnavailableError,
-                     NumericError)
+                     NumericError, parse_digits)
 from .gradcheck import TOLERANCE, run_suite
 from .harness import (ABLATION_MODES, apply_ablation, check_fits, evaluate,
                       load_config, parse_synthetic_spec, run_adapt_phase,
@@ -74,7 +74,11 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    results = run_suite(seed=args.seed)
+    try:
+        seed = parse_digits(args.seed)
+    except ValueError as exc:
+        raise ConfigError(f"--seed: {exc}") from exc
+    results = run_suite(seed=seed)
     ok = True
     for name, err in results.items():
         status = "ok" if err < TOLERANCE else "FAIL"
@@ -115,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.set_defaults(fn=_cmd_gradcheck)
     return parser
 
@@ -126,6 +130,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -29,15 +29,14 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray | None
-    d_x: int
     k_s: int
     role: str
     hidden_labels: np.ndarray | None = None
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
-        if feats.ndim != 2 or feats.shape[1] != self.d_x:
-            raise ValueError(f"features must be (n, {self.d_x})")
+        if feats.ndim != 2:
+            raise ValueError("features must be a 2-D (n, d_x) array")
         if not np.all(np.isfinite(feats)):
             raise ValueError("features contain non-finite values")
         if self.role not in ("source", "target"):
@@ -58,6 +57,10 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.features.shape[0]
+
+    @property
+    def d_x(self) -> int:
+        return self.features.shape[1]
 
 
 @dataclass(frozen=True)
@@ -132,8 +135,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
         target = target + np.asarray(spec.translation, dtype=float)
 
     source_ds = Dataset(np.vstack(src_feats), np.concatenate(src_labels),
-                        spec.d_x, spec.k_s, "source")
-    target_ds = Dataset(target, None, spec.d_x, spec.k_s, "target",
+                        spec.k_s, "source")
+    target_ds = Dataset(target, None, spec.k_s, "target",
                         hidden_labels=np.concatenate(tgt_labels))
     return source_ds, target_ds
 
@@ -232,7 +235,7 @@ def read_feature_file(path) -> Dataset:
         labels_arr, hidden_arr = None, np.asarray(hidden, dtype=int) if hidden else None
     try:
         features = np.asarray(feats, dtype=float).reshape(len(feats), d_x)
-        return Dataset(features, labels_arr, d_x, k_s, role, hidden_labels=hidden_arr)
+        return Dataset(features, labels_arr, k_s, role, hidden_labels=hidden_arr)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 

@@ -18,10 +18,6 @@ class DataFormatError(ValueError):
     """Malformed dataset or checkpoint file."""
 
 
-class DegenerateVectorError(ValueError):
-    """A vector with (near-)zero norm where a direction is required."""
-
-
 class EvaluationUnavailableError(RuntimeError):
     """Evaluation requested on a dataset without evaluation labels."""
 

@@ -24,6 +24,7 @@ from .source_trainer import loss_ce, loss_comp
 D_X, HIDDEN, D_Z, K_S, BATCH = 6, [8], 4, 5, 8
 NL_MEMBERS, NL_SET_SIZE, NL_HISTORY = 2, 2, 3
 TOLERANCE = 1e-4
+N_SEEDS = 20
 _ERR_FLOOR = 1e-4  # below this magnitude, compare absolutely at 1e-8
 
 
@@ -135,7 +136,7 @@ CHECKS = {
 }
 
 
-def run_suite(seed: int = 0, n_seeds: int = 20) -> dict[str, float]:
-    """Max relative error per loss over ``n_seeds`` random instances."""
-    return {name: max(check(seed + i) for i in range(n_seeds))
+def run_suite(seed: int = 0) -> dict[str, float]:
+    """Max relative error per loss over ``N_SEEDS`` random instances."""
+    return {name: max(check(seed + i) for i in range(N_SEEDS))
             for name, check in CHECKS.items()}

@@ -160,7 +160,6 @@ class EvalResult:
     accuracy: float
     per_class: dict[int, float]
     negative_transfer: float | None
-    predictions: np.ndarray
 
 
 def evaluate(encoder: Encoder, weights: np.ndarray, dataset: Dataset) -> EvalResult:
@@ -182,7 +181,7 @@ def evaluate(encoder: Encoder, weights: np.ndarray, dataset: Dataset) -> EvalRes
     if dataset.role == "target":
         shared = np.unique(labels)
         negative_transfer = float((~np.isin(preds, shared)).mean())
-    return EvalResult(accuracy, per_class, negative_transfer, preds)
+    return EvalResult(accuracy, per_class, negative_transfer)
 
 
 def apply_ablation(cfg: ExperimentConfig, mode: str) -> ExperimentConfig:
@@ -214,8 +213,8 @@ def _phase(name: str):
     except Exception as exc:
         try:
             wrapped = type(exc)(f"[{name}] {exc}")
-        except Exception:
-            raise
+        except Exception:  # a type that takes no message, such as numpy's MemoryError
+            raise exc from None
         raise wrapped from exc
 
 

@@ -8,16 +8,16 @@ Gradients through the l2 normalization use the exact Jacobian
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, NumericError, parse_digits
-from .numerics import (l2_normalize_backward, l2_normalize_rows,
-                       softmax)
+from .numerics import l2_normalize_backward, l2_normalize_rows, softmax
 
 CHECKPOINT_HEADER = "#pda-checkpoint v1"
+LR_GAMMA = 0.0002
+LR_ALPHA = 0.75
 
 _ACTIVATIONS = {
     # forward, derivative expressed in terms of the activation output
@@ -140,7 +140,7 @@ def classify(weights: np.ndarray, z_l2: np.ndarray) -> ClassifierOutput:
     if z_l2.shape[1] != weights.shape[0]:
         raise ValueError(f"code dimension {z_l2.shape[1]} != weight rows {weights.shape[0]}")
     logits = z_l2 @ weights
-    return ClassifierOutput(logits, softmax(logits, axis=-1))
+    return ClassifierOutput(logits, softmax(logits))
 
 
 def classify_backward(weights: np.ndarray, z_l2: np.ndarray,
@@ -179,8 +179,6 @@ class PrototypeMatrix:
     def k_s(self) -> int:
         return self.weights.shape[1]
 
-    def checksum(self) -> str:
-        return hashlib.sha256(np.ascontiguousarray(self.weights).tobytes()).hexdigest()
 
 def apply_sgd_momentum(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
                        lr: float, momentum: float = 0.9) -> None:
@@ -194,12 +192,11 @@ def apply_sgd_momentum(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray
         raise NumericError("non-finite parameter after SGD update")
 
 
-def lr_schedule(n: int, lr0: float, gamma_lr: float = 0.0002,
-                alpha_lr: float = 0.75) -> float:
-    """lr(n) = lr0 * (1 + gamma_lr*n)^(-alpha_lr); non-increasing in n."""
+def lr_schedule(n: int, lr0: float) -> float:
+    """lr(n) = lr0 * (1 + LR_GAMMA*n)^(-LR_ALPHA); non-increasing in n."""
     if n < 0:
         raise ValueError("epoch index must be >= 0")
-    return lr0 * (1.0 + gamma_lr * n) ** (-alpha_lr)
+    return lr0 * (1.0 + LR_GAMMA * n) ** (-LR_ALPHA)
 
 
 # -- checkpoints -----------------------------------------------------------

@@ -59,7 +59,7 @@ def run_study_seed(tmp_path, seed, tag=""):
 
 def test_gradient_suite():
     start = time.monotonic()
-    results = run_suite(seed=0, n_seeds=20)
+    results = run_suite(seed=0)
     elapsed = time.monotonic() - start
     assert set(results) == {"loss_ce", "loss_comp", "loss_align", "loss_nl",
                             "loss_inter", "loss_intra"}
@@ -165,7 +165,7 @@ def test_ablation_reductions(tmp_path):
     z = np.random.default_rng(6).standard_normal((20, 6))
     ens.push_epoch_logits(z)
     table = update_pseudo_labels(ens)
-    direct = softmax(z @ protos.weights, axis=-1)
+    direct = softmax(z @ protos.weights)
     assert np.array_equal(table.probs, direct)
 
     # alpha = beta = 0 removes the geometry terms from the decomposition
@@ -217,10 +217,10 @@ def test_prototype_freeze_and_privacy(tmp_path, capsys):
     from protoadapt.model import load_checkpoint
     _, protos_before, _ = load_checkpoint(src_ckpt)
     _, protos_after, ensemble = load_checkpoint(adapted_ckpt)
-    assert protos_before.checksum() == protos_after.checksum()
+    assert protos_before.weights.tobytes() == protos_after.weights.tobytes()
     assert ensemble is not None
     print("\nACCEPTANCE prototype-freeze-and-privacy: PASS "
-          "(checksum stable, source files deleted before adapt)")
+          "(weights bitwise stable, source files deleted before adapt)")
 
 
 def test_synthetic_pda_study(tmp_path):

@@ -69,7 +69,7 @@ class TestSyntheticGeneration:
 
 class TestFeatureFiles:
     def test_empty_dataset_round_trips(self, tmp_path):
-        empty = Dataset(np.empty((0, 3)), np.empty(0, dtype=int), 3, 5, "source")
+        empty = Dataset(np.empty((0, 3)), np.empty(0, dtype=int), 5, "source")
         path = tmp_path / "empty"
         write_feature_file(empty, path)
         back = read_feature_file(path)
@@ -77,7 +77,7 @@ class TestFeatureFiles:
 
     def test_labeled_round_trip(self, tmp_path):
         ds = Dataset(np.array([[1.5, -2.25], [0.125, 3.0]]), np.array([0, 2]),
-                     2, 3, "source")
+                     3, "source")
         path = tmp_path / "two"
         write_feature_file(ds, path)
         back = read_feature_file(path)
@@ -88,7 +88,7 @@ class TestFeatureFiles:
         assert path.read_bytes() == (tmp_path / "two2").read_bytes()
 
     def test_hidden_labels_round_trip(self, tmp_path):
-        ds = Dataset(np.array([[0.5], [1.5]]), None, 1, 4, "target",
+        ds = Dataset(np.array([[0.5], [1.5]]), None, 4, "target",
                      hidden_labels=np.array([1, 3]))
         write_feature_file(ds, tmp_path / "t")
         back = read_feature_file(tmp_path / "t")
@@ -97,7 +97,7 @@ class TestFeatureFiles:
 
     def test_nine_significant_digits_stable(self, tmp_path):
         rng = np.random.default_rng(5)
-        ds = Dataset(rng.standard_normal((4, 3)) * 1e3, None, 3, 2, "target")
+        ds = Dataset(rng.standard_normal((4, 3)) * 1e3, None, 2, "target")
         write_feature_file(ds, tmp_path / "a")
         once = read_feature_file(tmp_path / "a")
         write_feature_file(once, tmp_path / "b")
@@ -137,25 +137,25 @@ class TestFeatureFiles:
 class TestDatasetInvariants:
     def test_source_requires_labels(self):
         with pytest.raises(ValueError):
-            Dataset(np.zeros((2, 1)), None, 1, 2, "source")
+            Dataset(np.zeros((2, 1)), None, 2, "source")
 
     def test_target_rejects_visible_labels(self):
         with pytest.raises(ValueError):
-            Dataset(np.zeros((2, 1)), np.array([0, 1]), 1, 2, "target")
+            Dataset(np.zeros((2, 1)), np.array([0, 1]), 2, "target")
 
     def test_features_read_only(self):
-        ds = Dataset(np.zeros((2, 1)), np.array([0, 1]), 1, 2, "source")
+        ds = Dataset(np.zeros((2, 1)), np.array([0, 1]), 2, "source")
         with pytest.raises(ValueError):
             ds.features[0, 0] = 1.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            Dataset(np.array([[np.nan]]), np.array([0]), 1, 2, "source")
+            Dataset(np.array([[np.nan]]), np.array([0]), 2, "source")
 
 
 class TestEpochBatches:
     def _dataset(self, n):
-        return Dataset(np.zeros((n, 1)), np.zeros(n, dtype=int), 1, 2, "source")
+        return Dataset(np.zeros((n, 1)), np.zeros(n, dtype=int), 2, "source")
 
     def test_remainder_handling(self):
         batches = epoch_batches(self._dataset(5), 2, np.random.default_rng(0))

@@ -55,10 +55,10 @@ def test_feature_writer_matches_reference(path, kind, n, d_x, data):
     k_s = data.draw(st.sampled_from([1, 3, 10**6]))
     labels = data.draw(arrays(np.int64, n, elements=st.integers(0, k_s - 1)))
     if kind == "source":
-        ds = Dataset(features, labels, d_x, k_s, "source")
+        ds = Dataset(features, labels, k_s, "source")
     else:
         hidden = labels if kind == "target with hidden labels" else None
-        ds = Dataset(features, None, d_x, k_s, "target", hidden_labels=hidden)
+        ds = Dataset(features, None, k_s, "target", hidden_labels=hidden)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(datasets, "WRITE_CHUNK_ROWS", CHUNK)
         write_feature_file(ds, path)
@@ -130,7 +130,7 @@ ensemble 1
 def test_feature_file_golden_text(path):
     features = np.array([[0.1, -0.0, 1e-4], [1e-7, 123456789012.0, 123456789.0],
                          [2.5, -3.0, 1e9]])
-    write_feature_file(Dataset(features, None, 3, 3, "target",
+    write_feature_file(Dataset(features, None, 3, "target",
                                hidden_labels=np.array([0, 2, 1])), path)
     assert path.read_text(encoding="utf-8") == GOLDEN_FEATURES
 

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from protoadapt import harness
 from protoadapt.adaptation import AdaptConfig
 from protoadapt.cli import main
 from protoadapt.datasets import (Dataset, SyntheticSpec, read_feature_file,
@@ -30,14 +31,14 @@ class TestEvaluate:
     def test_perfect_classifier(self):
         # identity encoder + identity weights classify e_c as class c
         labels = np.array([0, 1, 2, 1])
-        ds = Dataset(np.eye(3)[labels], None, 3, 3, "target", hidden_labels=labels)
+        ds = Dataset(np.eye(3)[labels], None, 3, "target", hidden_labels=labels)
         result = evaluate(identity_encoder(3), np.eye(3), ds)
         assert result.accuracy == 1.0
         assert result.negative_transfer == 0.0
 
     def test_constant_predictor_on_balanced_target(self):
         labels = np.tile(np.arange(4), 5)
-        ds = Dataset(np.eye(4)[labels], None, 4, 4, "target", hidden_labels=labels)
+        ds = Dataset(np.eye(4)[labels], None, 4, "target", hidden_labels=labels)
         w = np.zeros((4, 4))
         w[:, 1] = 5.0  # every sample lands in class 1
         result = evaluate(identity_encoder(4), w, ds)
@@ -46,7 +47,7 @@ class TestEvaluate:
     def test_counting_fixture(self):
         preds_wanted = np.array([0, 0, 0, 0, 0, 0, 0, 1, 1, 1])
         hidden = np.array([0] * 7 + [0, 0, 0])  # 7 of 10 match
-        ds = Dataset(np.eye(2)[preds_wanted], None, 2, 2, "target",
+        ds = Dataset(np.eye(2)[preds_wanted], None, 2, "target",
                      hidden_labels=hidden)
         result = evaluate(identity_encoder(2), np.eye(2), ds)
         assert result.accuracy == pytest.approx(0.7)
@@ -55,18 +56,18 @@ class TestEvaluate:
         # four samples, two predicted into classes absent from the target
         feats = np.eye(4)[[0, 1, 2, 3]]
         hidden = np.array([0, 1, 0, 1])  # shared classes {0, 1}
-        ds = Dataset(feats, None, 4, 4, "target", hidden_labels=hidden)
+        ds = Dataset(feats, None, 4, "target", hidden_labels=hidden)
         result = evaluate(identity_encoder(4), np.eye(4), ds)
         assert result.negative_transfer == pytest.approx(0.5)
 
     def test_missing_hidden_labels(self):
-        ds = Dataset(np.eye(2), None, 2, 2, "target")
+        ds = Dataset(np.eye(2), None, 2, "target")
         with pytest.raises(EvaluationUnavailableError):
             evaluate(identity_encoder(2), np.eye(2), ds)
 
     def test_source_dataset_uses_visible_labels(self):
         labels = np.array([0, 1])
-        ds = Dataset(np.eye(2)[labels], labels, 2, 2, "source")
+        ds = Dataset(np.eye(2)[labels], labels, 2, "source")
         result = evaluate(identity_encoder(2), np.eye(2), ds)
         assert result.accuracy == 1.0
         assert result.negative_transfer is None
@@ -234,8 +235,7 @@ class TestRunExperiment:
         tgt = tmp_path / "gen" / "target.features"
         original = read_feature_file(tgt)
         rng = np.random.default_rng(0)
-        permuted = Dataset(original.features.copy(), None, original.d_x,
-                           original.k_s, "target",
+        permuted = Dataset(original.features.copy(), None, original.k_s, "target",
                            hidden_labels=rng.permutation(original.hidden_labels))
         tgt_permuted = tmp_path / "target_permuted.features"
         write_feature_file(permuted, tgt_permuted)
@@ -374,7 +374,16 @@ BAD_INPUTS = [
         t, lambda c: c["source"].update(seed=-2))),
     ("negative spec seed via gen", GEN, 2, lambda t: write_spec(
         t, {**TINY_SYNTHETIC, "seed": -4})),
+    *[(f"gradcheck seed {value!r}", ["gradcheck", "--seed", value], 2, lambda t: None)
+      for value in ("-1", "+1", "1_0")],
 ]
+
+
+class ArrayMemoryError(MemoryError):
+    """Like numpy's allocation error: its constructor needs a shape and a dtype."""
+
+    def __init__(self, shape, dtype):
+        super().__init__(f"Unable to allocate 745. GiB for shape {shape} and {dtype}")
 
 
 class TestCli:
@@ -398,6 +407,20 @@ class TestCli:
         assert main(["ablate", "--config", str(cfg), "--mode", "full"]) == 2
         assert "K_s-1=7" in capsys.readouterr().err
         assert not list(tmp_path.rglob("source_metrics.csv"))
+
+    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 745. GiB"),
+                                       ArrayMemoryError((10**11, 10), "float64")],
+                             ids=["MemoryError", "numpy-like"])
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch, error):
+        def train_source(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(harness, "train_source", train_source)
+        cfg = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        assert main(["train-source", "--config", str(cfg),
+                     "--out", str(tmp_path / "src.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ") and "745. GiB" in err
+        assert "Traceback" not in err
 
     def test_cli_phases_match_run_experiment(self, tmp_path, capsys):
         cli_out = tmp_path / "cli"
@@ -479,7 +502,7 @@ class TestCli:
         protos = PrototypeMatrix.random(2, 2, seed=0)
         protos.frozen = True
         save_checkpoint(tmp_path / "broken.ckpt", enc, protos)
-        ds = Dataset(4 * np.eye(2), None, 2, 2, "target",
+        ds = Dataset(4 * np.eye(2), None, 2, "target",
                      hidden_labels=np.array([0, 1]))
         write_feature_file(ds, tmp_path / "t.features")
         assert main(["eval", "--ckpt", str(tmp_path / "broken.ckpt"),

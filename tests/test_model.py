@@ -158,15 +158,6 @@ class TestSgdMomentum:
             apply_sgd_momentum(np.zeros(1), np.array([np.inf]), np.zeros(1), lr=0.1)
 
 
-class TestPrototypeMatrix:
-    def test_checksum_tracks_content(self):
-        a = PrototypeMatrix.random(4, 3, seed=0)
-        b = PrototypeMatrix.random(4, 3, seed=0)
-        assert a.checksum() == b.checksum()
-        b.weights[0, 0] += 1e-12
-        assert a.checksum() != b.checksum()
-
-
 class TestLrSchedule:
     def test_initial_value(self):
         assert lr_schedule(0, 0.03) == 0.03

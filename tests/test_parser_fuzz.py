@@ -26,10 +26,10 @@ def valid(tmp_path_factory):
     """One valid file of each kind, as text, and a path to overwrite."""
     root = tmp_path_factory.mktemp("fuzz")
     rng = np.random.default_rng(0)
-    write_feature_file(Dataset(rng.standard_normal((3, 2)), None, 2, 3, "target",
+    write_feature_file(Dataset(rng.standard_normal((3, 2)), None, 3, "target",
                                hidden_labels=np.array([0, 2, 1])), root / "t")
     write_feature_file(Dataset(rng.standard_normal((3, 2)), np.array([1, 0, 2]),
-                               2, 3, "source"), root / "s")
+                               3, "source"), root / "s")
     protos = PrototypeMatrix.random(2, 3, seed=1)
     protos.frozen = True
     save_checkpoint(root / "c", Encoder(2, [3], 2, seed=0), protos,
