@@ -33,7 +33,7 @@ from .errors import ConfigError, NumericError
 from .model import (Encoder, PrototypeMatrix, apply_sgd_momentum, classify,
                     classify_backward, lr_schedule)
 from .numerics import clamped_log, entropy, l2_normalize_rows, one_hot, softmax, softmax_vjp
-from .source_trainer import CLASSIFIER_LR_FACTOR, MOMENTUM, loss_ce
+from .source_trainer import CLASSIFIER_LR_FACTOR, loss_ce
 
 
 @dataclass
@@ -408,10 +408,10 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
             if not np.isfinite(sums["align"] + sums["nl"] + sums["inter"] + sums["intra"]):
                 raise NumericError(f"adaptation diverged at epoch {epoch}")
             apply_sgd_momentum(encoder.theta, encoder.backward(fwd.ctx, dz=dz, dz_l2=dz_l2),
-                               enc_vel, lr, MOMENTUM)
+                               enc_vel, lr)
             if ens_grad is not None:
                 apply_sgd_momentum(ensemble.weights[members], ens_grad, ens_vel[members],
-                                   CLASSIFIER_LR_FACTOR * lr, MOMENTUM)
+                                   CLASSIFIER_LR_FACTOR * lr)
 
         target_acc = epoch_hook(epoch, encoder, ensemble) if epoch_hook else None
         n_sup = weights_acc["nl"] or 1

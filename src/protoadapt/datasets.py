@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, parse_digits
+from .errors import ConfigError, DataFormatError, parse_digits, parse_floats
 
 FEATURE_HEADER_PREFIX = "#pda-features v1"
 
@@ -141,9 +141,9 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     return source_ds, target_ds
 
 
-# Rows formatted and written per chunk: the text held in memory stays a
-# few hundred lines whatever the file size.
-WRITE_CHUNK_ROWS = 256
+# Rows the writer formats, and the reader converts, per chunk: the text
+# held in memory stays a few hundred lines whatever the file size.
+CHUNK_ROWS = 256
 
 
 def write_feature_file(dataset: Dataset, path) -> None:
@@ -151,15 +151,15 @@ def write_feature_file(dataset: Dataset, path) -> None:
 
     Each row is one ``%`` call on Python floats, so the text equals
     ``format(v, ".9g")`` per value; rows go to the file in chunks of
-    ``WRITE_CHUNK_ROWS``.
+    ``CHUNK_ROWS``.
     """
     row_fmt = (("?" if dataset.labels is None else "%d") + ",%.9g" * dataset.d_x
                + ("" if dataset.hidden_labels is None else "#%d") + "\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{FEATURE_HEADER_PREFIX} d={dataset.d_x} k={dataset.k_s} "
                  f"role={dataset.role}\n")
-        for start in range(0, dataset.n, WRITE_CHUNK_ROWS):
-            chunk = slice(start, start + WRITE_CHUNK_ROWS)
+        for start in range(0, dataset.n, CHUNK_ROWS):
+            chunk = slice(start, start + CHUNK_ROWS)
             rows = dataset.features[chunk].tolist()
             if dataset.labels is not None:
                 rows = [[lb, *row] for lb, row in zip(dataset.labels[chunk].tolist(), rows)]
@@ -169,15 +169,22 @@ def write_feature_file(dataset: Dataset, path) -> None:
 
 
 def read_feature_file(path) -> Dataset:
-    """Parse a feature file; errors name the offending line number."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
-    if not raw or not raw[0].startswith(FEATURE_HEADER_PREFIX):
+    """Parse a feature file; errors name the offending line number. The file is
+    streamed, split as ``str.splitlines`` splits it, and the values of each
+    ``CHUNK_ROWS`` lines go through one ``parse_floats`` call, so a read peaks at
+    about twice the array's size."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return _parse_features(path, (ln for phys in fh for ln in phys.splitlines()))
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def _parse_features(path, lines) -> Dataset:
+    header = next(lines, "")
+    if not header.startswith(FEATURE_HEADER_PREFIX):
         raise DataFormatError(f"{path}: line 1: missing '{FEATURE_HEADER_PREFIX}' header")
-    fields = raw[0][len(FEATURE_HEADER_PREFIX):].split()
+    fields = header[len(FEATURE_HEADER_PREFIX):].split()
     try:
         meta = dict(item.split("=", 1) for item in fields)
         sizes, role = [meta["d"], meta["k"]], meta["role"]
@@ -194,30 +201,46 @@ def read_feature_file(path) -> Dataset:
     if role not in ("source", "target"):
         raise DataFormatError(f"{path}: line 1: unknown role {role!r}")
 
-    feats, labels, hidden = [], [], []
-    for lineno, line in enumerate(raw[1:], start=2):
+    labels, hidden, blocks = [], [], [np.empty(0)]
+    chunk = {}  # line number -> value text, for lines whose values are not yet converted
+
+    def convert():
+        try:
+            if d_x and chunk:
+                blocks.append(parse_floats(",".join(chunk.values()), ","))
+        except ValueError:
+            for lineno, text in chunk.items():  # re-run line by line to name the bad one
+                try:
+                    parse_floats(text, ",")
+                except ValueError as exc:
+                    raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
+        chunk.clear()
+
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         body, _, comment = line.partition("#")
-        parts = body.split(",")
-        if len(parts) != d_x + 1:
-            raise DataFormatError(
-                f"{path}: line {lineno}: expected {d_x} features, got {len(parts) - 1}")
+        label, _, text = body.partition(",")
         try:
-            label = None if parts[0] == "?" else parse_digits(parts[0])
+            if body.count(",") != d_x:
+                raise ValueError(f"expected {d_x} features, got {body.count(',')}")
+            label = None if label == "?" else parse_digits(label)
             if "_" in body:  # float() would read "1_0" as 10.0
                 raise ValueError(f"'_' in {body!r}")
-            row = [float(v) for v in parts[1:]]
+            chunk[lineno] = text  # converted later, but in this order of checks
             hidden_label = parse_digits(comment) if comment else None
+            for lb in (label, hidden_label):
+                if lb is not None and not 0 <= lb < k_s:
+                    raise ValueError(f"label {lb} not in [0, {k_s})")
         except ValueError as exc:
+            convert()  # a bad value before this check is reported first
             raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
-        for lb in (label, hidden_label):
-            if lb is not None and not 0 <= lb < k_s:
-                raise DataFormatError(f"{path}: line {lineno}: label {lb} not in [0, {k_s})")
         if comment:
             hidden.append(hidden_label)
-        feats.append(row)
         labels.append(label)
+        if len(chunk) == CHUNK_ROWS:
+            convert()
+    convert()
 
     if role == "source":
         if any(lb is None for lb in labels):
@@ -230,11 +253,11 @@ def read_feature_file(path) -> Dataset:
         if any(lb is not None for lb in labels):
             bad = next(i for i, lb in enumerate(labels) if lb is not None) + 2
             raise DataFormatError(f"{path}: line {bad}: target sample with visible label")
-        if hidden and len(hidden) != len(feats):
+        if hidden and len(hidden) != len(labels):
             raise DataFormatError(f"{path}: hidden labels on some but not all lines")
         labels_arr, hidden_arr = None, np.asarray(hidden, dtype=int) if hidden else None
     try:
-        features = np.asarray(feats, dtype=float).reshape(len(feats), d_x)
+        features = np.concatenate(blocks).reshape(len(labels), d_x)
         return Dataset(features, labels_arr, k_s, role, hidden_labels=hidden_arr)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc

@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and its one integer parser.
+"""Exception types shared across the package, and its integer and float parsers.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
 NumericError -> 3, DataFormatError, EvaluationUnavailableError and
 OSError -> 4.
 """
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -27,3 +29,9 @@ def parse_digits(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"{text!r} is not ASCII digits 0-9")
     return int(text)
+
+
+def parse_floats(text: str, sep: str | None) -> np.ndarray:
+    """The ``sep``-separated values of ``text``, each read with ``float()``'s syntax,
+    bits and error text (unlike ``np.loadtxt``), by one call for the whole text."""
+    return np.array(text.split(sep), dtype=float)

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, NumericError, parse_digits
+from .errors import ConfigError, DataFormatError, NumericError, parse_digits, parse_floats
 from .numerics import l2_normalize_backward, l2_normalize_rows, softmax
 
 CHECKPOINT_HEADER = "#pda-checkpoint v1"
 LR_GAMMA = 0.0002
 LR_ALPHA = 0.75
+MOMENTUM = 0.9
 
 _ACTIVATIONS = {
     # forward, derivative expressed in terms of the activation output
@@ -181,11 +182,11 @@ class PrototypeMatrix:
 
 
 def apply_sgd_momentum(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
-                       lr: float, momentum: float = 0.9) -> None:
-    """Classical momentum, in place: v <- momentum*v + g; p <- p - lr*v."""
+                       lr: float) -> None:
+    """Classical momentum, in place: v <- MOMENTUM*v + g; p <- p - lr*v."""
     if param.shape != grad.shape or param.shape != velocity.shape:
         raise ValueError("parameter/gradient/velocity shape mismatch")
-    velocity *= momentum
+    velocity *= MOMENTUM
     velocity += grad
     param -= lr * velocity
     if not np.all(np.isfinite(param)):
@@ -210,14 +211,15 @@ def _write_matrix(lines: list[str], m: np.ndarray) -> None:
 
 
 def _read_matrix(lines: list[str], pos: int, rows: int, cols: int) -> tuple[np.ndarray, int]:
-    data = []
-    for r in range(rows):
-        values = lines[pos + r].split()
-        if len(values) != cols or "_" in lines[pos + r]:  # float() reads "1_0" as 10.0
-            raise DataFormatError(f"checkpoint line {pos + r + 1}: expected {cols} "
-                                  "values without '_'")
-        data.append([float(v) for v in values])
-    m = np.asarray(data, dtype=float)
+    try:
+        for r in range(pos, pos + rows):
+            if len(lines[r].split()) != cols or "_" in lines[r]:  # float() reads "1_0" as 10.0
+                raise DataFormatError(f"checkpoint line {r + 1}: expected {cols} "
+                                      "values without '_'")
+    except (IndexError, DataFormatError):
+        parse_floats(" ".join(lines[pos:r]), None)  # a bad value on an earlier line comes first
+        raise
+    m = parse_floats(" ".join(lines[pos:pos + rows]), None).reshape(rows, cols)
     if not np.all(np.isfinite(m)):
         raise DataFormatError(f"checkpoint lines {pos + 1}-{pos + rows}: non-finite value")
     return m, pos + rows

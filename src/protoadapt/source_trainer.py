@@ -21,7 +21,6 @@ from .model import (Encoder, PrototypeMatrix, apply_sgd_momentum, classify,
 from .numerics import clamped_log, one_hot, softmax_vjp
 
 CLASSIFIER_LR_FACTOR = 10.0
-MOMENTUM = 0.9
 
 
 @dataclass
@@ -129,9 +128,8 @@ def train_source(encoder: Encoder, prototypes: PrototypeMatrix, source: Dataset,
             dlogits = d_ce if cfg.eta == 0.0 else d_ce + cfg.eta * d_comp
             d_proto, dz_l2 = classify_backward(prototypes.weights, enc_out.z_l2, dlogits)
             apply_sgd_momentum(encoder.theta, encoder.backward(enc_out.ctx, dz_l2=dz_l2),
-                               enc_vel, lr, MOMENTUM)
-            apply_sgd_momentum(prototypes.weights, d_proto, proto_vel,
-                               CLASSIFIER_LR_FACTOR * lr, MOMENTUM)
+                               enc_vel, lr)
+            apply_sgd_momentum(prototypes.weights, d_proto, proto_vel, CLASSIFIER_LR_FACTOR * lr)
             ce_sum += ce_val * len(idx)
             comp_sum += comp_val * len(idx)
         acc = _source_accuracy(encoder, prototypes, source)

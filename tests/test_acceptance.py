@@ -139,8 +139,8 @@ def _pure_ce_reference_run(source, cfg, enc_seed, proto_seed):
             _, d_ce = loss_ce(out.probs, y_all[idx])
             d_proto, dz_l2 = classify_backward(protos.weights, enc_out.z_l2, d_ce)
             apply_sgd_momentum(enc.theta, enc.backward(enc_out.ctx, dz_l2=dz_l2),
-                               vel, lr, 0.9)
-            apply_sgd_momentum(protos.weights, d_proto, proto_vel, 10 * lr, 0.9)
+                               vel, lr)
+            apply_sgd_momentum(protos.weights, d_proto, proto_vel, 10 * lr)
     return enc, protos
 
 

@@ -1,6 +1,7 @@
 """Tests for synthetic generation, feature-file I/O, and batching."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,26 @@ class TestFeatureFiles:
         with pytest.raises(DataFormatError, match="line 3"):
             read_feature_file(path)
 
+    # With several faults, the first in value-at-a-time order is named: a
+    # line's label, '_' and values are checked in that order, then its
+    # hidden label, and a bad value comes before a later line's fault or
+    # bad value.
+    @pytest.mark.parametrize("rows, message", [
+        (["0,1.5", "0,x", "0,1,2"], "line 3: could not convert string to float: 'x'"),
+        (["0,1.5", "0,x", "0,y"], "line 3: could not convert string to float: 'x'"),
+        (["0,x", "0,1_5"], "line 2: could not convert string to float: 'x'"),
+        (["0,x", "7,1"], "line 2: could not convert string to float: 'x'"),
+        (["y,x"], "line 2: 'y' is not ASCII digits"),
+        (["0,1_x"], "line 2: '_' in '0,1_x'"),
+        (["0,x#y"], "line 2: could not convert string to float: 'x'"),
+        (["0,1#7"], r"line 2: label 7 not in \[0, 2\)")])
+    def test_first_fault_is_named(self, tmp_path, rows, message):
+        path = tmp_path / "bad"
+        path.write_text("#pda-features v1 d=1 k=2 role=source\n" + "\n".join(rows) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataFormatError, match=message):
+            read_feature_file(path)
+
     def test_label_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "bad"
         path.write_text("#pda-features v1 d=1 k=2 role=source\n5,1.0\n",
@@ -132,6 +153,22 @@ class TestFeatureFiles:
         path.write_text("1,2,3\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="line 1"):
             read_feature_file(path)
+
+    def test_read_peak_memory_is_bounded(self, tmp_path):
+        # the reader streams the file and converts it in chunks, so its
+        # allocations peak near twice the array; whole-text parsing with one
+        # float object per value peaks near seven times
+        rng = np.random.default_rng(0)
+        write_feature_file(Dataset(rng.standard_normal((2000, 64)), None, 4, "target",
+                                   hidden_labels=rng.integers(0, 4, 2000)),
+                           tmp_path / "t.features")
+        tracemalloc.start()
+        try:
+            features = read_feature_file(tmp_path / "t.features").features
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * features.nbytes, peak / features.nbytes
 
 
 class TestDatasetInvariants:

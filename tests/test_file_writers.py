@@ -1,6 +1,8 @@
 """The feature-file and checkpoint writers: byte-for-byte equal to
 value-at-a-time reference formatters on any finite input, chunk
-boundaries included, and pinned to literal golden text."""
+boundaries included, and pinned to literal golden text. The feature
+reader and its float parser: bit-for-bit equal to ``float()`` one value
+at a time."""
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from protoadapt import datasets
-from protoadapt.datasets import FEATURE_HEADER_PREFIX, Dataset, write_feature_file
+from protoadapt.datasets import (FEATURE_HEADER_PREFIX, Dataset, read_feature_file,
+                                 write_feature_file)
+from protoadapt.errors import parse_floats
 from protoadapt.model import (Encoder, PrototypeMatrix, _write_matrix, load_checkpoint,
                               save_checkpoint)
 
@@ -18,7 +22,7 @@ EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-4, 1e9,
                1e-7, 0.1, MAX, -MAX]
 FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False, width=64),
                    st.sampled_from(EDGE_FLOATS))
-CHUNK = 4  # small stand-in for WRITE_CHUNK_ROWS, so tests cross chunk edges
+CHUNK = 4  # small stand-in for CHUNK_ROWS, so tests cross chunk edges
 
 
 def reference_feature_text(ds: Dataset) -> str:
@@ -60,9 +64,87 @@ def test_feature_writer_matches_reference(path, kind, n, d_x, data):
         hidden = labels if kind == "target with hidden labels" else None
         ds = Dataset(features, None, k_s, "target", hidden_labels=hidden)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(datasets, "WRITE_CHUNK_ROWS", CHUNK)
+        mp.setattr(datasets, "CHUNK_ROWS", CHUNK)
         write_feature_file(ds, path)
     assert path.read_bytes() == reference_feature_text(ds).encode()
+
+
+def reference_read(text: str):
+    """Features, labels and hidden labels of a valid feature file, parsed
+    one ``float()`` call per value."""
+    head, *lines = text.splitlines()
+    d_x = int(head.split()[2].removeprefix("d="))
+    feats, labels, hidden = [], [], []
+    for line in lines:
+        if not line.strip():
+            continue
+        body, _, comment = line.partition("#")
+        label, *values = body.split(",")
+        feats.append([float(v) for v in values])
+        labels.append(None if label == "?" else int(label))
+        if comment:
+            hidden.append(int(comment))
+    return np.array(feats, dtype=float).reshape(len(feats), d_x), labels, hidden
+
+
+# spellings float() accepts for one value: shortest repr, the writer's
+# %.9g, 17 significant digits, and padding with whitespace that is not a
+# line break
+SPELLINGS = [repr, lambda v: format(v, ".9g"), lambda v: format(v, ".16e"),
+             lambda v: f" {v!r}\t", lambda v: f"\xa0{v:.9g}"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [0, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1])
+@pytest.mark.parametrize("d_x", [0, 1, 5])
+@settings(max_examples=10)  # per case; the grid above fixes the shapes
+@given(data=st.data())
+def test_feature_reader_matches_reference(path, kind, n, d_x, data):
+    k_s = data.draw(st.sampled_from([1, 3, 10**6]))
+    lines = [f"{FEATURE_HEADER_PREFIX} d={d_x} k={k_s} role={kind.split()[0]}"]
+    for _ in range(n):
+        label = "?" if kind != "source" else str(data.draw(st.integers(0, k_s - 1)))
+        values = [data.draw(st.sampled_from(SPELLINGS))(float(data.draw(FINITE)))
+                  for _ in range(d_x)]
+        line = ",".join([label, *values])
+        if kind == "target with hidden labels":
+            line += f"#{data.draw(st.integers(0, k_s - 1))}"
+        lines += [" "] * data.draw(st.integers(0, 1)) + [line]  # blank lines are skipped
+    text = "\n".join(lines) + "\n"
+    path.write_text(text, encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datasets, "CHUNK_ROWS", CHUNK)
+        ds = read_feature_file(path)
+    features, labels, hidden = reference_read(text)
+    assert same_bits(ds.features, features)
+    assert (ds.labels is None) if kind != "source" else ds.labels.tolist() == labels
+    assert (ds.hidden_labels.tolist() if ds.hidden_labels is not None else []) == hidden
+
+
+def float_or_error(token: str):
+    try:
+        return float(token)
+    except ValueError as exc:
+        return str(exc)
+
+
+# pieces of tokens float() accepts or rejects: whitespace it strips
+# ("\xa0", "\x0c"), a control character it rejects but np.loadtxt skips
+# ("\x1c") and a non-ASCII digit it reads but np.loadtxt rejects
+FLOAT_PIECES = [*"0123456789+-.eE", "nan", "inf", "\xa0", "\x0c", "\x1c", "\u0661"]
+
+
+@given(tokens=st.lists(st.lists(st.sampled_from(FLOAT_PIECES), max_size=6).map("".join),
+                       min_size=1, max_size=4))
+def test_parse_floats_matches_float(tokens):
+    expected = [float_or_error(t) for t in tokens]
+    try:
+        got = parse_floats(",".join(tokens), ",")
+    except ValueError as exc:
+        assert str(exc) == next(e for e in expected if isinstance(e, str))
+    else:
+        assert not any(isinstance(e, str) for e in expected)
+        assert got.tobytes() == np.array(expected, dtype=float).tobytes()
 
 
 @given(m=st.tuples(st.integers(1, 6), st.integers(0, 6)).flatmap(

@@ -11,7 +11,7 @@ import pytest
 from protoadapt import harness
 from protoadapt.adaptation import AdaptConfig
 from protoadapt.cli import main
-from protoadapt.datasets import (Dataset, SyntheticSpec, read_feature_file,
+from protoadapt.datasets import (CHUNK_ROWS, Dataset, SyntheticSpec, read_feature_file,
                                  write_feature_file)
 from protoadapt.errors import ConfigError, EvaluationUnavailableError
 from protoadapt.harness import (apply_ablation, derive_seeds, evaluate,
@@ -295,6 +295,19 @@ def add_ensemble(path, count, n_matrices):
                     + "\n", encoding="utf-8")
 
 
+LATE_LINE = CHUNK_ROWS + 40  # a line in the feature reader's second chunk
+
+
+def break_late_line(path, edit, message):
+    """Repeat the feature file's rows past one chunk and ``edit`` line
+    LATE_LINE; return the error text that must name it."""
+    head, *rows = path.read_text(encoding="utf-8").splitlines()
+    rows *= LATE_LINE // len(rows) + 2
+    rows[LATE_LINE - 2] = edit(rows[LATE_LINE - 2])
+    path.write_text("\n".join([head, *rows]) + "\n", encoding="utf-8")
+    return f"line {LATE_LINE}: {message}"
+
+
 def write_spec(tmp_path, spec):
     (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
 
@@ -313,7 +326,7 @@ GEN = ["gen", "--spec", "{tmp}/spec.json", "--out-source", "{tmp}/s2",
        "--out-target", "{tmp}/t2"]
 
 # (case, command, exit code, how the valid inputs are broken; a breakage
-# may return environment variables to set)
+# may return environment variables to set, or text the error must contain)
 BAD_INPUTS = [
     ("truncated checkpoint", EVAL, 4, lambda t: rewrite(
         t / "model.ckpt", lambda s: "\n".join(s.splitlines()[:6]) + "\n")),
@@ -356,6 +369,13 @@ BAD_INPUTS = [
         t / "t.features", lambda s: re.sub(r"#\d+\n", "#0_1\n", s, count=1))),
     ("feature '1_0'", EVAL, 4, lambda t: rewrite(
         t / "t.features", lambda s: re.sub(r"\n\?,[^,]*,", "\n?,1_0,", s, count=1))),
+    *[(f"{case} past the first chunk", EVAL, 4,
+       lambda t, e=edit, m=message: break_late_line(t / "t.features", e, m))
+      for case, edit, message in [
+          ("bad float", lambda row: row.replace(",", ",x", 1),
+           "could not convert string to float: 'x"),
+          ("extra field", lambda row: row.replace(",", ",0,", 1), "expected 5 features, got 6"),
+          ("'_' in a feature", lambda row: row.replace(".", "_", 1), "'_' in")]],
     ("checkpoint K_s differs", EVAL, 4, lambda t: save_model(t / "model.ckpt", 5, 7)),
     ("checkpoint K_s differs in adapt", ADAPT, 4,
      lambda t: save_model(t / "model.ckpt", 5, 7)),
@@ -393,10 +413,13 @@ class TestCli:
     def test_bad_input_exit_code(self, tmp_path, capsys, monkeypatch, command, code,
                                  breakage):
         write_bad_inputs(tmp_path)
-        for name, value in (breakage(tmp_path) or {}).items():
+        found = breakage(tmp_path)
+        for name, value in (found if isinstance(found, dict) else {}).items():
             monkeypatch.setenv(name, value)
         assert main([arg.format(tmp=tmp_path) for arg in command]) == code
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert not isinstance(found, str) or found in err, err
 
     def test_oversized_complement_sets_rejected_before_training(self, tmp_path, capsys):
         cfg_dict = tiny_config(tmp_path / "out", n_e=3, n_cl=3)

@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from protoadapt.errors import NumericError
+from protoadapt.errors import DataFormatError, NumericError
 from protoadapt.model import (Encoder, PrototypeMatrix, apply_sgd_momentum,
                               classify, classify_backward, load_checkpoint,
                               lr_schedule, save_checkpoint)
@@ -141,16 +141,18 @@ class TestSgdMomentum:
         np.testing.assert_array_equal(p, [1.0, 2.0])
 
     def test_momentum_zero_is_plain_sgd(self):
-        p, g = np.array([1.0]), np.array([0.5])
-        apply_sgd_momentum(p, g, np.zeros(1), lr=0.2, momentum=0.0)
+        # from a zero velocity buffer the first step is plain SGD: p - lr*g
+        p, g, v = np.array([1.0]), np.array([0.5]), np.zeros(1)
+        apply_sgd_momentum(p, g, v, lr=0.2)
         np.testing.assert_allclose(p, [0.9], atol=1e-15)
+        np.testing.assert_array_equal(v, g)
 
     def test_two_steps_constant_gradient(self):
         # v1 = g, v2 = 1.9 g  =>  total displacement lr*g*(1 + 1.9)
         p, v = np.zeros(1), np.zeros(1)
         g = np.array([2.0])
-        apply_sgd_momentum(p, g, v, lr=0.1, momentum=0.9)
-        apply_sgd_momentum(p, g, v, lr=0.1, momentum=0.9)
+        apply_sgd_momentum(p, g, v, lr=0.1)
+        apply_sgd_momentum(p, g, v, lr=0.1)
         np.testing.assert_allclose(p, [-0.1 * 2.0 * 2.9], atol=1e-12)
 
     def test_non_finite_update_raises(self):
@@ -196,3 +198,19 @@ class TestCheckpoints:
         _, protos2, ensemble2 = load_checkpoint(tmp_path / "m")
         assert ensemble2 is None
         assert not protos2.frozen
+
+    # A bad value is named before a later line's fault in the same matrix,
+    # the order of a reader that converted each line as it checked it.
+    @pytest.mark.parametrize("later_fault", ["short line", "'_'", "truncated"])
+    def test_earlier_bad_value_is_named_first(self, tmp_path, later_fault):
+        path = tmp_path / "m"
+        save_checkpoint(path, Encoder(4, [], 1, seed=0), PrototypeMatrix.random(1, 2, seed=1))
+        lines = path.read_text(encoding="utf-8").splitlines()  # layer 0 rows: lines 4-7
+        lines[3] = "x"
+        if later_fault == "truncated":
+            del lines[5:]
+        else:
+            lines[4] = "" if later_fault == "short line" else "1_0"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="could not convert string to float: 'x'"):
+            load_checkpoint(path)

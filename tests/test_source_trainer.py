@@ -151,8 +151,8 @@ class TestTrainSource:
                 ce_val, d_ce = loss_ce(out.probs, y_all[idx])
                 d_proto, dz_l2 = classify_backward(protos_b.weights, enc_out.z_l2, d_ce)
                 apply_sgd_momentum(enc_b.theta, enc_b.backward(enc_out.ctx, dz_l2=dz_l2),
-                                   vel, lr, 0.9)
-                apply_sgd_momentum(protos_b.weights, d_proto, proto_vel, 10 * lr, 0.9)
+                                   vel, lr)
+                apply_sgd_momentum(protos_b.weights, d_proto, proto_vel, 10 * lr)
                 ce_sum += ce_val * len(idx)
             ce_curve.append(ce_sum / source.n)
 
