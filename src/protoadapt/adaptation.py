@@ -253,29 +253,36 @@ def loss_nl(z_l2: np.ndarray, weights: np.ndarray,
 # -- class-geometry objectives ----------------------------------------------
 
 
-def _geometry_term(z: np.ndarray, y: np.ndarray, proto_weights: np.ndarray,
-                   same: bool) -> tuple[float, np.ndarray]:
-    """Mean cosine distance over the sample pairs whose labels are equal
-    (``same``, diagonal excluded) or differ, plus the same over (sample,
-    prototype) pairs, with the gradient w.r.t. the raw codes. A pair
-    weighs 2/cnt in the gradient since both its ends move; a prototype is
-    a constant and weighs 1/cnt. An empty mask contributes 0."""
+def loss_geometry(z: np.ndarray, y_tilde: np.ndarray, v_unit: np.ndarray
+                  ) -> tuple[tuple[float, np.ndarray], tuple[float, np.ndarray]]:
+    """``loss_inter`` then ``loss_intra``, each (value, d/dz), from one
+    normalization of the codes and one product with the codes and with the
+    unit prototypes ``v_unit`` (K_s, d_z). A term is the mean cosine
+    distance over the sample pairs (diagonal excluded), plus the same over
+    the (sample, prototype) pairs, whose labels differ (inter) or agree
+    (intra). A pair weighs 2/cnt in the gradient since both its ends move; a
+    prototype is a constant and weighs 1/cnt. An empty mask contributes 0."""
+    y = np.asarray(y_tilde)
     u, r = l2_normalize_rows(z)
-    v_unit, _ = l2_normalize_rows(proto_weights.T)
-    pair_mask = (y[:, None] == y[None, :]) == same
-    if same:
-        np.fill_diagonal(pair_mask, False)
-    proto_mask = (y[:, None] == np.arange(proto_weights.shape[1])[None, :]) == same
-    value, dz = 0.0, np.zeros_like(z)
-    for other, mask, w in ((u, pair_mask, 2.0), (v_unit, proto_mask, 1.0)):
-        cnt = int(mask.sum())
-        if cnt == 0:
-            continue
-        cos = u @ other.T
-        value += float(((1.0 - cos) * mask).sum() / cnt)
-        a = mask * (w / cnt)
-        dz += -((a @ other) - (a * cos).sum(axis=1)[:, None] * u) / r[:, None]
-    return value, dz
+    same_pair = y[:, None] == y[None, :]
+    intra_pair = same_pair.copy()
+    np.fill_diagonal(intra_pair, False)
+    same_proto = y[:, None] == np.arange(v_unit.shape[0])[None, :]
+    cos_pair, cos_proto = u @ u.T, u @ v_unit.T
+    terms = []
+    for pair_mask, proto_mask in ((~same_pair, ~same_proto), (intra_pair, same_proto)):
+        value, dz = 0.0, np.zeros_like(z)
+        for other, cos, mask, w in ((u, cos_pair, pair_mask, 2.0),
+                                    (v_unit, cos_proto, proto_mask, 1.0)):
+            cnt = int(mask.sum())
+            if cnt == 0:
+                continue
+            value += float(((1.0 - cos) * mask).sum() / cnt)
+            a = mask * (w / cnt)
+            dz += -((a @ other) - (a * cos).sum(axis=1)[:, None] * u) / r[:, None]
+        terms.append((value, dz))
+    (inter, d_inter), intra = terms
+    return (-inter, -d_inter), intra
 
 
 def loss_inter(z: np.ndarray, y_tilde: np.ndarray,
@@ -283,15 +290,14 @@ def loss_inter(z: np.ndarray, y_tilde: np.ndarray,
     """Negated mean cosine distance between differently-labeled target
     pairs and between each sample and the prototypes of other classes;
     minimizing widens both gaps. Gradient w.r.t. the raw codes only."""
-    value, dz = _geometry_term(z, np.asarray(y_tilde), proto_weights, same=False)
-    return -value, -dz
+    return loss_geometry(z, y_tilde, l2_normalize_rows(proto_weights.T)[0])[0]
 
 
 def loss_intra(z: np.ndarray, y_tilde: np.ndarray,
                proto_weights: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cosine distance between same-labeled target pairs and between
     each sample and its own class prototype; minimizing compacts classes."""
-    return _geometry_term(z, np.asarray(y_tilde), proto_weights, same=True)
+    return loss_geometry(z, y_tilde, l2_normalize_rows(proto_weights.T)[0])[1]
 
 
 # -- the adaptation loop -----------------------------------------------------
@@ -319,10 +325,13 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
           cfg: AdaptConfig, epoch_hook=None, log_path=None) -> AdaptResult:
     """Adapt ``encoder`` in place to an unlabeled target set.
 
-    ``epoch_hook(epoch, encoder, ensemble)`` may return a target accuracy
-    to record; it is the only channel through which evaluation enters the
-    log, keeping hidden labels out of this module. Deterministic given
-    the config seed.
+    ``epoch_hook(epoch, z_l2, ensemble)`` may return a target accuracy
+    to record, from the unit codes ``z_l2`` of the full target set at the
+    epoch's final parameters; it is the only channel through which
+    evaluation enters the log, keeping hidden labels out of this module.
+    The same codes feed the next epoch's pseudo-label refresh, so a run
+    makes epochs + 1 full-target forward passes. Deterministic given the
+    config seed.
     """
     if not prototypes.frozen:
         raise ConfigError("adapt requires frozen prototypes")
@@ -336,6 +345,7 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
     comp_rng = np.random.default_rng(seeds[1])
 
     ensemble = EnsembleState(prototypes, cfg.n_e, cfg.n_a)
+    v_unit, _ = l2_normalize_rows(prototypes.weights.T)
     x = target.features
     enc_vel = np.zeros_like(encoder.theta)
     ens_vel = np.zeros_like(ensemble.weights)
@@ -343,10 +353,10 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
     if log_path is not None:
         csvlog.start(log_path, ADAPT_LOG_HEADER)
     history: list[AdaptEpochMetrics] = []
+    z_l2 = encoder.forward(x).z_l2
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg.lr0)
-        full = encoder.forward(x)
-        ensemble.push_epoch_logits(full.z_l2)
+        ensemble.push_epoch_logits(z_l2)
         table = update_pseudo_labels(ensemble)
         subset = build_confident_subset(table)
         conf_mask = subset.mask if cfg.use_confident_subset else np.ones(target.n, dtype=bool)
@@ -393,19 +403,14 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
                 weights_acc["nl"] += sel.size
 
             if geometry and sel.size:
-                zc = fwd.z[sel]
-                yc = table.labels[idx[sel]]
-                if cfg.alpha != 0.0:
-                    v, d = loss_inter(zc, yc, prototypes.weights)
-                    dz[sel] += cfg.alpha * d
-                    sums["inter"] += v * sel.size
-                if cfg.beta != 0.0:
-                    v, d = loss_intra(zc, yc, prototypes.weights)
-                    dz[sel] += cfg.beta * d
-                    sums["intra"] += v * sel.size
+                terms = loss_geometry(fwd.z[sel], table.labels[idx[sel]], v_unit)
+                for key, coef, (v, d) in zip(("inter", "intra"), (cfg.alpha, cfg.beta), terms):
+                    if coef != 0.0:
+                        dz[sel] += coef * d
+                        sums[key] += v * sel.size
                 weights_acc["geom"] += sel.size
 
-            if not np.isfinite(sums["align"] + sums["nl"] + sums["inter"] + sums["intra"]):
+            if not math.isfinite(sums["align"] + sums["nl"] + sums["inter"] + sums["intra"]):
                 raise NumericError(f"adaptation diverged at epoch {epoch}")
             apply_sgd_momentum(encoder.theta, encoder.backward(fwd.ctx, dz=dz, dz_l2=dz_l2),
                                enc_vel, lr)
@@ -413,7 +418,8 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
                 apply_sgd_momentum(ensemble.weights[members], ens_grad, ens_vel[members],
                                    CLASSIFIER_LR_FACTOR * lr)
 
-        target_acc = epoch_hook(epoch, encoder, ensemble) if epoch_hook else None
+        z_l2 = encoder.forward(x).z_l2
+        target_acc = epoch_hook(epoch, z_l2, ensemble) if epoch_hook else None
         n_sup = weights_acc["nl"] or 1
         n_geom = weights_acc["geom"] or 1
         row = AdaptEpochMetrics(

@@ -202,6 +202,7 @@ def _parse_features(path, lines) -> Dataset:
         raise DataFormatError(f"{path}: line 1: unknown role {role!r}")
 
     labels, hidden, blocks = [], [], [np.empty(0)]
+    misrole_line = None  # the first unlabeled source row or labeled target row
     chunk = {}  # line number -> value text, for lines whose values are not yet converted
 
     def convert():
@@ -237,22 +238,22 @@ def _parse_features(path, lines) -> Dataset:
             raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
         if comment:
             hidden.append(hidden_label)
+        if misrole_line is None and (label is None) == (role == "source"):
+            misrole_line = lineno
         labels.append(label)
         if len(chunk) == CHUNK_ROWS:
             convert()
     convert()
 
     if role == "source":
-        if any(lb is None for lb in labels):
-            bad = labels.index(None) + 2
-            raise DataFormatError(f"{path}: line {bad}: source sample without label")
+        if misrole_line is not None:
+            raise DataFormatError(f"{path}: line {misrole_line}: source sample without label")
         if hidden:
             raise DataFormatError(f"{path}: hidden-label comments on source rows")
         labels_arr, hidden_arr = np.asarray(labels, dtype=int), None
     else:
-        if any(lb is not None for lb in labels):
-            bad = next(i for i, lb in enumerate(labels) if lb is not None) + 2
-            raise DataFormatError(f"{path}: line {bad}: target sample with visible label")
+        if misrole_line is not None:
+            raise DataFormatError(f"{path}: line {misrole_line}: target sample with visible label")
         if hidden and len(hidden) != len(labels):
             raise DataFormatError(f"{path}: hidden labels on some but not all lines")
         labels_arr, hidden_arr = None, np.asarray(hidden, dtype=int) if hidden else None

@@ -172,13 +172,19 @@ def evaluate(encoder: Encoder, weights: np.ndarray, dataset: Dataset) -> EvalRes
     labels = dataset.hidden_labels if dataset.role == "target" else dataset.labels
     if labels is None:
         raise EvaluationUnavailableError("dataset carries no evaluation labels")
-    out = classify(weights, encoder.forward(dataset.features).z_l2)
+    return _score(encoder.forward(dataset.features).z_l2, weights, labels, dataset.role)
+
+
+def _score(z_l2: np.ndarray, weights: np.ndarray, labels: np.ndarray,
+           role: str) -> EvalResult:
+    """``evaluate`` on unit codes already computed."""
+    out = classify(weights, z_l2)
     preds = out.logits.argmax(axis=1)
     accuracy = float((preds == labels).mean())
     per_class = {int(c): float((preds[labels == c] == c).mean())
                  for c in np.unique(labels)}
     negative_transfer = None
-    if dataset.role == "target":
+    if role == "target":
         shared = np.unique(labels)
         negative_transfer = float((~np.isin(preds, shared)).mean())
     return EvalResult(accuracy, per_class, negative_transfer)
@@ -298,8 +304,8 @@ def run_adapt_phase(cfg: ExperimentConfig, encoder: Encoder,
 
     hook = None
     if target.hidden_labels is not None:
-        def hook(epoch, enc, ensemble):
-            return evaluate(enc, ensemble.weights[0], target).accuracy
+        def hook(epoch, z_l2, ensemble):
+            return _score(z_l2, ensemble.weights[0], target.hidden_labels, "target").accuracy
 
     with _phase("adapt"):
         result = adapt(encoder, prototypes, target, cfg.adapt,

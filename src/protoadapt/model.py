@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, NumericError, parse_digits, parse_floats
-from .numerics import l2_normalize_backward, l2_normalize_rows, softmax
+from .numerics import l2_normalize_backward, l2_normalize_rows_raw, softmax
 
 CHECKPOINT_HEADER = "#pda-checkpoint v1"
 LR_GAMMA = 0.0002
@@ -91,23 +91,22 @@ class Encoder:
         for i in range(self.n_layers):
             inputs.append(h)
             h = h @ self.weights[i] + self.biases[i]
-            if not np.all(np.isfinite(h)):
+            if not np.isfinite(h).all():
                 raise NumericError(f"non-finite activation in encoder layer {i}")
             if i < self.n_layers - 1:
                 h = act(h)
-        z = h
-        z_l2, norms = l2_normalize_rows(z)
-        return EncodeResult(z, z_l2, (inputs, z, z_l2, norms))
+        z_l2, norms, raw = l2_normalize_rows_raw(h)
+        return EncodeResult(h, z_l2, (inputs, z_l2, norms, raw))
 
     def backward(self, ctx: tuple, dz: np.ndarray | None = None,
                  dz_l2: np.ndarray | None = None) -> np.ndarray:
         """Gradients from the raw-code and unit-code paths, laid out like ``theta``."""
-        inputs, z, z_l2, norms = ctx
-        total = np.zeros_like(z)
+        inputs, z_l2, norms, raw = ctx
+        total = np.zeros_like(z_l2)
         if dz is not None:
             total = total + dz
         if dz_l2 is not None:
-            total = total + l2_normalize_backward(z, z_l2, norms, dz_l2)
+            total = total + l2_normalize_backward(raw, z_l2, norms, dz_l2)
 
         _, dact = _ACTIVATIONS[self.activation]
         grad = np.empty_like(self.theta)
@@ -189,7 +188,7 @@ def apply_sgd_momentum(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray
     velocity *= MOMENTUM
     velocity += grad
     param -= lr * velocity
-    if not np.all(np.isfinite(param)):
+    if not np.isfinite(param).all():
         raise NumericError("non-finite parameter after SGD update")
 
 

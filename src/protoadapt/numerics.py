@@ -36,7 +36,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     a = np.asarray(logits, dtype=float)
     if a.size == 0:
         raise ValueError("softmax of an empty array")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("softmax input contains non-finite values")
     shifted = a - a.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -54,20 +54,25 @@ def softmax_vjp(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
 
 def l2_normalize_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise unit vectors plus the norms, floored at NORM_EPS, used as divisors."""
+    return l2_normalize_rows_raw(m)[:2]
+
+
+def l2_normalize_rows_raw(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``l2_normalize_rows`` plus the unguarded norms ``l2_normalize_backward`` takes."""
     m = np.asarray(m, dtype=float)
-    norms = np.linalg.norm(m, axis=1)
-    if np.any(norms < NORM_EPS):
+    norms = np.sqrt(np.add.reduce(m * m, axis=1))  # np.linalg.norm's formula, bit for bit
+    if (norms < NORM_EPS).any():
         logger.warning("l2_normalize_rows: %d degenerate row(s)", int((norms < NORM_EPS).sum()))
     guarded = np.maximum(norms, NORM_EPS)
-    return m / guarded[:, None], guarded
+    return m / guarded[:, None], guarded, norms
 
 
-def l2_normalize_backward(z: np.ndarray, z_unit: np.ndarray, norms: np.ndarray,
+def l2_normalize_backward(raw: np.ndarray, z_unit: np.ndarray, norms: np.ndarray,
                           d_unit: np.ndarray) -> np.ndarray:
     """Exact Jacobian (I - u u^T)/||z|| of row-wise normalization, applied
-    to an upstream gradient. Rows below the NORM_EPS guard scale by
-    1/NORM_EPS only (the guarded map is linear there)."""
-    raw = np.linalg.norm(z, axis=1)
+    to an upstream gradient, given the unguarded norms ``raw`` and the
+    guarded ``norms``. Rows below the NORM_EPS guard scale by 1/NORM_EPS
+    only (the guarded map is linear there)."""
     inner = (z_unit * d_unit).sum(axis=1, keepdims=True)
     projected = (d_unit - inner * z_unit) / norms[:, None]
     linear = d_unit / NORM_EPS

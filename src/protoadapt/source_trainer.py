@@ -9,6 +9,7 @@ normalizing denominators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ class SourceEpochMetrics:
 def _check_one_hot(y: np.ndarray, k: int) -> None:
     if y.ndim != 2 or y.shape[1] != k:
         raise ValueError(f"labels must be one-hot over {k} classes")
-    if not (np.all((y == 0.0) | (y == 1.0)) and np.all(y.sum(axis=1) == 1.0)):
+    if not (((y == 0.0) | (y == 1.0)).all() and (y.sum(axis=1) == 1.0).all()):
         raise ValueError("labels must be exactly one-hot")
 
 
@@ -62,9 +63,7 @@ def loss_ce(probs: np.ndarray, y_onehot: np.ndarray) -> tuple[float, np.ndarray]
     The softmax/cross-entropy composition gives d_logits = (p - y)/n.
     """
     _check_one_hot(y_onehot, probs.shape[1])
-    n = probs.shape[0]
-    value = float(-(y_onehot * clamped_log(probs)).sum() / n)
-    return value, (probs - y_onehot) / n
+    return _ce_terms(probs, y_onehot, clamped_log(probs))
 
 
 def loss_comp(probs: np.ndarray, y_onehot: np.ndarray) -> tuple[float, np.ndarray]:
@@ -78,13 +77,27 @@ def loss_comp(probs: np.ndarray, y_onehot: np.ndarray) -> tuple[float, np.ndarra
     uniformity.
     """
     _check_one_hot(y_onehot, probs.shape[1])
+    return _comp_terms(probs, y_onehot, clamped_log(probs))
+
+
+# The loss bodies, for labels already checked and the shared clamped_log(probs).
+
+def _ce_terms(probs: np.ndarray, y_onehot: np.ndarray,
+              log_p: np.ndarray) -> tuple[float, np.ndarray]:
+    n = probs.shape[0]
+    value = float(-(y_onehot * log_p).sum() / n)
+    return value, (probs - y_onehot) / n
+
+
+def _comp_terms(probs: np.ndarray, y_onehot: np.ndarray,
+                log_p: np.ndarray) -> tuple[float, np.ndarray]:
     n, k = probs.shape
     if k < 2:
         raise ValueError("complement objective needs at least 2 classes")
     comp_mask = 1.0 - y_onehot
     p_g = (probs * y_onehot).sum(axis=1, keepdims=True)
     s = 1.0 - p_g
-    log_ratio = clamped_log(probs) - clamped_log(s)
+    log_ratio = log_p - clamped_log(s)
     scale = 1.0 / (n * (k - 1))
     value = float((comp_mask * probs * log_ratio).sum() * scale)
     # dl/dp_c = log(p_c/S) on complement entries, 0 on the true class
@@ -106,6 +119,7 @@ def train_source(encoder: Encoder, prototypes: PrototypeMatrix, source: Dataset,
         raise ConfigError("prototypes are already frozen")
     k_s = prototypes.k_s
     y_all = one_hot(source.labels, k_s)
+    _check_one_hot(y_all, k_s)  # once per run: the step calls the unchecked loss bodies
     rng = np.random.default_rng(cfg.seed)
 
     enc_vel = np.zeros_like(encoder.theta)
@@ -120,10 +134,11 @@ def train_source(encoder: Encoder, prototypes: PrototypeMatrix, source: Dataset,
         for idx in epoch_batches(source, cfg.batch_size, rng):
             enc_out = encoder.forward(source.features[idx])
             out = classify(prototypes.weights, enc_out.z_l2)
-            ce_val, d_ce = loss_ce(out.probs, y_all[idx])
-            comp_val, d_comp = loss_comp(out.probs, y_all[idx])
+            y, log_p = y_all[idx], clamped_log(out.probs)
+            ce_val, d_ce = _ce_terms(out.probs, y, log_p)
+            comp_val, d_comp = _comp_terms(out.probs, y, log_p)
             total = ce_val + cfg.eta * comp_val
-            if not np.isfinite(total):
+            if not math.isfinite(total):
                 raise NumericError(f"source training diverged at epoch {epoch}")
             dlogits = d_ce if cfg.eta == 0.0 else d_ce + cfg.eta * d_comp
             d_proto, dz_l2 = classify_backward(prototypes.weights, enc_out.z_l2, dlogits)

@@ -11,12 +11,12 @@ from protoadapt.adaptation import (AdaptConfig, EnsembleState,
                                    _epoch_complement_masks, adapt,
                                    build_confident_subset, cac,
                                    gen_complement_sets, loss_align,
-                                   loss_inter, loss_intra, loss_nl,
-                                   update_pseudo_labels)
+                                   loss_geometry, loss_inter, loss_intra,
+                                   loss_nl, update_pseudo_labels)
 from protoadapt.datasets import SyntheticSpec, generate_synthetic
 from protoadapt.errors import ConfigError
 from protoadapt.model import Encoder, PrototypeMatrix, load_checkpoint, save_checkpoint
-from protoadapt.numerics import finite_diff_grad, softmax
+from protoadapt.numerics import finite_diff_grad, l2_normalize_rows, softmax
 
 
 def frozen_prototypes(d_z, k_s, seed=0):
@@ -353,6 +353,51 @@ class TestGeometryLosses:
                 np.testing.assert_allclose(dz.ravel(), finite_diff_grad(ref, z.ravel()),
                                            atol=1e-8, err_msg=str((labels, same)))
 
+    @staticmethod
+    def _separate_term(z, y, proto_weights, same):
+        """One geometry term computed on its own, as before the two were
+        fused: the codes and prototypes normalized and the products formed
+        per term. The fused helper must keep its float operations."""
+        u, r = l2_normalize_rows(z)
+        v_unit, _ = l2_normalize_rows(proto_weights.T)
+        pair_mask = (y[:, None] == y[None, :]) == same
+        if same:
+            np.fill_diagonal(pair_mask, False)
+        proto_mask = (y[:, None] == np.arange(proto_weights.shape[1])[None, :]) == same
+        value, dz = 0.0, np.zeros_like(z)
+        for other, mask, w in ((u, pair_mask, 2.0), (v_unit, proto_mask, 1.0)):
+            cnt = int(mask.sum())
+            if cnt == 0:
+                continue
+            cos = u @ other.T
+            value += float(((1.0 - cos) * mask).sum() / cnt)
+            a = mask * (w / cnt)
+            dz += -((a @ other) - (a * cos).sum(axis=1)[:, None] * u) / r[:, None]
+        return value, dz
+
+    @pytest.mark.parametrize("labels, zero_row", [
+        ([3], None),                          # one row: no pairs at all
+        ([2] * 7, None),                      # all labels equal: empty inter pair mask
+        ([0, 1, 2, 3, 4, 5, 6], None),        # all labels distinct: empty intra pair mask
+        ([0, 0, 1, 2, 1, 0, 2, 6, 1], 3),     # a zero code row, under the NORM_EPS guard
+    ])
+    def test_fused_terms_bit_equal_to_separate_terms(self, labels, zero_row):
+        rng = np.random.default_rng(len(labels))
+        y = np.array(labels)
+        z = rng.normal(size=(len(y), 6))
+        if zero_row is not None:
+            z[zero_row] = 0.0
+        protos = rng.normal(size=(6, 7))
+        inter, intra = loss_geometry(z, y, l2_normalize_rows(protos.T)[0])
+        ref_value, ref_dz = self._separate_term(z, y, protos, same=False)
+        for (value, dz), (want, want_dz) in ((inter, (-ref_value, -ref_dz)),
+                                             (intra, self._separate_term(z, y, protos, True))):
+            assert value == want
+            assert dz.tobytes() == want_dz.tobytes()
+        for loss, fused in ((loss_inter, inter), (loss_intra, intra)):
+            value, dz = loss(z, y, protos)
+            assert value == fused[0] and dz.tobytes() == fused[1].tobytes()
+
     def test_empty_masks_contribute_zero(self):
         z = np.array([[1.0, 0.0]])
         value, dz = loss_inter(z, np.array([0]), np.array([[1.0], [0.0]]))
@@ -432,12 +477,44 @@ class TestAdaptLoop:
                           n_a=2, n_e=2, n_cl=2, batch_size=16, seed=2)
         path = tmp_path / "log.csv"
         result = adapt(Encoder(5, [8], 6, seed=1), frozen_prototypes(6, 8, seed=2),
-                       target, cfg, epoch_hook=lambda e, enc, ens: 0.5 + e,
+                       target, cfg, epoch_hook=lambda e, z_l2, ens: 0.5 + e,
                        log_path=path)
         assert [row.target_acc for row in result.history] == [0.5, 1.5, 2.5]
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,loss_nl,loss_inter,loss_intra,loss_align,tau,|D_tau|,target_acc"
         assert [line.split(",")[-1] for line in lines[1:]] == ["0.5", "1.5", "2.5"]
+
+    def test_one_full_target_forward_per_epoch(self, monkeypatch):
+        # the codes the hook scores at the end of an epoch feed the next
+        # epoch's pseudo-label refresh: epochs + 1 full passes, not 2 * epochs
+        target = small_target(seed=13)
+        full_passes = []
+        real = Encoder.forward
+
+        def counting(self, x):
+            full_passes.append(len(x) == target.n)
+            return real(self, x)
+
+        monkeypatch.setattr(Encoder, "forward", counting)
+        cfg = AdaptConfig(epochs=4, warmup_epochs=1, switch_epoch=2, n_a=2,
+                          n_e=2, n_cl=2, batch_size=16, seed=5)
+        adapt(Encoder(5, [8], 6, seed=7), frozen_prototypes(6, 8, seed=8), target, cfg,
+              epoch_hook=lambda e, z_l2, ens: None)
+        assert sum(full_passes) == cfg.epochs + 1
+        assert len(full_passes) > cfg.epochs + 1  # the batches were counted apart
+
+    def test_hook_gets_the_current_codes(self):
+        target = small_target(seed=14)
+        encoder = Encoder(5, [8], 6, seed=9)
+        matches = []
+
+        def hook(epoch, z_l2, ensemble):
+            matches.append(z_l2.tobytes() == encoder.forward(target.features).z_l2.tobytes())
+
+        cfg = AdaptConfig(epochs=3, warmup_epochs=1, switch_epoch=2, n_a=2,
+                          n_e=2, n_cl=2, batch_size=16, seed=6)
+        adapt(encoder, frozen_prototypes(6, 8, seed=10), target, cfg, epoch_hook=hook)
+        assert matches == [True] * cfg.epochs
 
     def test_log_blank_target_acc_without_hook(self, tmp_path):
         target = small_target(seed=9)

@@ -308,6 +308,16 @@ def break_late_line(path, edit, message):
     return f"line {LATE_LINE}: {message}"
 
 
+def unlabel_after_blank_lines(path):
+    """Put two blank lines after the header of a source file and drop the
+    label of the row after the next one, line 5; return the error text
+    that must name it."""
+    head, first, second, *rest = path.read_text(encoding="utf-8").splitlines()
+    unlabeled = "?" + second[second.index(","):]
+    path.write_text("\n".join([head, "", "", first, unlabeled, *rest]) + "\n", encoding="utf-8")
+    return "line 5: source sample without label"
+
+
 def write_spec(tmp_path, spec):
     (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
 
@@ -376,6 +386,8 @@ BAD_INPUTS = [
            "could not convert string to float: 'x"),
           ("extra field", lambda row: row.replace(",", ",0,", 1), "expected 5 features, got 6"),
           ("'_' in a feature", lambda row: row.replace(".", "_", 1), "'_' in")]],
+    ("unlabeled source row after blank lines", TRAIN, 4,
+     lambda t: unlabel_after_blank_lines(t / "s.features")),
     ("checkpoint K_s differs", EVAL, 4, lambda t: save_model(t / "model.ckpt", 5, 7)),
     ("checkpoint K_s differs in adapt", ADAPT, 4,
      lambda t: save_model(t / "model.ckpt", 5, 7)),
