@@ -263,7 +263,7 @@ def loss_geometry(z: np.ndarray, y_tilde: np.ndarray, v_unit: np.ndarray
     (intra). A pair weighs 2/cnt in the gradient since both its ends move; a
     prototype is a constant and weighs 1/cnt. An empty mask contributes 0."""
     y = np.asarray(y_tilde)
-    u, r = l2_normalize_rows(z)
+    u, r, _ = l2_normalize_rows(z)
     same_pair = y[:, None] == y[None, :]
     intra_pair = same_pair.copy()
     np.fill_diagonal(intra_pair, False)
@@ -345,7 +345,7 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
     comp_rng = np.random.default_rng(seeds[1])
 
     ensemble = EnsembleState(prototypes, cfg.n_e, cfg.n_a)
-    v_unit, _ = l2_normalize_rows(prototypes.weights.T)
+    v_unit = l2_normalize_rows(prototypes.weights.T)[0]
     x = target.features
     enc_vel = np.zeros_like(encoder.theta)
     ens_vel = np.zeros_like(ensemble.weights)
@@ -377,8 +377,7 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
             ens_grad = None  # for the members selected by ``members``
             sel = np.flatnonzero(conf_mask[idx])
 
-            out = classify(prototypes.weights, fwd.z_l2)
-            align_val, dlogits = loss_align(out.probs)
+            align_val, dlogits = loss_align(classify(prototypes.weights, fwd.z_l2))
             _, d_align = classify_backward(prototypes.weights, fwd.z_l2, dlogits)
             dz_l2 += d_align
             sums["align"] += align_val * len(idx)
@@ -392,8 +391,7 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
                 sums["nl"] += nl_val * len(idx)
                 weights_acc["nl"] += len(idx)
             elif ce_phase and sel.size:
-                out0 = classify(ensemble.weights[0], fwd.z_l2[sel])
-                ce_val, d_ce = loss_ce(out0.probs,
+                ce_val, d_ce = loss_ce(classify(ensemble.weights[0], fwd.z_l2[sel]),
                                        one_hot(table.labels[idx[sel]], k_s))
                 dw0, d_sel = classify_backward(ensemble.weights[0],
                                                fwd.z_l2[sel], d_ce)

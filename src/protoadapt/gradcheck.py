@@ -58,12 +58,10 @@ def _check_classifier_loss(seed: int, loss_fn) -> float:
     def value(theta):
         enc = _with_theta(encoder, theta[:n_enc])
         w = theta[n_enc:].reshape(D_Z, K_S)
-        out = classify(w, enc.forward(x).z_l2)
-        return loss_fn(out.probs, y)[0]
+        return loss_fn(classify(w, enc.forward(x).z_l2), y)[0]
 
     fwd = encoder.forward(x)
-    out = classify(protos.weights, fwd.z_l2)
-    _, dlogits = loss_fn(out.probs, y)
+    _, dlogits = loss_fn(classify(protos.weights, fwd.z_l2), y)
     d_w, dz_l2 = classify_backward(protos.weights, fwd.z_l2, dlogits)
     analytic = np.concatenate([encoder.backward(fwd.ctx, dz_l2=dz_l2), d_w.ravel()])
     theta0 = np.concatenate([encoder.theta, protos.weights.ravel()])
@@ -75,12 +73,11 @@ def check_loss_align(seed: int) -> float:
     _, encoder, protos, x, _ = _instance(seed)
 
     def value(theta):
-        out = classify(protos.weights, _with_theta(encoder, theta).forward(x).z_l2)
-        return loss_align(out.probs)[0]
+        probs = classify(protos.weights, _with_theta(encoder, theta).forward(x).z_l2)
+        return loss_align(probs)[0]
 
     fwd = encoder.forward(x)
-    out = classify(protos.weights, fwd.z_l2)
-    _, dlogits = loss_align(out.probs)
+    _, dlogits = loss_align(classify(protos.weights, fwd.z_l2))
     _, dz_l2 = classify_backward(protos.weights, fwd.z_l2, dlogits)
     analytic = encoder.backward(fwd.ctx, dz_l2=dz_l2)
     return max_rel_err(analytic, finite_diff_grad(value, encoder.theta))

@@ -22,7 +22,7 @@ from .adaptation import AdaptConfig, AdaptResult, adapt, check_complement_capaci
 from .datasets import (Dataset, SyntheticSpec, generate_synthetic,
                        read_feature_file, write_feature_file)
 from .errors import ConfigError, DataFormatError, EvaluationUnavailableError, parse_digits
-from .model import Encoder, PrototypeMatrix, classify, save_checkpoint
+from .model import Encoder, PrototypeMatrix, predict, save_checkpoint
 from .source_trainer import SourceEpochMetrics, SourcePhaseConfig, train_source
 
 ABLATION_MODES = ("full", "no_EL", "no_TSCS", "no_CLS", "no_DO")
@@ -104,7 +104,8 @@ def _read_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        # bad UTF-8, JSONDecodeError and an over-long integer are ValueErrors
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -172,22 +173,13 @@ def evaluate(encoder: Encoder, weights: np.ndarray, dataset: Dataset) -> EvalRes
     labels = dataset.hidden_labels if dataset.role == "target" else dataset.labels
     if labels is None:
         raise EvaluationUnavailableError("dataset carries no evaluation labels")
-    return _score(encoder.forward(dataset.features).z_l2, weights, labels, dataset.role)
-
-
-def _score(z_l2: np.ndarray, weights: np.ndarray, labels: np.ndarray,
-           role: str) -> EvalResult:
-    """``evaluate`` on unit codes already computed."""
-    out = classify(weights, z_l2)
-    preds = out.logits.argmax(axis=1)
-    accuracy = float((preds == labels).mean())
-    per_class = {int(c): float((preds[labels == c] == c).mean())
-                 for c in np.unique(labels)}
+    preds = predict(weights, encoder.forward(dataset.features).z_l2)
+    classes = np.unique(labels)
+    per_class = {int(c): float((preds[labels == c] == c).mean()) for c in classes}
     negative_transfer = None
-    if role == "target":
-        shared = np.unique(labels)
-        negative_transfer = float((~np.isin(preds, shared)).mean())
-    return EvalResult(accuracy, per_class, negative_transfer)
+    if dataset.role == "target":
+        negative_transfer = float((~np.isin(preds, classes)).mean())
+    return EvalResult(float((preds == labels).mean()), per_class, negative_transfer)
 
 
 def apply_ablation(cfg: ExperimentConfig, mode: str) -> ExperimentConfig:
@@ -293,8 +285,9 @@ def run_adapt_phase(cfg: ExperimentConfig, encoder: Encoder,
     """Phase 2: adapt a source model to the target data, in place, and
     save the adapted checkpoint. Only the target data is opened.
 
-    When the target carries evaluation labels, each epoch's accuracy is
-    logged through the epoch hook, the one channel they reach training by.
+    When the target carries evaluation labels, each epoch's accuracy, by
+    ``predict`` as in ``evaluate``, is logged through the epoch hook, the one
+    channel they reach training by.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -305,7 +298,7 @@ def run_adapt_phase(cfg: ExperimentConfig, encoder: Encoder,
     hook = None
     if target.hidden_labels is not None:
         def hook(epoch, z_l2, ensemble):
-            return _score(z_l2, ensemble.weights[0], target.hidden_labels, "target").accuracy
+            return float((predict(ensemble.weights[0], z_l2) == target.hidden_labels).mean())
 
     with _phase("adapt"):
         result = adapt(encoder, prototypes, target, cfg.adapt,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, NumericError, parse_digits, parse_floats
-from .numerics import l2_normalize_backward, l2_normalize_rows_raw, softmax
+from .numerics import l2_normalize_backward, l2_normalize_rows, softmax
 
 CHECKPOINT_HEADER = "#pda-checkpoint v1"
 LR_GAMMA = 0.0002
@@ -95,7 +95,7 @@ class Encoder:
                 raise NumericError(f"non-finite activation in encoder layer {i}")
             if i < self.n_layers - 1:
                 h = act(h)
-        z_l2, norms, raw = l2_normalize_rows_raw(h)
+        z_l2, norms, raw = l2_normalize_rows(h)
         return EncodeResult(h, z_l2, (inputs, z_l2, norms, raw))
 
     def backward(self, ctx: tuple, dz: np.ndarray | None = None,
@@ -126,21 +126,23 @@ class Encoder:
         return clone
 
 
-@dataclass
-class ClassifierOutput:
-    """Logits and their softmax for one batch; probs == softmax(logits)."""
-    logits: np.ndarray
-    probs: np.ndarray
+def classify(weights: np.ndarray, z_l2: np.ndarray) -> np.ndarray:
+    """Class probabilities: a stable softmax of the zero-bias linear scores mu_c . z_l2."""
+    return softmax(_scores(weights, z_l2))
 
 
-def classify(weights: np.ndarray, z_l2: np.ndarray) -> ClassifierOutput:
-    """Zero-bias linear scores mu_c . z_l2 with a stable softmax."""
+def predict(weights: np.ndarray, z_l2: np.ndarray) -> np.ndarray:
+    """The class of each row, the one with the highest score mu_c . z_l2;
+    ties go to the lowest class. The one prediction rule of the package."""
+    return _scores(weights, z_l2).argmax(axis=1)
+
+
+def _scores(weights: np.ndarray, z_l2: np.ndarray) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     z_l2 = np.atleast_2d(np.asarray(z_l2, dtype=float))
     if z_l2.shape[1] != weights.shape[0]:
         raise ValueError(f"code dimension {z_l2.shape[1]} != weight rows {weights.shape[0]}")
-    logits = z_l2 @ weights
-    return ClassifierOutput(logits, softmax(logits))
+    return z_l2 @ weights
 
 
 def classify_backward(weights: np.ndarray, z_l2: np.ndarray,

@@ -52,13 +52,9 @@ def softmax_vjp(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     return probs * (dprobs - inner)
 
 
-def l2_normalize_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise unit vectors plus the norms, floored at NORM_EPS, used as divisors."""
-    return l2_normalize_rows_raw(m)[:2]
-
-
-def l2_normalize_rows_raw(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``l2_normalize_rows`` plus the unguarded norms ``l2_normalize_backward`` takes."""
+def l2_normalize_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise unit vectors, the norms floored at NORM_EPS that divide them,
+    and the unguarded norms ``l2_normalize_backward`` takes."""
     m = np.asarray(m, dtype=float)
     norms = np.sqrt(np.add.reduce(m * m, axis=1))  # np.linalg.norm's formula, bit for bit
     if (norms < NORM_EPS).any():

@@ -18,7 +18,7 @@ from . import csvlog
 from .datasets import Dataset, epoch_batches
 from .errors import ConfigError, NumericError
 from .model import (Encoder, PrototypeMatrix, apply_sgd_momentum, classify,
-                    classify_backward, lr_schedule)
+                    classify_backward, lr_schedule, predict)
 from .numerics import clamped_log, one_hot, softmax_vjp
 
 CLASSIFIER_LR_FACTOR = 10.0
@@ -133,10 +133,10 @@ def train_source(encoder: Encoder, prototypes: PrototypeMatrix, source: Dataset,
         ce_sum = comp_sum = 0.0
         for idx in epoch_batches(source, cfg.batch_size, rng):
             enc_out = encoder.forward(source.features[idx])
-            out = classify(prototypes.weights, enc_out.z_l2)
-            y, log_p = y_all[idx], clamped_log(out.probs)
-            ce_val, d_ce = _ce_terms(out.probs, y, log_p)
-            comp_val, d_comp = _comp_terms(out.probs, y, log_p)
+            probs = classify(prototypes.weights, enc_out.z_l2)
+            y, log_p = y_all[idx], clamped_log(probs)
+            ce_val, d_ce = _ce_terms(probs, y, log_p)
+            comp_val, d_comp = _comp_terms(probs, y, log_p)
             total = ce_val + cfg.eta * comp_val
             if not math.isfinite(total):
                 raise NumericError(f"source training diverged at epoch {epoch}")
@@ -147,20 +147,14 @@ def train_source(encoder: Encoder, prototypes: PrototypeMatrix, source: Dataset,
             apply_sgd_momentum(prototypes.weights, d_proto, proto_vel, CLASSIFIER_LR_FACTOR * lr)
             ce_sum += ce_val * len(idx)
             comp_sum += comp_val * len(idx)
-        acc = _source_accuracy(encoder, prototypes, source)
+        preds = predict(prototypes.weights, encoder.forward(source.features).z_l2)
         row = SourceEpochMetrics(epoch, ce_sum / source.n, comp_sum / source.n,
-                                 acc, lr)
+                                 float((preds == source.labels).mean()), lr)
         history.append(row)
         if log_path is not None:
             csvlog.append(log_path, row)
     prototypes.frozen = True
     return history
-
-
-def _source_accuracy(encoder: Encoder, prototypes: PrototypeMatrix,
-                     source: Dataset) -> float:
-    out = classify(prototypes.weights, encoder.forward(source.features).z_l2)
-    return float((out.logits.argmax(axis=1) == source.labels).mean())
 
 
 SOURCE_LOG_HEADER = ["epoch", "loss_ce", "loss_comp", "source_acc", "lr"]

@@ -136,7 +136,7 @@ def _pure_ce_reference_run(source, cfg, enc_seed, proto_seed):
         for idx in epoch_batches(source, cfg.batch_size, rng):
             enc_out = enc.forward(source.features[idx])
             out = classify(protos.weights, enc_out.z_l2)
-            _, d_ce = loss_ce(out.probs, y_all[idx])
+            _, d_ce = loss_ce(out, y_all[idx])
             d_proto, dz_l2 = classify_backward(protos.weights, enc_out.z_l2, d_ce)
             apply_sgd_momentum(enc.theta, enc.backward(enc_out.ctx, dz_l2=dz_l2),
                                vel, lr)

@@ -358,8 +358,8 @@ class TestGeometryLosses:
         """One geometry term computed on its own, as before the two were
         fused: the codes and prototypes normalized and the products formed
         per term. The fused helper must keep its float operations."""
-        u, r = l2_normalize_rows(z)
-        v_unit, _ = l2_normalize_rows(proto_weights.T)
+        u, r, _ = l2_normalize_rows(z)
+        v_unit, _, _ = l2_normalize_rows(proto_weights.T)
         pair_mask = (y[:, None] == y[None, :]) == same
         if same:
             np.fill_diagonal(pair_mask, False)

@@ -206,6 +206,15 @@ class TestRunExperiment:
         adapted = evaluate(enc_a, ensemble[0], target)
         assert adapted.accuracy == summary["adapted"]["accuracy"]
 
+    def test_last_logged_accuracy_is_the_evaluated_accuracy(self, tmp_path):
+        # the epoch hook and evaluate score the final codes with member 0
+        # in separate code; both must apply the one prediction rule
+        cfg = load_config(write_config(tmp_path, tiny_config(tmp_path / "out")))
+        summary = run_experiment(cfg)
+        rows = (tmp_path / "out" / "adapt_metrics.csv").read_text().splitlines()
+        assert rows[0].endswith(",target_acc") and len(rows) == 1 + cfg.adapt.epochs
+        assert float(rows[-1].split(",")[-1]) == summary["adapted"]["accuracy"]
+
     def test_deterministic_reruns_byte_identical(self, tmp_path):
         blobs = []
         for run in ("a", "b"):
@@ -322,6 +331,16 @@ def write_spec(tmp_path, spec):
     (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
 
 
+# JSON inputs that fail to decode other than by a syntax error
+UNDECODABLE_JSON = {"not UTF-8": b'{"out_dir": "\xff"}',
+                    "nested past the recursion limit": b"[" * 100_000,
+                    "int of 5000 digits": b'{"seed": 1' + b"0" * 4999 + b"}"}
+
+
+def write_undecodable(path, case):
+    path.write_bytes(UNDECODABLE_JSON[case])
+
+
 def edit_config(tmp_path, edit):
     cfg = json.loads((tmp_path / "config.json").read_text(encoding="utf-8"))
     edit(cfg)
@@ -396,6 +415,10 @@ BAD_INPUTS = [
     ("spec missing keys via gen", GEN, 2, lambda t: write_spec(t, {"k_s": 6, "k_t": 3})),
     ("spec missing keys via config", TRAIN, 2, lambda t: edit_config(
         t, lambda c: c.update(data={"synthetic": {"k_s": 6, "k_t": 3}}))),
+    *[(f"config {case}", TRAIN, 2, lambda t, c=case: write_undecodable(t / "config.json", c))
+      for case in UNDECODABLE_JSON],
+    ("spec not UTF-8 via gen", GEN, 2,
+     lambda t: write_undecodable(t / "spec.json", "not UTF-8")),
     ("negative seed", TRAIN, 2, lambda t: edit_config(t, lambda c: c.update(seed=-1))),
     ("negative PDA_SEED", TRAIN, 2, lambda t: {"PDA_SEED": "-5"}),
     *[(f"PDA_SEED {value!r}", TRAIN, 2, lambda t, v=value: {"PDA_SEED": v})

@@ -7,7 +7,7 @@ import pytest
 from protoadapt.errors import DataFormatError, NumericError
 from protoadapt.model import (Encoder, PrototypeMatrix, apply_sgd_momentum,
                               classify, classify_backward, load_checkpoint,
-                              lr_schedule, save_checkpoint)
+                              lr_schedule, predict, save_checkpoint)
 from protoadapt.numerics import finite_diff_grad
 
 
@@ -95,11 +95,11 @@ class TestEncoderForward:
 class TestClassify:
     def test_aligned_prototype_wins(self):
         out = classify(np.eye(4), np.eye(4)[[0]])
-        assert out.probs.argmax() == 0
+        assert out.argmax() == 0
 
     def test_zero_weights_uniform(self):
         out = classify(np.zeros((3, 5)), np.random.default_rng(0).standard_normal((2, 3)))
-        np.testing.assert_allclose(out.probs, np.full((2, 5), 0.2), atol=1e-12)
+        np.testing.assert_allclose(out, np.full((2, 5), 0.2), atol=1e-12)
 
     def test_doubling_logits_sharpens(self):
         # independent softmax evaluation: exp/sum by hand
@@ -110,28 +110,43 @@ class TestClassify:
         w = np.vstack([logits])  # d_z=1, three classes
         out1 = classify(w, np.array([[1.0]]))
         out2 = classify(2 * w, np.array([[1.0]]))
-        assert out2.probs.max() > out1.probs.max()
+        assert out2.max() > out1.max()
 
     def test_rescaling_before_normalization_is_invariant(self):
         rng = np.random.default_rng(4)
         enc = Encoder(4, [5], 3, seed=2)
         w = rng.standard_normal((3, 6))
         x = rng.standard_normal((4, 4))
-        base = classify(w, enc.forward(x).z_l2).probs
-        scaled = classify(w, enc.forward(7.5 * x).z_l2).probs
+        base = classify(w, enc.forward(x).z_l2)
+        scaled = classify(w, enc.forward(7.5 * x).z_l2)
         # scaling the input scales z only through the nonlinear layers, so
         # scale z directly instead
         z = enc.forward(x).z
         from protoadapt.numerics import l2_normalize_rows
         for c in (0.5, 3.0, 1e4):
-            zc, _ = l2_normalize_rows(c * z)
-            np.testing.assert_allclose(classify(w, zc).probs, base, atol=1e-9)
+            zc, _, _ = l2_normalize_rows(c * z)
+            np.testing.assert_allclose(classify(w, zc), base, atol=1e-9)
 
     def test_backward_shapes(self):
         rng = np.random.default_rng(0)
         w, z = rng.standard_normal((3, 4)), rng.standard_normal((5, 3))
         dw, dz = classify_backward(w, z, rng.standard_normal((5, 4)))
         assert dw.shape == w.shape and dz.shape == z.shape
+
+
+class TestPredict:
+    def test_exact_tie_goes_to_lower_class(self):
+        # columns: class 0 scores 0, classes 1 and 2 score exactly 1
+        w = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(predict(w, np.array([[1.0, 0.0]])), [1])
+        np.testing.assert_array_equal(predict(np.zeros((2, 4)), np.eye(2)), [0, 0])
+
+    def test_equals_argmax_of_probabilities(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            w = rng.standard_normal((5, 7))
+            z = rng.standard_normal((30, 5))
+            np.testing.assert_array_equal(predict(w, z), classify(w, z).argmax(axis=1))
 
 
 class TestSgdMomentum:

@@ -78,7 +78,7 @@ class TestEntropy:
 
 class TestL2Normalize:
     def test_three_four_five(self):
-        unit, norms = l2_normalize_rows(np.array([[3.0, 4.0], [0.0, -2.0]]))
+        unit, norms, _ = l2_normalize_rows(np.array([[3.0, 4.0], [0.0, -2.0]]))
         np.testing.assert_allclose(unit, [[0.6, 0.8], [0.0, -1.0]], atol=1e-12)
         np.testing.assert_allclose(norms, [5.0, 2.0], atol=1e-12)
 
@@ -88,7 +88,7 @@ class TestL2Normalize:
 
     def test_degenerate_warns_and_returns_scaled(self, caplog):
         with caplog.at_level("WARNING", logger="protoadapt.numerics"):
-            out, norms = l2_normalize_rows(np.array([[0.0, 0.0], [3.0, 4.0]]))
+            out, norms, _ = l2_normalize_rows(np.array([[0.0, 0.0], [3.0, 4.0]]))
         np.testing.assert_array_equal(out[0], np.zeros(2))
         np.testing.assert_allclose(out[1], [0.6, 0.8], atol=1e-12)
         assert norms[0] > 0  # the guarded divisor, never zero
@@ -96,7 +96,7 @@ class TestL2Normalize:
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
-        once, _ = l2_normalize_rows(rng.standard_normal((100, 5)))
+        once, _, _ = l2_normalize_rows(rng.standard_normal((100, 5)))
         np.testing.assert_allclose(l2_normalize_rows(once)[0], once, atol=1e-9)
 
 

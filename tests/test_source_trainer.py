@@ -148,7 +148,7 @@ class TestTrainSource:
             for idx in epoch_batches(source, cfg.batch_size, rng):
                 enc_out = enc_b.forward(source.features[idx])
                 out = classify(protos_b.weights, enc_out.z_l2)
-                ce_val, d_ce = loss_ce(out.probs, y_all[idx])
+                ce_val, d_ce = loss_ce(out, y_all[idx])
                 d_proto, dz_l2 = classify_backward(protos_b.weights, enc_out.z_l2, d_ce)
                 apply_sgd_momentum(enc_b.theta, enc_b.backward(enc_out.ctx, dz_l2=dz_l2),
                                    vel, lr)
@@ -198,12 +198,12 @@ class TestTrainSource:
             clone.theta[...] = theta[:n_enc]
             w = theta[n_enc:].reshape(4, 5)
             out = classify(w, clone.forward(x).z_l2)
-            return loss_ce(out.probs, y)[0] + eta * loss_comp(out.probs, y)[0]
+            return loss_ce(out, y)[0] + eta * loss_comp(out, y)[0]
 
         fwd = encoder.forward(x)
         out = classify(protos.weights, fwd.z_l2)
-        _, d_ce = loss_ce(out.probs, y)
-        _, d_comp = loss_comp(out.probs, y)
+        _, d_ce = loss_ce(out, y)
+        _, d_comp = loss_comp(out, y)
         d_w, dz_l2 = classify_backward(protos.weights, fwd.z_l2, d_ce + eta * d_comp)
         analytic = np.concatenate([encoder.backward(fwd.ctx, dz_l2=dz_l2),
                                    d_w.ravel()])

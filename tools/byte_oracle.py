@@ -3,8 +3,10 @@
 For each acceptance-study seed 0-4 this runs ``run_experiment`` on the
 study config of ``tests/test_acceptance.py`` and prints the sha256 and the
 path of each of the seven artifacts it writes (two feature files, two
-metric CSVs, two checkpoints and ``summary.json``): 35 lines. Then it
-prints the output of ``protoadapt gradcheck --seed 0``.
+metric CSVs, two checkpoints and ``summary.json``): 35 lines. Then it runs
+``protoadapt ablate --mode M`` on the seed-0 study config for each of the
+five ablation modes and prints the hashes of their artifacts the same way:
+35 more lines. Last it prints the output of ``protoadapt gradcheck --seed 0``.
 
     python3 tools/byte_oracle.py [CHECKOUT] > oracle.txt
 
@@ -34,8 +36,13 @@ def main(argv: list[str]) -> int:
     os.environ.pop("PDA_SEED", None)
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
     from protoadapt.cli import main as cli_main
-    from protoadapt.harness import load_config, run_experiment
+    from protoadapt.harness import ABLATION_MODES, load_config, run_experiment
     from test_acceptance import study_config_dict
+
+    def print_hashes(out: Path, run_dir: Path) -> None:
+        for path in sorted(out.iterdir()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(run_dir)}")
 
     with tempfile.TemporaryDirectory() as tmp:
         run_dir = Path(tmp)
@@ -44,9 +51,17 @@ def main(argv: list[str]) -> int:
             cfg_path = run_dir / f"seed{seed}.json"
             cfg_path.write_text(json.dumps(study_config_dict(out, seed)), encoding="utf-8")
             run_experiment(load_config(cfg_path))
-            for path in sorted(out.iterdir()):
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{digest}  {path.relative_to(run_dir)}")
+            print_hashes(out, run_dir)
+        cfg_path = run_dir / "ablate.json"
+        cfg_path.write_text(json.dumps(study_config_dict(run_dir / "ablate", 0)),
+                            encoding="utf-8")
+        for mode in ABLATION_MODES:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(["ablate", "--config", str(cfg_path), "--mode", mode])
+            if code != 0:
+                print(f"ablate --mode {mode} exited {code}")
+                return code
+            print_hashes(run_dir / "ablate" / mode, run_dir)
     text = io.StringIO()
     with contextlib.redirect_stdout(text):
         code = cli_main(["gradcheck", "--seed", "0"])
