@@ -22,6 +22,7 @@ reach the encoder (and, where stated, the ensemble weights) only.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ from .datasets import Dataset, epoch_batches
 from .errors import ConfigError, NumericError
 from .model import (Encoder, PrototypeMatrix, apply_sgd_momentum, classify,
                     classify_backward, lr_schedule)
-from .numerics import clamped_log, entropy, l2_normalize_rows, one_hot, softmax, softmax_vjp
+from .numerics import clamped_log, entropy, l2_normalize_rows, softmax, softmax_vjp
 from .source_trainer import CLASSIFIER_LR_FACTOR, loss_ce
 
 
@@ -55,6 +56,8 @@ class AdaptConfig:
     def __post_init__(self):
         if min(self.n_a, self.n_e, self.n_cl) < 1:
             raise ConfigError("n_a, n_e, n_cl must be >= 1")
+        if self.n_a > sys.maxsize:  # the logit history's deque holds at most that many
+            raise ConfigError(f"n_a must be <= {sys.maxsize}")
         if self.alpha < 0 or self.beta < 0:
             raise ConfigError("alpha and beta must be >= 0")
         if min(self.epochs, self.seed) < 0:
@@ -392,7 +395,7 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
                 weights_acc["nl"] += len(idx)
             elif ce_phase and sel.size:
                 ce_val, d_ce = loss_ce(classify(ensemble.weights[0], fwd.z_l2[sel]),
-                                       one_hot(table.labels[idx[sel]], k_s))
+                                       table.labels[idx[sel]])
                 dw0, d_sel = classify_backward(ensemble.weights[0],
                                                fwd.z_l2[sel], d_ce)
                 dz_l2[sel] += d_sel

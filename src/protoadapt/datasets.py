@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, parse_digits, parse_floats
+from .errors import (ConfigError, DataFormatError, check_array_size, parse_digits,
+                     parse_floats)
 
 FEATURE_HEADER_PREFIX = "#pda-features v1"
 
@@ -95,8 +96,10 @@ class SyntheticSpec:
             raise ConfigError("rotation requires d_x >= 2")
         if self.translation and len(self.translation) != self.d_x:
             raise ConfigError("translation length must equal d_x")
-        if min(self.source_per_class, self.target_per_class) < 1:
-            raise ConfigError("samples per class must be >= 1")
+        if min(self.d_x, self.source_per_class, self.target_per_class) < 1:
+            raise ConfigError("d_x and samples per class must be >= 1")
+        check_array_size("source features", self.k_s * self.source_per_class, self.d_x)
+        check_array_size("target features", self.k_t * self.target_per_class, self.d_x)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

@@ -1,9 +1,12 @@
-"""Exception types shared across the package, and its integer and float parsers.
+"""Exception types shared across the package, its integer and float parsers,
+and its array size check.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
 NumericError -> 3, DataFormatError, EvaluationUnavailableError and
 OSError -> 4.
 """
+
+import math
 
 import numpy as np
 
@@ -21,7 +24,7 @@ class DataFormatError(ValueError):
 
 
 class EvaluationUnavailableError(RuntimeError):
-    """Evaluation requested on a dataset without evaluation labels."""
+    """Evaluation requested on a dataset without evaluation labels or samples."""
 
 
 def parse_digits(text: str) -> int:
@@ -35,3 +38,10 @@ def parse_floats(text: str, sep: str | None) -> np.ndarray:
     """The ``sep``-separated values of ``text``, each read with ``float()``'s syntax,
     bits and error text (unlike ``np.loadtxt``), by one call for the whole text."""
     return np.array(text.split(sep), dtype=float)
+
+
+def check_array_size(what: str, *shape: int) -> None:
+    """A float64 array of ``shape`` larger than numpy can index is a ConfigError;
+    numpy itself raises ValueError for it, where a merely large one is a MemoryError."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"{what} of shape {shape} exceeds numpy's array size limit")

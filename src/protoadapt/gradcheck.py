@@ -18,7 +18,7 @@ import numpy as np
 from .adaptation import (gen_complement_sets, loss_align, loss_inter,
                          loss_intra, nl_base_consts, nl_loss_terms)
 from .model import Encoder, PrototypeMatrix, classify, classify_backward
-from .numerics import finite_diff_grad, one_hot
+from .numerics import finite_diff_grad
 from .source_trainer import loss_ce, loss_comp
 
 D_X, HIDDEN, D_Z, K_S, BATCH = 6, [8], 4, 5, 8
@@ -52,16 +52,15 @@ def _check_classifier_loss(seed: int, loss_fn) -> float:
     """Losses of the form loss(softmax(z_l2 @ W), y): gradient w.r.t. both
     the encoder parameters and the classifier weights."""
     _, encoder, protos, x, labels = _instance(seed)
-    y = one_hot(labels, K_S)
     n_enc = encoder.theta.size
 
     def value(theta):
         enc = _with_theta(encoder, theta[:n_enc])
         w = theta[n_enc:].reshape(D_Z, K_S)
-        return loss_fn(classify(w, enc.forward(x).z_l2), y)[0]
+        return loss_fn(classify(w, enc.forward(x).z_l2), labels)[0]
 
     fwd = encoder.forward(x)
-    _, dlogits = loss_fn(classify(protos.weights, fwd.z_l2), y)
+    _, dlogits = loss_fn(classify(protos.weights, fwd.z_l2), labels)
     d_w, dz_l2 = classify_backward(protos.weights, fwd.z_l2, dlogits)
     analytic = np.concatenate([encoder.backward(fwd.ctx, dz_l2=dz_l2), d_w.ravel()])
     theta0 = np.concatenate([encoder.theta, protos.weights.ravel()])

@@ -173,6 +173,8 @@ def evaluate(encoder: Encoder, weights: np.ndarray, dataset: Dataset) -> EvalRes
     labels = dataset.hidden_labels if dataset.role == "target" else dataset.labels
     if labels is None:
         raise EvaluationUnavailableError("dataset carries no evaluation labels")
+    if dataset.n == 0:
+        raise EvaluationUnavailableError("dataset has no samples to evaluate")
     preds = predict(weights, encoder.forward(dataset.features).z_l2)
     classes = np.unique(labels)
     per_class = {int(c): float((preds[labels == c] == c).mean()) for c in classes}

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, NumericError, parse_digits, parse_floats
+from .errors import (ConfigError, DataFormatError, NumericError, check_array_size,
+                     parse_digits, parse_floats)
 from .numerics import l2_normalize_backward, l2_normalize_rows, softmax
 
 CHECKPOINT_HEADER = "#pda-checkpoint v1"
@@ -58,7 +59,9 @@ class Encoder:
         self.activation = activation
         self.seed = seed
         self._sizes = [d_x, *hidden, d_z]
-        self.theta = np.zeros(sum((i + 1) * o for i, o in zip(self._sizes, self._sizes[1:])))
+        n_theta = sum((i + 1) * o for i, o in zip(self._sizes, self._sizes[1:]))
+        check_array_size("encoder parameters", n_theta)
+        self.theta = np.zeros(n_theta)
         self.weights, self.biases = self._views(self.theta)
         rng = np.random.default_rng(seed)
         for w in self.weights:
@@ -169,6 +172,7 @@ class PrototypeMatrix:
 
     @classmethod
     def random(cls, d_z: int, k_s: int, seed: int = 0) -> "PrototypeMatrix":
+        check_array_size("prototypes", d_z, k_s)
         rng = np.random.default_rng(seed)
         limit = np.sqrt(6.0 / (d_z + k_s))
         return cls(rng.uniform(-limit, limit, size=(d_z, k_s)))

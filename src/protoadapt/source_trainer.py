@@ -50,25 +50,20 @@ class SourceEpochMetrics:
     lr: float
 
 
-def _check_one_hot(y: np.ndarray, k: int) -> None:
-    if y.ndim != 2 or y.shape[1] != k:
-        raise ValueError(f"labels must be one-hot over {k} classes")
-    if not (((y == 0.0) | (y == 1.0)).all() and (y.sum(axis=1) == 1.0).all()):
-        raise ValueError("labels must be exactly one-hot")
+def loss_ce(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of integer class labels in [0, K) and its gradient
+    w.r.t. the logits, (p - y)/n with y the one-hot rows of ``labels``."""
+    n, k = probs.shape
+    if np.shape(labels) != (n,):
+        raise ValueError(f"need one label per row of probs: {np.shape(labels)} for {n} rows")
+    y = one_hot(labels, k)
+    value = float(-(y * clamped_log(probs)).sum() / n)
+    return value, (probs - y) / n
 
 
-def loss_ce(probs: np.ndarray, y_onehot: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean categorical cross-entropy and its gradient w.r.t. the logits.
-
-    The softmax/cross-entropy composition gives d_logits = (p - y)/n.
-    """
-    _check_one_hot(y_onehot, probs.shape[1])
-    return _ce_terms(probs, y_onehot, clamped_log(probs))
-
-
-def loss_comp(probs: np.ndarray, y_onehot: np.ndarray) -> tuple[float, np.ndarray]:
+def loss_comp(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Complement objective: weighted negative entropy of the probability
-    mass renormalized over the non-ground-truth classes.
+    mass renormalized over the classes other than the integer label.
 
     Per sample, with g the true class and S = 1 - p_g:
         l = (1 - p_g) * sum_{c != g} (p_c/S) log(p_c/S)
@@ -76,28 +71,16 @@ def loss_comp(probs: np.ndarray, y_onehot: np.ndarray) -> tuple[float, np.ndarra
     minimizing it pushes the complement-class probabilities toward
     uniformity.
     """
-    _check_one_hot(y_onehot, probs.shape[1])
-    return _comp_terms(probs, y_onehot, clamped_log(probs))
-
-
-# The loss bodies, for labels already checked and the shared clamped_log(probs).
-
-def _ce_terms(probs: np.ndarray, y_onehot: np.ndarray,
-              log_p: np.ndarray) -> tuple[float, np.ndarray]:
-    n = probs.shape[0]
-    value = float(-(y_onehot * log_p).sum() / n)
-    return value, (probs - y_onehot) / n
-
-
-def _comp_terms(probs: np.ndarray, y_onehot: np.ndarray,
-                log_p: np.ndarray) -> tuple[float, np.ndarray]:
     n, k = probs.shape
     if k < 2:
         raise ValueError("complement objective needs at least 2 classes")
-    comp_mask = 1.0 - y_onehot
-    p_g = (probs * y_onehot).sum(axis=1, keepdims=True)
+    if np.shape(labels) != (n,):
+        raise ValueError(f"need one label per row of probs: {np.shape(labels)} for {n} rows")
+    y = one_hot(labels, k)
+    comp_mask = 1.0 - y
+    p_g = (probs * y).sum(axis=1, keepdims=True)
     s = 1.0 - p_g
-    log_ratio = log_p - clamped_log(s)
+    log_ratio = clamped_log(probs) - clamped_log(s)
     scale = 1.0 / (n * (k - 1))
     value = float((comp_mask * probs * log_ratio).sum() * scale)
     # dl/dp_c = log(p_c/S) on complement entries, 0 on the true class
@@ -117,9 +100,6 @@ def train_source(encoder: Encoder, prototypes: PrototypeMatrix, source: Dataset,
         raise ConfigError("train_source requires a labeled source dataset")
     if prototypes.frozen:
         raise ConfigError("prototypes are already frozen")
-    k_s = prototypes.k_s
-    y_all = one_hot(source.labels, k_s)
-    _check_one_hot(y_all, k_s)  # once per run: the step calls the unchecked loss bodies
     rng = np.random.default_rng(cfg.seed)
 
     enc_vel = np.zeros_like(encoder.theta)
@@ -134,9 +114,8 @@ def train_source(encoder: Encoder, prototypes: PrototypeMatrix, source: Dataset,
         for idx in epoch_batches(source, cfg.batch_size, rng):
             enc_out = encoder.forward(source.features[idx])
             probs = classify(prototypes.weights, enc_out.z_l2)
-            y, log_p = y_all[idx], clamped_log(probs)
-            ce_val, d_ce = _ce_terms(probs, y, log_p)
-            comp_val, d_comp = _comp_terms(probs, y, log_p)
+            ce_val, d_ce = loss_ce(probs, source.labels[idx])
+            comp_val, d_comp = loss_comp(probs, source.labels[idx])
             total = ce_val + cfg.eta * comp_val
             if not math.isfinite(total):
                 raise NumericError(f"source training diverged at epoch {epoch}")

@@ -122,12 +122,10 @@ def _pure_ce_reference_run(source, cfg, enc_seed, proto_seed):
     from protoadapt.datasets import epoch_batches
     from protoadapt.model import (apply_sgd_momentum, classify,
                                   classify_backward, lr_schedule)
-    from protoadapt.numerics import one_hot
     from protoadapt.source_trainer import loss_ce
 
     enc = Encoder(source.d_x, [8], 6, seed=enc_seed)
     protos = PrototypeMatrix.random(6, source.k_s, seed=proto_seed)
-    y_all = one_hot(source.labels, source.k_s)
     rng = np.random.default_rng(cfg.seed)
     vel = np.zeros_like(enc.theta)
     proto_vel = np.zeros_like(protos.weights)
@@ -136,7 +134,7 @@ def _pure_ce_reference_run(source, cfg, enc_seed, proto_seed):
         for idx in epoch_batches(source, cfg.batch_size, rng):
             enc_out = enc.forward(source.features[idx])
             out = classify(protos.weights, enc_out.z_l2)
-            _, d_ce = loss_ce(out, y_all[idx])
+            _, d_ce = loss_ce(out, source.labels[idx])
             d_proto, dz_l2 = classify_backward(protos.weights, enc_out.z_l2, d_ce)
             apply_sgd_momentum(enc.theta, enc.backward(enc_out.ctx, dz_l2=dz_l2),
                                vel, lr)

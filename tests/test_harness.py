@@ -353,6 +353,8 @@ ADAPT = ["adapt", "--config", "{tmp}/config.json", "--source-ckpt",
          "{tmp}/model.ckpt", "--out", "{tmp}/adapted.ckpt"]
 GEN = ["gen", "--spec", "{tmp}/spec.json", "--out-source", "{tmp}/s2",
        "--out-target", "{tmp}/t2"]
+ABLATE = ["ablate", "--config", "{tmp}/config.json", "--mode", "full"]
+UNSHIFTED = {**TINY_SYNTHETIC, "rotation_angle": 0.0, "translation": []}
 
 # (case, command, exit code, how the valid inputs are broken; a breakage
 # may return environment variables to set, or text the error must contain)
@@ -365,6 +367,8 @@ BAD_INPUTS = [
         t / "t.features", lambda s: s.splitlines()[0] + "\n")),
     ("no evaluation labels", EVAL, 4, lambda t: rewrite(
         t / "t.features", lambda s: re.sub(r"#\d+", "", s))),
+    ("labeled file with no rows", EVAL, 4, lambda t: (t / "t.features").write_text(
+        (t / "s.features").read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")),
     ("checkpoint d_x differs", EVAL, 4, lambda t: save_model(t / "model.ckpt", 4, 6)),
     ("checkpoint ensemble 0", EVAL, 4, lambda t: add_ensemble(t / "model.ckpt", 0, 0)),
     ("checkpoint ensemble -1", EVAL, 4, lambda t: add_ensemble(t / "model.ckpt", -1, 0)),
@@ -429,6 +433,17 @@ BAD_INPUTS = [
         t, lambda c: c["source"].update(seed=-2))),
     ("negative spec seed via gen", GEN, 2, lambda t: write_spec(
         t, {**TINY_SYNTHETIC, "seed": -4})),
+    # sizes numpy cannot index, and a deque length past sys.maxsize
+    ("spec k_s 10**20 via gen", GEN, 2, lambda t: write_spec(t, {**UNSHIFTED, "k_s": 10**20})),
+    ("spec k_s 10**18 d_x 3 via gen", GEN, 2, lambda t: write_spec(
+        t, {**UNSHIFTED, "k_s": 10**18, "d_x": 3})),
+    ("spec d_x -1 via gen", GEN, 2, lambda t: write_spec(t, {**UNSHIFTED, "d_x": -1})),
+    ("hidden width 10**20 via ablate", ABLATE, 2, lambda t: edit_config(
+        t, lambda c: c["model"].update(hidden=[10**20]))),
+    ("adapt n_a 10**20 via ablate", ABLATE, 2, lambda t: edit_config(
+        t, lambda c: c["adapt"].update(n_a=10**20))),
+    ("source header k=10**20", TRAIN, 2, lambda t: rewrite(
+        t / "s.features", lambda s: s.replace(" k=6 ", f" k={10**20} ", 1))),
     *[(f"gradcheck seed {value!r}", ["gradcheck", "--seed", value], 2, lambda t: None)
       for value in ("-1", "+1", "1_0")],
 ]
@@ -455,6 +470,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert not isinstance(found, str) or found in err, err
+        assert code != 2 or not list(tmp_path.rglob("*_metrics.csv"))  # nothing trained
 
     def test_oversized_complement_sets_rejected_before_training(self, tmp_path, capsys):
         cfg_dict = tiny_config(tmp_path / "out", n_e=3, n_cl=3)

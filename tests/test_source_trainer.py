@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from protoadapt import source_trainer
 from protoadapt.datasets import SyntheticSpec, epoch_batches, generate_synthetic
 from protoadapt.model import (Encoder, PrototypeMatrix, apply_sgd_momentum,
                               classify, classify_backward, lr_schedule)
@@ -15,49 +16,58 @@ from protoadapt.source_trainer import (SourcePhaseConfig, loss_ce, loss_comp,
 
 class TestLossCe:
     def test_perfect_prediction_is_zero(self):
-        y = one_hot(np.array([1]), 3)
-        value, _ = loss_ce(y.copy(), y)
+        value, _ = loss_ce(one_hot(np.array([1]), 3), np.array([1]))
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_half_confidence_single_sample(self):
         probs = np.array([[0.5, 0.3, 0.2]])
-        value, _ = loss_ce(probs, one_hot(np.array([0]), 3))
+        value, _ = loss_ce(probs, np.array([0]))
         assert value == pytest.approx(math.log(2), abs=1e-9)
 
     def test_uniform_four_classes(self):
         probs = np.full((1, 4), 0.25)
-        value, _ = loss_ce(probs, one_hot(np.array([2]), 4))
+        value, _ = loss_ce(probs, np.array([2]))
         assert value == pytest.approx(math.log(4), abs=1e-9)
 
     def test_gradient_matches_softmax_composition(self):
         rng = np.random.default_rng(0)
         logits = rng.standard_normal((4, 5))
         probs = softmax(logits)
-        y = one_hot(rng.integers(0, 5, 4), 5)
-        _, dlogits = loss_ce(probs, y)
-        np.testing.assert_allclose(dlogits, (probs - y) / 4, atol=1e-12)
+        labels = rng.integers(0, 5, 4)
+        _, dlogits = loss_ce(probs, labels)
+        np.testing.assert_allclose(dlogits, (probs - one_hot(labels, 5)) / 4, atol=1e-12)
 
-    def test_rejects_non_one_hot(self):
-        with pytest.raises(ValueError):
-            loss_ce(np.full((1, 3), 1 / 3), np.array([[0.5, 0.5, 0.0]]))
+
+@pytest.mark.parametrize("loss", [loss_ce, loss_comp])
+@pytest.mark.parametrize("label", [-1, 3])
+def test_losses_reject_label_outside_range(loss, label):
+    with pytest.raises(ValueError, match="outside"):
+        loss(np.full((2, 3), 1 / 3), np.array([0, label]))
+
+
+@pytest.mark.parametrize("loss", [loss_ce, loss_comp])
+@pytest.mark.parametrize("labels", [[1], [0, 1, 2, 0], [[0, 1], [1, 0]]],
+                         ids=["one-for-all", "too-many", "one-hot-rows"])
+def test_losses_need_one_label_per_row(loss, labels):
+    with pytest.raises(ValueError, match="one label per row"):
+        loss(np.full((2, 3), 1 / 3), np.array(labels))
 
 
 class TestLossComp:
     def test_one_hot_prediction_is_zero(self):
-        y = one_hot(np.array([2]), 4)
-        value, _ = loss_comp(y.copy(), y)
+        value, _ = loss_comp(one_hot(np.array([2]), 4), np.array([2]))
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_hand_evaluated_value(self):
         # (1/(n(K-1))) * (1-0.4) * sum q ln q with q = (0.5, 0.5)
         probs = np.array([[0.4, 0.3, 0.3]])
-        value, _ = loss_comp(probs, one_hot(np.array([0]), 3))
+        value, _ = loss_comp(probs, np.array([0]))
         assert value == pytest.approx(0.6 * math.log(0.5) / 2, abs=1e-9)
 
     def test_uniform_complements_minimize(self):
         # with p_g fixed, the inner sum is minimized at -log(K-1); any
         # redistribution of the complement mass increases the loss
-        y = one_hot(np.array([0]), 4)
+        y = np.array([0])
         base = np.array([[0.4, 0.2, 0.2, 0.2]])
         v0, _ = loss_comp(base, y)
         assert v0 == pytest.approx(0.6 * math.log(1 / 3) / 3, abs=1e-12)
@@ -77,13 +87,12 @@ class TestLossComp:
             k = int(rng.integers(3, 8))
             probs = rng.random((4, k)) + 1e-9
             probs /= probs.sum(axis=1, keepdims=True)
-            y = one_hot(rng.integers(0, k, 4), k)
-            value, _ = loss_comp(probs, y)
+            value, _ = loss_comp(probs, rng.integers(0, k, 4))
             assert value <= 1e-15
             assert value < -1e-12  # interior distributions are never one-hot
         # K=2 is the degenerate edge: a single complement class renormalizes
         # to q = 1, so the inner entropy term vanishes identically
-        v2, _ = loss_comp(np.array([[0.7, 0.3]]), one_hot(np.array([0]), 2))
+        v2, _ = loss_comp(np.array([[0.7, 0.3]]), np.array([0]))
         assert v2 == pytest.approx(0.0, abs=1e-12)
 
     def test_per_sample_scale_bound(self):
@@ -94,7 +103,7 @@ class TestLossComp:
             k = int(rng.integers(2, 10))
             p = rng.random((1, k)) + 1e-12
             p /= p.sum()
-            value, _ = loss_comp(p, one_hot(rng.integers(0, k, 1), k))
+            value, _ = loss_comp(p, rng.integers(0, k, 1))
             assert abs(value) <= math.log(max(k - 1, 2)) / (k - 1) + 1e-9
 
 
@@ -137,7 +146,6 @@ class TestTrainSource:
         # independent cross-entropy-only loop built from the same primitives
         enc_b = Encoder(4, [8], 6, seed=3)
         protos_b = PrototypeMatrix.random(6, 3, seed=4)
-        y_all = one_hot(source.labels, 3)
         rng = np.random.default_rng(cfg.seed)
         vel = np.zeros_like(enc_b.theta)
         proto_vel = np.zeros_like(protos_b.weights)
@@ -148,7 +156,7 @@ class TestTrainSource:
             for idx in epoch_batches(source, cfg.batch_size, rng):
                 enc_out = enc_b.forward(source.features[idx])
                 out = classify(protos_b.weights, enc_out.z_l2)
-                ce_val, d_ce = loss_ce(out, y_all[idx])
+                ce_val, d_ce = loss_ce(out, source.labels[idx])
                 d_proto, dz_l2 = classify_backward(protos_b.weights, enc_out.z_l2, d_ce)
                 apply_sgd_momentum(enc_b.theta, enc_b.backward(enc_out.ctx, dz_l2=dz_l2),
                                    vel, lr)
@@ -159,6 +167,21 @@ class TestTrainSource:
         np.testing.assert_array_equal(enc_a.theta, enc_b.theta)
         np.testing.assert_array_equal(protos_a.weights, protos_b.weights)
         assert [row.loss_ce for row in history] == ce_curve
+
+    def test_each_step_calls_both_public_losses_once(self, monkeypatch):
+        # per-layer profiles time the step through these two names
+        calls = {"loss_ce": 0, "loss_comp": 0}
+        for name in calls:
+            def counted(probs, labels, _name=name, _loss=getattr(source_trainer, name)):
+                calls[_name] += 1
+                return _loss(probs, labels)
+            monkeypatch.setattr(source_trainer, name, counted)
+        source = separable_task()
+        cfg = SourcePhaseConfig(epochs=3, batch_size=32, seed=0)
+        train_source(Encoder(4, [8], 6, seed=0), PrototypeMatrix.random(6, 3, seed=1),
+                     source, cfg)
+        steps = cfg.epochs * math.ceil(source.n / cfg.batch_size)
+        assert calls == {"loss_ce": steps, "loss_comp": steps}
 
     def test_zero_epochs_returns_initial_parameters(self):
         source = separable_task()
@@ -189,7 +212,7 @@ class TestTrainSource:
         encoder = Encoder(6, [8], 4, seed=6)
         protos = PrototypeMatrix.random(4, 5, seed=7)
         x = rng.standard_normal((8, 6))
-        y = one_hot(rng.integers(0, 5, 8), 5)
+        y = rng.integers(0, 5, 8)
         eta = 1.5
         n_enc = encoder.theta.size
 

@@ -22,6 +22,7 @@ the output file are kept, so one file collects every workload.
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -70,15 +71,15 @@ def compare(metric: dict, parent: list[float], change: list[float], pairs: int) 
     change_wins = sum(sign * (b - a) < 0 for a, b in zip(parent, change))
     parent_wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
     base = p["median"]
-    worse = sign * (c["median"] - base) / abs(base) if base else (
-        0.0 if c["median"] == base else float("inf"))
+    delta = sign * (c["median"] - base)  # > 0: the change is worse
+    worse = delta / abs(base) if base else math.copysign(math.inf, delta) if delta else 0.0
     return {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
             "parent": p, "change": c, "change_wins": change_wins,
             "parent_wins": parent_wins, "ties": pairs - change_wins - parent_wins,
             "median_rel_change": (c["median"] - base) / base if base else None,
             "worse_than_bound": worse > metric["bound"],
             "gain": (change_wins >= 0.9 * pairs
-                     and sign * (base - c["median"]) > p["q3"] - p["q1"])}
+                     and -delta > p["q3"] - p["q1"])}
 
 
 def main(argv=None) -> int:
