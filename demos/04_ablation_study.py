@@ -5,14 +5,16 @@
            the confident subset
   no_CLS   one shared single-element complementary set for all members
   no_DO    both class-geometry coefficients set to zero
+
+All five modes adapt from one trained source model: they differ only in
+the adaptation phase.
 """
 
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
-from protoadapt import apply_ablation, load_config, run_experiment
+from protoadapt import load_config, run_ablation
 
 # a fairly severe shift, so the components have visible work to do
 config = {
@@ -31,13 +33,9 @@ config = {
 }
 Path("runs").mkdir(exist_ok=True)
 Path("runs/ablation.json").write_text(json.dumps(config, indent=2))
-base_cfg = load_config("runs/ablation.json")
 
 print("mode      baseline  adapted   neg.transfer")
-for mode in ("full", "no_EL", "no_TSCS", "no_CLS", "no_DO"):
-    cfg = apply_ablation(base_cfg, mode)
-    cfg = replace(cfg, out_dir=str(Path(base_cfg.out_dir) / mode))
-    summary = run_experiment(cfg)
+for mode, summary in run_ablation(load_config("runs/ablation.json")).items():
     print(f"{mode:<8}  {summary['baseline']['accuracy']:.4f}    "
           f"{summary['adapted']['accuracy']:.4f}    "
           f"{summary['adapted']['negative_transfer']:.4f}")

@@ -8,7 +8,7 @@ from .datasets import (Dataset, SyntheticSpec, generate_synthetic,
 from .errors import (ConfigError, DataFormatError, EvaluationUnavailableError,
                      NumericError)
 from .harness import (ExperimentConfig, ModelConfig, apply_ablation, evaluate,
-                      load_config, run_experiment)
+                      load_config, run_ablation, run_experiment)
 from .model import Encoder, PrototypeMatrix, load_checkpoint, save_checkpoint
 from .source_trainer import SourcePhaseConfig, train_source
 

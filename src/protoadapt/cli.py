@@ -8,16 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-from pathlib import Path
 
 from .datasets import read_feature_file
 from .errors import (ConfigError, DataFormatError, EvaluationUnavailableError,
                      NumericError, parse_digits)
 from .gradcheck import TOLERANCE, run_suite
-from .harness import (ABLATION_MODES, apply_ablation, check_fits, evaluate,
-                      load_config, parse_synthetic_spec, run_adapt_phase,
-                      run_experiment, run_source_phase, write_synthetic)
+from .harness import (check_fits, evaluate, load_config, parse_synthetic_spec,
+                      run_ablation, run_adapt_phase, run_source_phase,
+                      write_synthetic)
 from .model import load_checkpoint
 
 
@@ -63,13 +61,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    cfg = load_config(args.config)
-    cfg = apply_ablation(cfg, args.mode)
-    cfg = replace(cfg, out_dir=str(Path(cfg.out_dir) / args.mode))
-    summary = run_experiment(cfg)
-    print(f"mode {args.mode}")
-    print(f"baseline accuracy {summary['baseline']['accuracy']:.6f}")
-    print(f"adapted accuracy {summary['adapted']['accuracy']:.6f}")
+    for mode, summary in run_ablation(load_config(args.config)).items():
+        print(f"mode {mode} baseline {summary['baseline']['accuracy']:.6f} "
+              f"adapted {summary['adapted']['accuracy']:.6f} "
+              f"negative_transfer {summary['adapted']['negative_transfer']:.6f}")
     return 0
 
 
@@ -113,9 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("ablate", help="run one ablation mode end to end")
+    p = sub.add_parser("ablate", help="run every ablation mode end to end "
+                                      "from one source phase")
     p.add_argument("--config", required=True)
-    p.add_argument("--mode", required=True, choices=ABLATION_MODES)
     p.set_defaults(fn=_cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")

@@ -1,6 +1,7 @@
 """Experiment orchestration: strict config parsing, the evaluator, the
 ablation modes, the source and adaptation phases that both the CLI and
-the end-to-end runner run, and the runner itself.
+the end-to-end runners run, and the runners of one experiment and of
+an ablation study.
 
 The evaluator is the only code in the package that reads a target
 dataset's hidden labels.
@@ -12,6 +13,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, replace
 from pathlib import Path
@@ -48,10 +50,10 @@ class ExperimentConfig:
     adapt: AdaptConfig = field(default_factory=AdaptConfig)
 
     def __post_init__(self):
-        file_pair = self.source_file is not None and self.target_file is not None
-        if (self.synthetic is None) == (not file_pair):
+        n_files = (self.source_file is not None) + (self.target_file is not None)
+        if n_files != (2 if self.synthetic is None else 0):
             raise ConfigError("config needs either a synthetic spec or both "
-                              "source and target file paths")
+                              "source and target file paths, not a mix")
 
 
 ROLES = ("source", "target")
@@ -309,15 +311,12 @@ def run_adapt_phase(cfg: ExperimentConfig, encoder: Encoder,
     return target, result
 
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
-    """generate/load -> train source -> adapt -> evaluate, fully seeded.
-
-    Writes metric CSVs, checkpoints, and summary.json into the output
-    directory and returns the summary.
-    """
+def _adapt_and_summarize(cfg: ExperimentConfig, source_encoder: Encoder,
+                         prototypes: PrototypeMatrix) -> dict:
+    """Phase 2 on a copy of the source encoder, then the evaluation of
+    the source and adapted models; writes ``summary.json`` and returns it."""
     out = Path(cfg.out_dir)
-    encoder, prototypes, _ = run_source_phase(cfg, out / "source.ckpt")
-    source_encoder = encoder.copy()
+    encoder = source_encoder.copy()
     target, result = run_adapt_phase(cfg, encoder, prototypes, out / "adapted.ckpt")
 
     with _phase("evaluate"):
@@ -331,3 +330,43 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
+
+
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """generate/load -> train source -> adapt -> evaluate, fully seeded.
+
+    Writes metric CSVs, checkpoints, and summary.json into the output
+    directory and returns the summary.
+    """
+    encoder, prototypes, _ = run_source_phase(cfg, Path(cfg.out_dir) / "source.ckpt")
+    return _adapt_and_summarize(cfg, encoder, prototypes)
+
+
+def run_ablation(cfg: ExperimentConfig) -> dict[str, dict]:
+    """``run_experiment`` of every ablation mode into ``out_dir/<mode>``,
+    with one source phase: the modes differ only in their adapt config.
+
+    The source phase runs on the ``full`` config, the one with the
+    largest ``n_e * n_cl``, so a config that cannot adapt trains nothing.
+    Its files are copied into the other mode directories, and each mode
+    adapts its own copy of the trained encoder. Each directory ends up
+    with the bytes ``run_experiment`` of that mode would write. Returns
+    each mode's summary.
+    """
+    modes = {mode: replace(apply_ablation(cfg, mode),
+                           out_dir=str(Path(cfg.out_dir) / mode))
+             for mode in ABLATION_MODES}
+    full_out = Path(modes["full"].out_dir)
+    encoder, prototypes, _ = run_source_phase(modes["full"], full_out / "source.ckpt")
+    source_files = ["source.ckpt", "source_metrics.csv"]
+    if cfg.synthetic is not None:
+        source_files.append("source.features")
+    summaries = {}
+    for mode, mode_cfg in modes.items():
+        if mode != "full":
+            out = Path(mode_cfg.out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            for name in source_files:
+                shutil.copyfile(full_out / name, out / name)
+        summaries[mode] = _adapt_and_summarize(mode_cfg, encoder, prototypes)
+    return summaries

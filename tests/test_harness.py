@@ -14,8 +14,8 @@ from protoadapt.cli import main
 from protoadapt.datasets import (CHUNK_ROWS, Dataset, SyntheticSpec, read_feature_file,
                                  write_feature_file)
 from protoadapt.errors import ConfigError, EvaluationUnavailableError
-from protoadapt.harness import (apply_ablation, derive_seeds, evaluate,
-                                load_config, run_experiment)
+from protoadapt.harness import (ABLATION_MODES, apply_ablation, derive_seeds, evaluate,
+                                load_config, run_ablation, run_experiment)
 from protoadapt.model import (Encoder, PrototypeMatrix, load_checkpoint,
                               save_checkpoint)
 from protoadapt.source_trainer import SourcePhaseConfig
@@ -265,18 +265,58 @@ class TestRunExperiment:
         assert outputs[0] == outputs[1]
 
 
+def file_config(tmp_path, out_dir):
+    """Write the tiny spec's data to feature files in ``tmp_path`` and
+    return the tiny config that reads them."""
+    harness.write_synthetic(harness.parse_synthetic_spec(TINY_SYNTHETIC),
+                            source=tmp_path / "s.features", target=tmp_path / "t.features")
+    cfg = tiny_config(out_dir)
+    cfg["data"] = {"source_file": str(tmp_path / "s.features"),
+                   "target_file": str(tmp_path / "t.features")}
+    return cfg
+
+
+def dir_bytes(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+class TestRunAblation:
+    def test_one_source_phase(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        train_source = harness.train_source
+        monkeypatch.setattr(harness, "train_source",
+                            lambda *a, **k: calls.append(1) or train_source(*a, **k))
+        cfg = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        assert main(["ablate", "--config", str(cfg)]) == 0
+        assert len(calls) == 1
+        assert len(capsys.readouterr().out.splitlines()) == len(ABLATION_MODES)
+
+    @pytest.mark.parametrize("data", ["synthetic", "files"])
+    def test_each_mode_writes_the_bytes_of_run_experiment(self, tmp_path, data):
+        build = tiny_config if data == "synthetic" else lambda out: file_config(tmp_path, out)
+        cfg = load_config(write_config(tmp_path, build(tmp_path / "ablate")))
+        # a file config writes no feature file; one left by an earlier
+        # run must stay where it is
+        stale = {} if data == "synthetic" else {"source.features": b"stale\n"}
+        (tmp_path / "ablate" / "full").mkdir(parents=True)
+        for name, blob in stale.items():
+            (tmp_path / "ablate" / "full" / name).write_bytes(blob)
+        summaries = run_ablation(cfg)
+        assert list(summaries) == list(ABLATION_MODES)
+        for mode in ABLATION_MODES:
+            ref = tmp_path / "ref" / mode
+            summary = run_experiment(replace(apply_ablation(cfg, mode), out_dir=str(ref)))
+            assert summaries[mode] == summary
+            expected = {**dir_bytes(ref), **(stale if mode == "full" else {})}
+            assert dir_bytes(tmp_path / "ablate" / mode) == expected, mode
+
+
 def write_bad_inputs(tmp_path):
     """Valid inputs for every command on the tiny spec (d_x=5, K_s=6),
     which each case below breaks in one place."""
     write_spec(tmp_path, TINY_SYNTHETIC)
-    assert main(["gen", "--spec", str(tmp_path / "spec.json"),
-                 "--out-source", str(tmp_path / "s.features"),
-                 "--out-target", str(tmp_path / "t.features")]) == 0
     save_model(tmp_path / "model.ckpt", d_x=5, k_s=6)
-    cfg = tiny_config(tmp_path / "out")
-    cfg["data"] = {"source_file": str(tmp_path / "s.features"),
-                   "target_file": str(tmp_path / "t.features")}
-    write_config(tmp_path, cfg)
+    write_config(tmp_path, file_config(tmp_path, tmp_path / "out"))
 
 
 def save_model(path, d_x, k_s):
@@ -353,7 +393,7 @@ ADAPT = ["adapt", "--config", "{tmp}/config.json", "--source-ckpt",
          "{tmp}/model.ckpt", "--out", "{tmp}/adapted.ckpt"]
 GEN = ["gen", "--spec", "{tmp}/spec.json", "--out-source", "{tmp}/s2",
        "--out-target", "{tmp}/t2"]
-ABLATE = ["ablate", "--config", "{tmp}/config.json", "--mode", "full"]
+ABLATE = ["ablate", "--config", "{tmp}/config.json"]
 UNSHIFTED = {**TINY_SYNTHETIC, "rotation_angle": 0.0, "translation": []}
 
 # (case, command, exit code, how the valid inputs are broken; a breakage
@@ -414,6 +454,10 @@ BAD_INPUTS = [
     ("checkpoint K_s differs", EVAL, 4, lambda t: save_model(t / "model.ckpt", 5, 7)),
     ("checkpoint K_s differs in adapt", ADAPT, 4,
      lambda t: save_model(t / "model.ckpt", 5, 7)),
+    *[(f"synthetic spec plus a {role} file", TRAIN, 2, lambda t, r=role: edit_config(
+        t, lambda c: c.update(data={"synthetic": TINY_SYNTHETIC,
+                                    f"{r}_file": c["data"][f"{r}_file"]})))
+      for role in ("source", "target")],
     ("string epochs", TRAIN, 2, lambda t: edit_config(
         t, lambda c: c["source"].update(epochs="2"))),
     ("spec missing keys via gen", GEN, 2, lambda t: write_spec(t, {"k_s": 6, "k_t": 3})),
@@ -478,7 +522,7 @@ class TestCli:
         cfg = write_config(tmp_path, cfg_dict)
         assert main(["train-source", "--config", str(cfg),
                      "--out", str(tmp_path / "src.ckpt")]) == 2
-        assert main(["ablate", "--config", str(cfg), "--mode", "full"]) == 2
+        assert main(["ablate", "--config", str(cfg)]) == 2
         assert "K_s-1=7" in capsys.readouterr().err
         assert not list(tmp_path.rglob("source_metrics.csv"))
 
@@ -584,8 +628,9 @@ class TestCli:
 
     def test_ablate_smoke(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tiny_config(tmp_path / "out"))
-        assert main(["ablate", "--config", str(cfg), "--mode", "no_DO"]) == 0
-        assert (tmp_path / "out" / "no_DO" / "summary.json").exists()
+        assert main(["ablate", "--config", str(cfg)]) == 0
+        for mode in ABLATION_MODES:
+            assert (tmp_path / "out" / mode / "summary.json").exists()
 
     def test_gradcheck_exit_zero(self, capsys):
         assert main(["gradcheck", "--seed", "1"]) == 0

@@ -15,7 +15,7 @@ PUBLIC = {
     "write_feature_file",
     "ConfigError", "DataFormatError", "EvaluationUnavailableError", "NumericError",
     "ExperimentConfig", "ModelConfig", "apply_ablation", "evaluate", "load_config",
-    "run_experiment",
+    "run_ablation", "run_experiment",
     "Encoder", "PrototypeMatrix", "load_checkpoint", "save_checkpoint",
     "SourcePhaseConfig", "train_source",
 }

@@ -4,9 +4,10 @@ For each acceptance-study seed 0-4 this runs ``run_experiment`` on the
 study config of ``tests/test_acceptance.py`` and prints the sha256 and the
 path of each of the seven artifacts it writes (two feature files, two
 metric CSVs, two checkpoints and ``summary.json``): 35 lines. Then it runs
-``protoadapt ablate --mode M`` on the seed-0 study config for each of the
-five ablation modes and prints the hashes of their artifacts the same way:
-35 more lines. Last it prints the output of ``protoadapt gradcheck --seed 0``.
+``protoadapt ablate`` once on the seed-0 study config and prints the
+hashes of the artifacts of each of the five ablation modes, in
+``ABLATION_MODES`` order, the same way: 35 more lines. Last it prints the
+output of ``protoadapt gradcheck --seed 0``.
 
     python3 tools/byte_oracle.py [CHECKOUT] > oracle.txt
 
@@ -55,12 +56,12 @@ def main(argv: list[str]) -> int:
         cfg_path = run_dir / "ablate.json"
         cfg_path.write_text(json.dumps(study_config_dict(run_dir / "ablate", 0)),
                             encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["ablate", "--config", str(cfg_path)])
+        if code != 0:
+            print(f"ablate exited {code}")
+            return code
         for mode in ABLATION_MODES:
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli_main(["ablate", "--config", str(cfg_path), "--mode", mode])
-            if code != 0:
-                print(f"ablate --mode {mode} exited {code}")
-                return code
             print_hashes(run_dir / "ablate" / mode, run_dir)
     text = io.StringIO()
     with contextlib.redirect_stdout(text):
