@@ -329,12 +329,12 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
     """Adapt ``encoder`` in place to an unlabeled target set.
 
     ``epoch_hook(epoch, z_l2, ensemble)`` may return a target accuracy
-    to record, from the unit codes ``z_l2`` of the full target set at the
-    epoch's final parameters; it is the only channel through which
-    evaluation enters the log, keeping hidden labels out of this module.
-    The same codes feed the next epoch's pseudo-label refresh, so a run
-    makes epochs + 1 full-target forward passes. Deterministic given the
-    config seed.
+    to record as a float, from the unit codes ``z_l2`` of the full target
+    set at the epoch's final parameters; it is the only channel through
+    which evaluation enters the log, keeping hidden labels out of this
+    module. The same codes feed the next epoch's pseudo-label refresh, so
+    a run makes epochs + 1 full-target ``Encoder.encode`` passes.
+    Deterministic given the config seed.
     """
     if not prototypes.frozen:
         raise ConfigError("adapt requires frozen prototypes")
@@ -356,7 +356,7 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
     if log_path is not None:
         csvlog.start(log_path, ADAPT_LOG_HEADER)
     history: list[AdaptEpochMetrics] = []
-    z_l2 = encoder.forward(x).z_l2
+    z_l2 = encoder.encode(x)
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg.lr0)
         ensemble.push_epoch_logits(z_l2)
@@ -419,8 +419,9 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
                 apply_sgd_momentum(ensemble.weights[members], ens_grad, ens_vel[members],
                                    CLASSIFIER_LR_FACTOR * lr)
 
-        z_l2 = encoder.forward(x).z_l2
-        target_acc = epoch_hook(epoch, z_l2, ensemble) if epoch_hook else None
+        z_l2 = encoder.encode(x)
+        acc = epoch_hook(epoch, z_l2, ensemble) if epoch_hook else None
+        target_acc = None if acc is None else float(acc)  # not 'np.float64(...)' in the CSV
         n_sup = weights_acc["nl"] or 1
         n_geom = weights_acc["geom"] or 1
         row = AdaptEpochMetrics(

@@ -132,10 +132,9 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
         ct, st = math.cos(spec.rotation_angle), math.sin(spec.rotation_angle)
         x0 = target[:, 0] * ct - target[:, 1] * st
         x1 = target[:, 0] * st + target[:, 1] * ct
-        target = target.copy()
-        target[:, 0], target[:, 1] = x0, x1
+        target[:, 0], target[:, 1] = x0, x1  # np.vstack returned a fresh array
     if spec.translation:
-        target = target + np.asarray(spec.translation, dtype=float)
+        target += np.asarray(spec.translation, dtype=float)
 
     source_ds = Dataset(np.vstack(src_feats), np.concatenate(src_labels),
                         spec.k_s, "source")

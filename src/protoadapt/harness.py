@@ -177,7 +177,7 @@ def evaluate(encoder: Encoder, weights: np.ndarray, dataset: Dataset) -> EvalRes
         raise EvaluationUnavailableError("dataset carries no evaluation labels")
     if dataset.n == 0:
         raise EvaluationUnavailableError("dataset has no samples to evaluate")
-    preds = predict(weights, encoder.forward(dataset.features).z_l2)
+    preds = predict(weights, encoder.encode(dataset.features))
     classes = np.unique(labels)
     per_class = {int(c): float((preds[labels == c] == c).mean()) for c in classes}
     negative_transfer = None

@@ -22,9 +22,9 @@ LR_ALPHA = 0.75
 MOMENTUM = 0.9
 
 _ACTIVATIONS = {
-    # forward, derivative expressed in terms of the activation output
-    "tanh": (np.tanh, lambda y: 1.0 - y * y),
-    "identity": (lambda x: x, lambda y: np.ones_like(y)),
+    # forward in place, derivative expressed in terms of the activation output
+    "tanh": (lambda h: np.tanh(h, out=h), lambda y: 1.0 - y * y),
+    "identity": (lambda h: h, lambda y: np.ones_like(y)),
 }
 
 
@@ -85,21 +85,36 @@ class Encoder:
     def forward(self, x: np.ndarray) -> EncodeResult:
         """Encode a batch; the returned context suffices to backpropagate
         any downstream gradient through the normalization and the MLP."""
+        inputs = []
+        h = self._layers(x, inputs)
+        z_l2, norms, raw = l2_normalize_rows(h)
+        return EncodeResult(h, z_l2, (inputs, z_l2, norms, raw))
+
+    def encode(self, x: np.ndarray) -> np.ndarray:
+        """The unit codes of ``forward``, bit for bit, keeping no layer
+        input: the pass for whole datasets, which never backpropagate."""
+        return l2_normalize_rows(self._layers(x, None))[0]
+
+    def _layers(self, x: np.ndarray, inputs: list | None) -> np.ndarray:
+        """The raw codes of ``x``, appending each layer's input to ``inputs``
+        unless it is None. Each layer adds its bias and applies its
+        activation in place in its matmul's fresh output, so ``x`` and the
+        kept inputs are never written."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.d_x:
             raise ValueError(f"expected input dimension {self.d_x}, got {x.shape[1]}")
         act, _ = _ACTIVATIONS[self.activation]
-        inputs = []
         h = x
         for i in range(self.n_layers):
-            inputs.append(h)
-            h = h @ self.weights[i] + self.biases[i]
+            if inputs is not None:
+                inputs.append(h)
+            h = h @ self.weights[i]
+            h += self.biases[i]
             if not np.isfinite(h).all():
                 raise NumericError(f"non-finite activation in encoder layer {i}")
             if i < self.n_layers - 1:
-                h = act(h)
-        z_l2, norms, raw = l2_normalize_rows(h)
-        return EncodeResult(h, z_l2, (inputs, z_l2, norms, raw))
+                act(h)
+        return h
 
     def backward(self, ctx: tuple, dz: np.ndarray | None = None,
                  dz_l2: np.ndarray | None = None) -> np.ndarray:

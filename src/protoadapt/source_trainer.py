@@ -126,7 +126,7 @@ def train_source(encoder: Encoder, prototypes: PrototypeMatrix, source: Dataset,
             apply_sgd_momentum(prototypes.weights, d_proto, proto_vel, CLASSIFIER_LR_FACTOR * lr)
             ce_sum += ce_val * len(idx)
             comp_sum += comp_val * len(idx)
-        preds = predict(prototypes.weights, encoder.forward(source.features).z_l2)
+        preds = predict(prototypes.weights, encoder.encode(source.features))
         row = SourceEpochMetrics(epoch, ce_sum / source.n, comp_sum / source.n,
                                  float((preds == source.labels).mean()), lr)
         history.append(row)

@@ -476,32 +476,42 @@ class TestAdaptLoop:
         cfg = AdaptConfig(epochs=3, warmup_epochs=1, switch_epoch=2,
                           n_a=2, n_e=2, n_cl=2, batch_size=16, seed=2)
         path = tmp_path / "log.csv"
-        result = adapt(Encoder(5, [8], 6, seed=1), frozen_prototypes(6, 8, seed=2),
-                       target, cfg, epoch_hook=lambda e, z_l2, ens: 0.5 + e,
-                       log_path=path)
-        assert [row.target_acc for row in result.history] == [0.5, 1.5, 2.5]
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,loss_nl,loss_inter,loss_intra,loss_align,tau,|D_tau|,target_acc"
-        assert [line.split(",")[-1] for line in lines[1:]] == ["0.5", "1.5", "2.5"]
+        # a numpy scalar, as ``(predict(...) == y).mean()`` returns, is logged as a float
+        for kind in (float, np.float64):
+            result = adapt(Encoder(5, [8], 6, seed=1), frozen_prototypes(6, 8, seed=2),
+                           target, cfg, epoch_hook=lambda e, z_l2, ens: kind(0.5 + e),
+                           log_path=path)
+            assert [row.target_acc for row in result.history] == [0.5, 1.5, 2.5]
+            assert all(type(row.target_acc) is float for row in result.history)
+            lines = path.read_text().splitlines()
+            assert lines[0] == ("epoch,loss_nl,loss_inter,loss_intra,loss_align,"
+                                "tau,|D_tau|,target_acc")
+            assert [line.split(",")[-1] for line in lines[1:]] == ["0.5", "1.5", "2.5"]
 
     def test_one_full_target_forward_per_epoch(self, monkeypatch):
         # the codes the hook scores at the end of an epoch feed the next
-        # epoch's pseudo-label refresh: epochs + 1 full passes, not 2 * epochs
+        # epoch's pseudo-label refresh: epochs + 1 full passes, not 2 * epochs,
+        # all through encode, which keeps no backprop context
         target = small_target(seed=13)
-        full_passes = []
-        real = Encoder.forward
+        encoded, forwarded = [], []
+        real_encode, real_forward = Encoder.encode, Encoder.forward
 
-        def counting(self, x):
-            full_passes.append(len(x) == target.n)
-            return real(self, x)
+        def counting_encode(self, x):
+            encoded.append(len(x))
+            return real_encode(self, x)
 
-        monkeypatch.setattr(Encoder, "forward", counting)
+        def counting_forward(self, x):
+            forwarded.append(len(x))
+            return real_forward(self, x)
+
+        monkeypatch.setattr(Encoder, "encode", counting_encode)
+        monkeypatch.setattr(Encoder, "forward", counting_forward)
         cfg = AdaptConfig(epochs=4, warmup_epochs=1, switch_epoch=2, n_a=2,
                           n_e=2, n_cl=2, batch_size=16, seed=5)
         adapt(Encoder(5, [8], 6, seed=7), frozen_prototypes(6, 8, seed=8), target, cfg,
               epoch_hook=lambda e, z_l2, ens: None)
-        assert sum(full_passes) == cfg.epochs + 1
-        assert len(full_passes) > cfg.epochs + 1  # the batches were counted apart
+        assert encoded == [target.n] * (cfg.epochs + 1)
+        assert forwarded and all(n < target.n for n in forwarded)  # batch steps only
 
     def test_hook_gets_the_current_codes(self):
         target = small_target(seed=14)

@@ -3,6 +3,7 @@ experiment runner, and the CLI surface."""
 
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -59,6 +60,23 @@ class TestEvaluate:
         ds = Dataset(feats, None, 4, "target", hidden_labels=hidden)
         result = evaluate(identity_encoder(4), np.eye(4), ds)
         assert result.negative_transfer == pytest.approx(0.5)
+
+    def test_peak_memory_is_two_feature_matrices(self):
+        # the full-data pass keeps no layer input: at 5000 x 64 it peaks at
+        # one layer's input and output, not at every layer's input as well
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.standard_normal((5000, 64)), None, 16, "target",
+                     hidden_labels=np.repeat(np.arange(8), 625))
+        enc = Encoder(64, [64, 64], 32, seed=1)
+        weights = PrototypeMatrix.random(32, 16, seed=2).weights
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            evaluate(enc, weights, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 2.2 * ds.features.nbytes
 
     def test_missing_hidden_labels(self):
         ds = Dataset(np.eye(2), None, 2, "target")

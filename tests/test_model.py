@@ -66,10 +66,12 @@ class TestEncoderForward:
                                    np.ones(10), atol=1e-9)
 
     def test_non_finite_activation_names_layer(self):
-        enc = Encoder(2, [3], 2, seed=0)
-        enc.weights[0][0, 0] = np.inf
-        with pytest.raises(NumericError, match="layer 0"):
-            enc.forward(np.ones((1, 2)))
+        for layer in (0, 1):
+            enc = Encoder(2, [3], 2, seed=0)
+            enc.weights[layer][0, 0] = np.inf
+            for run in (enc.forward, enc.encode):
+                with pytest.raises(NumericError, match=f"encoder layer {layer}$"):
+                    run(np.ones((1, 2)))
 
     def test_gradient_of_sum_of_unit_codes(self):
         # encoder-parameter gradient of sum(z_l2) against central differences
@@ -88,8 +90,33 @@ class TestEncoderForward:
         assert (np.abs(analytic - numeric) / scale).max() < 1e-4
 
     def test_wrong_input_dimension(self):
-        with pytest.raises(ValueError):
-            Encoder(3, [], 2, seed=0).forward(np.ones((1, 4)))
+        enc = Encoder(3, [], 2, seed=0)
+        for run in (enc.forward, enc.encode):
+            with pytest.raises(ValueError, match="^expected input dimension 3, got 4$"):
+                run(np.ones((1, 4)))
+
+    def test_encode_codes_bit_equal_to_forward(self):
+        # encode is forward's layer loop keeping no layer input
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((40, 10))
+        x[7] = 0.0
+        study = Encoder(10, [64, 64], 32, seed=1)  # the acceptance study's encoder
+        identity = Encoder(10, [6], 4, activation="identity", seed=2)
+        for enc in (study, identity):
+            assert enc.encode(x).tobytes() == enc.forward(x).z_l2.tobytes()
+
+    def test_in_place_layers_leave_inputs_unwritten(self):
+        enc = Encoder(5, [7, 6], 4, seed=4)
+        x = np.random.default_rng(5).standard_normal((9, 5))
+        x_before = x.copy()
+        out = enc.forward(x)
+        expected = [x_before]  # each layer's input, recomputed out of place
+        for w, b in zip(enc.weights[:-1], enc.biases[:-1]):
+            expected.append(np.tanh(expected[-1] @ w + b))
+        inputs = out.ctx[0]
+        assert [a.tobytes() for a in inputs] == [a.tobytes() for a in expected]
+        np.testing.assert_array_equal(x, x_before)
+        assert out.z.tobytes() == (expected[-1] @ enc.weights[-1] + enc.biases[-1]).tobytes()
 
 
 class TestClassify:
