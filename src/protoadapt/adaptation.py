@@ -202,55 +202,32 @@ def loss_align(probs: np.ndarray) -> tuple[float, np.ndarray]:
     return value, softmax_vjp(probs, dprobs)
 
 
-def nl_loss_terms(z_l2: np.ndarray, weights: np.ndarray,
-                  base_consts: np.ndarray, scale: float,
-                  masks: np.ndarray, n_cl: int
-                  ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Negative-learning ensemble loss with explicit constant terms.
-
-    Member m sees moving-average logits  base_consts[m] + scale * z_l2 @ weights[m],
-    so gradients reach only its own weights (and the encoder through its
-    own live product); everything folded into base_consts is data. The
-    per-element term is -(1-p) log(1-p) over that member's complementary
-    label mask (``masks[:, m]``), normalized by batch * n_cl and averaged
-    over members. Returns the value, d/dz_l2 and the (n_e, d_z, K_s)
-    weight gradients.
-    """
-    n_e, n = weights.shape[0], z_l2.shape[0]
-    denom = n * n_cl * n_e
-    p = softmax(base_consts + scale * (z_l2 @ weights))
-    mask = np.moveaxis(masks, 1, 0)
-    log1p = clamped_log(1.0 - p)
-    phi = -(1.0 - p) * log1p
-    # summed member by member: one masked sum over all members rounds differently
-    value = sum(float(phi[m][mask[m]].sum()) / denom for m in range(n_e))
-    dlogits = softmax_vjp(p, np.where(mask, log1p + 1.0, 0.0) / denom)
-    dz_l2 = (scale * (dlogits @ weights.transpose(0, 2, 1))).sum(axis=0)
-    return value, dz_l2, scale * (z_l2.T @ dlogits)
-
-
-def nl_base_consts(z_l2: np.ndarray, weights: np.ndarray,
-                   hist_base_sum: np.ndarray, n_hist: int
-                   ) -> tuple[np.ndarray, float]:
-    """Constant logit terms for each member: older history entries plus
-    the other members' current contributions, evaluated at the current
-    parameters but excluded from the gradient."""
-    n_e = weights.shape[0]
-    live = z_l2 @ weights
-    bases = (hist_base_sum + live.sum(axis=0) / n_e - live / n_e) / n_hist
-    return bases, 1.0 / (n_e * n_hist)
-
-
 def loss_nl(z_l2: np.ndarray, weights: np.ndarray,
             hist_base_sum: np.ndarray, n_hist: int, masks: np.ndarray,
             n_cl: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Ensemble negative-learning loss on a batch.
 
+    Every member reads one shared softmax p of the moving-average ensemble
+    logits  (hist_base_sum + sum_m z_l2 @ weights[m] / n_e) / n_hist,  where
     ``hist_base_sum`` is the summed logit history excluding the current
     epoch, whose contribution is recomputed live from the given weights.
+    Members differ only in their complementary label masks (``masks[:, m]``)
+    and in gradient routing: member m's term reaches its own weights, and
+    the encoder through its own live product, scaled by 1/(n_e * n_hist);
+    older entries and the other members' terms are constants. The
+    per-element term is -(1-p) log(1-p) over a member's mask, normalized by
+    batch * n_cl and averaged over members. Returns the value, d/dz_l2 and
+    the (n_e, d_z, K_s) weight gradients.
     """
-    bases, scale = nl_base_consts(z_l2, weights, hist_base_sum, n_hist)
-    return nl_loss_terms(z_l2, weights, bases, scale, masks, n_cl)
+    n_e, n = weights.shape[0], z_l2.shape[0]
+    denom = n * n_cl * n_e
+    scale = 1.0 / (n_e * n_hist)
+    p = softmax((hist_base_sum + (z_l2 @ weights).sum(axis=0) / n_e) / n_hist)
+    log1p = clamped_log(1.0 - p)
+    value = float((-(1.0 - p) * log1p * masks.sum(axis=1)).sum() / denom)
+    dlogits = softmax_vjp(p, np.where(np.moveaxis(masks, 1, 0), log1p + 1.0, 0.0) / denom)
+    dz_l2 = scale * (dlogits @ weights.transpose(0, 2, 1)).sum(axis=0)
+    return value, dz_l2, scale * (z_l2.T @ dlogits)
 
 
 # -- class-geometry objectives ----------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, DataFormatError, check_array_size, parse_digits,
-                     parse_floats)
+                     parse_floats, parse_key_values)
 
 FEATURE_HEADER_PREFIX = "#pda-features v1"
 
@@ -135,9 +135,11 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
         target[:, 0], target[:, 1] = x0, x1  # np.vstack returned a fresh array
     if spec.translation:
         target += np.asarray(spec.translation, dtype=float)
+    source = np.vstack(src_feats)
+    if not (np.isfinite(source).all() and np.isfinite(target).all()):
+        raise ConfigError("synthetic spec overflows: generated features are not finite")
 
-    source_ds = Dataset(np.vstack(src_feats), np.concatenate(src_labels),
-                        spec.k_s, "source")
+    source_ds = Dataset(source, np.concatenate(src_labels), spec.k_s, "source")
     target_ds = Dataset(target, None, spec.k_s, "target",
                         hidden_labels=np.concatenate(tgt_labels))
     return source_ds, target_ds
@@ -184,14 +186,13 @@ def read_feature_file(path) -> Dataset:
 
 def _parse_features(path, lines) -> Dataset:
     header = next(lines, "")
-    if not header.startswith(FEATURE_HEADER_PREFIX):
+    if not (header + " ").startswith(FEATURE_HEADER_PREFIX + " "):
         raise DataFormatError(f"{path}: line 1: missing '{FEATURE_HEADER_PREFIX}' header")
-    fields = header[len(FEATURE_HEADER_PREFIX):].split()
     try:
-        meta = dict(item.split("=", 1) for item in fields)
-        sizes, role = [meta["d"], meta["k"]], meta["role"]
-    except (ValueError, KeyError) as exc:
+        meta = parse_key_values(header[len(FEATURE_HEADER_PREFIX):].split(), ("d", "k", "role"))
+    except ValueError as exc:
         raise DataFormatError(f"{path}: line 1: malformed header ({exc})") from exc
+    sizes, role = [meta["d"], meta["k"]], meta["role"]
     for i, (key, low) in enumerate((("d", 0), ("k", 1))):
         try:
             sizes[i] = parse_digits(sizes[i])

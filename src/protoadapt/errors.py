@@ -1,5 +1,5 @@
-"""Exception types shared across the package, its integer and float parsers,
-and its array size check.
+"""Exception types shared across the package, its integer, float and
+``key=value`` parsers, and its array size check.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
 NumericError -> 3, DataFormatError, EvaluationUnavailableError and
@@ -32,6 +32,16 @@ def parse_digits(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"{text!r} is not ASCII digits 0-9")
     return int(text)
+
+
+def parse_key_values(tokens: list[str], keys: tuple[str, ...]) -> dict[str, str]:
+    """The values of ``key=value`` tokens that name each of ``keys`` exactly
+    once and nothing else, where a plain ``dict`` would keep a repeat's last value."""
+    pairs = [token.partition("=") for token in tokens]
+    meta = {key: value for key, sep, value in pairs if sep}
+    if len(meta) != len(tokens) or meta.keys() != set(keys):
+        raise ValueError(f"expected {', '.join(keys)}, each once as key=value")
+    return meta
 
 
 def parse_floats(text: str, sep: str | None) -> np.ndarray:

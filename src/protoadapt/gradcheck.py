@@ -1,8 +1,8 @@
 """Finite-difference verification of every analytic loss gradient.
 
-Each check builds a small random instance, evaluates the loss through
-the same code paths training uses, and compares against the central
-difference oracle from :mod:`protoadapt.numerics`. Terms specified as
+Each check builds a small random instance, takes the analytic gradient
+from the loss called as training calls it, and compares against the
+central difference oracle from :mod:`protoadapt.numerics`. Terms specified as
 constants for backpropagation (older history entries, other ensemble
 members' contributions, the frozen prototypes) are frozen as data inside
 the differentiated function, so the comparison checks exactly the
@@ -16,9 +16,9 @@ from functools import partial
 import numpy as np
 
 from .adaptation import (gen_complement_sets, loss_align, loss_inter,
-                         loss_intra, nl_base_consts, nl_loss_terms)
+                         loss_intra, loss_nl)
 from .model import Encoder, PrototypeMatrix, classify, classify_backward
-from .numerics import finite_diff_grad
+from .numerics import clamped_log, finite_diff_grad, softmax
 from .source_trainer import loss_ce, loss_comp
 
 D_X, HIDDEN, D_Z, K_S, BATCH = 6, [8], 4, 5, 8
@@ -83,8 +83,10 @@ def check_loss_align(seed: int) -> float:
 
 
 def check_loss_nl(seed: int) -> float:
-    """Negative learning: each member's constant logit terms are frozen at
-    the evaluation point, matching their backprop treatment."""
+    """Negative learning, with the analytic gradient from ``loss_nl`` called
+    as ``adapt`` calls it. The oracle freezes each member's logits at the
+    evaluation point, less its own live term, which it recomputes from the
+    perturbed parameters; the masked -(1-p) log(1-p) sum follows."""
     rng, encoder, protos, x, labels = _instance(seed)
     weights0 = protos.weights + 0.1 * rng.standard_normal((NL_MEMBERS, D_Z, K_S))
     hist_base = rng.standard_normal((BATCH, K_S))  # summed older entries
@@ -93,17 +95,19 @@ def check_loss_nl(seed: int) -> float:
                                                  NL_SET_SIZE, rng), True, axis=2)
 
     fwd = encoder.forward(x)
-    bases0, scale = nl_base_consts(fwd.z_l2, weights0, hist_base, NL_HISTORY)
+    _, dz_l2, d_ws = loss_nl(fwd.z_l2, weights0, hist_base, NL_HISTORY, masks, NL_SET_SIZE)
+    scale = 1.0 / (NL_MEMBERS * NL_HISTORY)
+    live0 = fwd.z_l2 @ weights0
+    frozen = (hist_base + live0.sum(axis=0) / NL_MEMBERS) / NL_HISTORY - scale * live0
+    member_masks = np.moveaxis(masks, 1, 0)
     n_enc = encoder.theta.size
 
     def value(theta):
-        enc = _with_theta(encoder, theta[:n_enc])
         ws = theta[n_enc:].reshape(NL_MEMBERS, D_Z, K_S)
-        return nl_loss_terms(enc.forward(x).z_l2, ws, bases0, scale,
-                             masks, NL_SET_SIZE)[0]
+        p = softmax(frozen + scale * (_with_theta(encoder, theta[:n_enc]).forward(x).z_l2 @ ws))
+        phi = -(1.0 - p) * clamped_log(1.0 - p)
+        return phi[member_masks].sum() / (BATCH * NL_SET_SIZE * NL_MEMBERS)
 
-    _, dz_l2, d_ws = nl_loss_terms(fwd.z_l2, weights0, bases0, scale,
-                                   masks, NL_SET_SIZE)
     analytic = np.concatenate([encoder.backward(fwd.ctx, dz_l2=dz_l2), d_ws.ravel()])
     theta0 = np.concatenate([encoder.theta, weights0.ravel()])
     return max_rel_err(analytic, finite_diff_grad(value, theta0))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, DataFormatError, NumericError, check_array_size,
-                     parse_digits, parse_floats)
+                     parse_digits, parse_floats, parse_key_values)
 from .numerics import l2_normalize_backward, l2_normalize_rows, softmax
 
 CHECKPOINT_HEADER = "#pda-checkpoint v1"
@@ -283,11 +283,12 @@ def load_checkpoint(path) -> tuple[Encoder, PrototypeMatrix, np.ndarray | None]:
 
 def _parse_checkpoint(path, lines: list[str]):
     tokens = lines[1].split()
-    meta = dict(item.partition("=")[::2] for item in tokens[1:])
-    if (tokens[:1] != ["encoder"] or len(meta) != len(tokens) - 1
-            or meta.keys() != {"d_x", "hidden", "d_z", "activation", "seed"}):
-        raise DataFormatError(f"{path}: line 2: expected 'encoder' then d_x, hidden, d_z, "
-                              "activation and seed, each once as key=value")
+    try:
+        if tokens[:1] != ["encoder"]:
+            raise ValueError("expected 'encoder'")
+        meta = parse_key_values(tokens[1:], ("d_x", "hidden", "d_z", "activation", "seed"))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: line 2: {exc}") from exc
     hidden = [] if meta["hidden"] == "-" else [parse_digits(h) for h in meta["hidden"].split(",")]
     d_x, d_z = parse_digits(meta["d_x"]), parse_digits(meta["d_z"])
     if d_x + sum(hidden) + d_z > len(lines):  # each width is some matrix's row count

@@ -54,9 +54,13 @@ def softmax_vjp(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
 
 def l2_normalize_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise unit vectors, the norms floored at NORM_EPS that divide them,
-    and the unguarded norms ``l2_normalize_backward`` takes."""
+    and the unguarded norms ``l2_normalize_backward`` takes. A norm that is
+    not finite (a non-finite entry, or squares past the float range) is a
+    NumericError: dividing by it would return a zero or NaN code."""
     m = np.asarray(m, dtype=float)
     norms = np.sqrt(np.add.reduce(m * m, axis=1))  # np.linalg.norm's formula, bit for bit
+    if not np.isfinite(norms).all():
+        raise NumericError("l2_normalize_rows: a row's norm is not finite")
     if (norms < NORM_EPS).any():
         logger.warning("l2_normalize_rows: %d degenerate row(s)", int((norms < NORM_EPS).sum()))
     guarded = np.maximum(norms, NORM_EPS)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from protoadapt import adaptation
+from protoadapt import adaptation, gradcheck
 from protoadapt.adaptation import (AdaptConfig, EnsembleState,
                                    _epoch_complement_masks, adapt,
                                    build_confident_subset, cac,
@@ -216,6 +216,42 @@ class TestLossNl:
         assert d_ws.shape == ws.shape
         assert np.any(d_ws[0] != 0)
         np.testing.assert_array_equal(d_ws[1], np.zeros((3, 5)))
+
+    def test_value_from_the_shared_softmax(self):
+        # n_e=3, n_hist=2: every member reads softmax((H + sum_m live_m / 3) / 2)
+        # and scores -(1-p) log(1-p) on its own complementary class
+        z = np.array([[0.6, 0.8], [1.0, 0.0]])
+        ws = np.array([[[1.0, -2.0, 0.5, 0.0], [0.0, 1.0, -1.0, 2.0]],
+                       [[0.5, 0.5, -1.5, 1.0], [2.0, 0.0, 1.0, -1.0]],
+                       [[-1.0, 1.0, 0.0, 0.5], [0.5, -0.5, 1.5, 0.0]]])
+        hist = np.array([[0.3, -0.2, 1.1, 0.0], [-0.7, 0.4, 0.0, 0.9]])
+        complement = [[1, 2, 3], [3, 0, 2]]  # [row][member]
+        masks = np.zeros((2, 3, 4), dtype=bool)
+        for i, row in enumerate(complement):
+            for m, c in enumerate(row):
+                masks[i, m, c] = True
+        expected = 0.0
+        for i in range(2):
+            logits = [(hist[i][k] + sum(z[i][0] * ws[m][0][k] + z[i][1] * ws[m][1][k]
+                                        for m in range(3)) / 3) / 2 for k in range(4)]
+            total = sum(math.exp(a) for a in logits)
+            for c in complement[i]:
+                p = math.exp(logits[c]) / total
+                expected -= (1 - p) * math.log(1 - p) / (2 * 1 * 3)
+        value, _, _ = loss_nl(z, ws, hist, 2, masks, n_cl=1)
+        assert value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda n_e, dz, dw: (n_e * dz, n_e * dw),  # member scale 1/n_hist, not 1/(n_e n_hist)
+        lambda n_e, dz, dw: (dz, dw[::-1]),  # each member's gradient to the other member
+    ], ids=["scale without 1/n_e", "wrong member"])
+    def test_gradcheck_catches_a_wrong_gradient(self, monkeypatch, mutate):
+        def mutant(z_l2, weights, *args):
+            value, dz, dw = loss_nl(z_l2, weights, *args)
+            return (value, *mutate(weights.shape[0], dz, dw))
+        assert gradcheck.check_loss_nl(0) < gradcheck.TOLERANCE
+        monkeypatch.setattr(gradcheck, "loss_nl", mutant)
+        assert gradcheck.check_loss_nl(0) > gradcheck.TOLERANCE
 
 
 class TestCac:

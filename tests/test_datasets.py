@@ -148,6 +148,17 @@ class TestFeatureFiles:
         with pytest.raises(DataFormatError, match=f"line 1: {field} must be"):
             read_feature_file(path)
 
+    @pytest.mark.parametrize("header", [
+        "#pda-features v1 d=2 k=3 role=target foo=bar",
+        "#pda-features v1 d=5 d=2 k=3 role=target",
+        "#pda-features v1d=2 k=3 role=target",
+        "#pda-features v1 d=2 k=3"])
+    def test_header_needs_d_k_role_once_and_nothing_else(self, tmp_path, header):
+        path = tmp_path / "bad"
+        path.write_text(f"{header}\n?,1.0,2.0#0\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="line 1: (malformed|missing)"):
+            read_feature_file(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad"
         path.write_text("1,2,3\n", encoding="utf-8")

@@ -347,6 +347,13 @@ def rewrite(path, edit):
     path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
 
 
+def scale_last_layer(path, factor):
+    """Multiply the checkpoint encoder's last weight matrix by ``factor``."""
+    encoder, protos, _ = load_checkpoint(path)
+    encoder.weights[-1][...] *= factor
+    save_checkpoint(path, encoder, protos)
+
+
 def first_weight(text, value):
     """``text`` with the first weight of layer 0 (line 4) set to ``value``."""
     lines = text.splitlines(keepends=True)
@@ -449,6 +456,17 @@ BAD_INPUTS = [
     ("checkpoint prototypes +6", EVAL, 4, lambda t: rewrite(
         t / "model.ckpt", lambda s: s.replace("prototypes 6", "prototypes +6"))),
     ("checkpoint ensemble +1", EVAL, 4, lambda t: add_ensemble(t / "model.ckpt", "+1", 1)),
+    # codes whose squared norm overflows would normalize to zero vectors
+    ("checkpoint last layer scaled by 1e200", EVAL, 3,
+     lambda t: scale_last_layer(t / "model.ckpt", 1e200)),
+    ("adapt alpha 1e308", ADAPT, 3, lambda t: edit_config(
+        t, lambda c: c["adapt"].update(alpha=1e308))),
+    ("header extra key", EVAL, 4, lambda t: rewrite(
+        t / "t.features", lambda s: s.replace(" role=", " foo=bar role=", 1))),
+    ("header repeated d", EVAL, 4, lambda t: rewrite(
+        t / "t.features", lambda s: s.replace(" d=5 ", " d=2 d=5 ", 1))),
+    ("header 'v1d=5'", EVAL, 4, lambda t: rewrite(
+        t / "t.features", lambda s: s.replace(" v1 d=5 ", " v1d=5 ", 1))),
     ("header d=+5", EVAL, 4, lambda t: rewrite(
         t / "t.features", lambda s: s.replace(" d=5 ", " d=+5 ", 1))),
     ("header k=0_6", EVAL, 4, lambda t: rewrite(
@@ -499,6 +517,10 @@ BAD_INPUTS = [
     ("spec k_s 10**20 via gen", GEN, 2, lambda t: write_spec(t, {**UNSHIFTED, "k_s": 10**20})),
     ("spec k_s 10**18 d_x 3 via gen", GEN, 2, lambda t: write_spec(
         t, {**UNSHIFTED, "k_s": 10**18, "d_x": 3})),
+    ("spec cluster_std 1e308 via gen", GEN, 2, lambda t: write_spec(
+        t, {**TINY_SYNTHETIC, "cluster_std": 1e308})),
+    ("config cluster_std 1e308", TRAIN, 2, lambda t: edit_config(
+        t, lambda c: c.update(data={"synthetic": {**TINY_SYNTHETIC, "cluster_std": 1e308}}))),
     ("spec d_x -1 via gen", GEN, 2, lambda t: write_spec(t, {**UNSHIFTED, "d_x": -1})),
     ("hidden width 10**20 via ablate", ABLATE, 2, lambda t: edit_config(
         t, lambda c: c["model"].update(hidden=[10**20]))),

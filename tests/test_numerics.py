@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from protoadapt.errors import NumericError
 from protoadapt.numerics import (entropy, finite_diff_grad, l2_normalize_rows,
                                  one_hot, softmax)
 
@@ -93,6 +94,13 @@ class TestL2Normalize:
         np.testing.assert_allclose(out[1], [0.6, 0.8], atol=1e-12)
         assert norms[0] > 0  # the guarded divisor, never zero
         assert any("degenerate" in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("row", [[1e200, 1.0], [np.inf, 0.0], [np.nan, 1.0]],
+                             ids=["squares overflow", "inf", "nan"])
+    def test_non_finite_norm_raises(self, row):
+        # 1e200 squared is inf: dividing by that norm would give a zero code
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="norm is not finite"):
+            l2_normalize_rows(np.array([[3.0, 4.0], row]))
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
