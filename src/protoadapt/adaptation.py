@@ -233,17 +233,16 @@ def loss_nl(z_l2: np.ndarray, weights: np.ndarray,
 # -- class-geometry objectives ----------------------------------------------
 
 
-def loss_geometry(z: np.ndarray, y_tilde: np.ndarray, v_unit: np.ndarray
+def loss_geometry(u: np.ndarray, y_tilde: np.ndarray, v_unit: np.ndarray
                   ) -> tuple[tuple[float, np.ndarray], tuple[float, np.ndarray]]:
-    """``loss_inter`` then ``loss_intra``, each (value, d/dz), from one
-    normalization of the codes and one product with the codes and with the
-    unit prototypes ``v_unit`` (K_s, d_z). A term is the mean cosine
-    distance over the sample pairs (diagonal excluded), plus the same over
-    the (sample, prototype) pairs, whose labels differ (inter) or agree
-    (intra). A pair weighs 2/cnt in the gradient since both its ends move; a
+    """``loss_inter`` then ``loss_intra``, each (value, d/du), from one
+    product of the unit codes ``u`` with themselves and with the unit
+    prototypes ``v_unit`` (K_s, d_z). A term is the mean cosine distance
+    over the sample pairs (diagonal excluded), plus the same over the
+    (sample, prototype) pairs, whose labels differ (inter) or agree (intra).
+    A pair weighs 2/cnt in the gradient since both its ends move; a
     prototype is a constant and weighs 1/cnt. An empty mask contributes 0."""
     y = np.asarray(y_tilde)
-    u, r, _ = l2_normalize_rows(z)
     same_pair = y[:, None] == y[None, :]
     intra_pair = same_pair.copy()
     np.fill_diagonal(intra_pair, False)
@@ -251,33 +250,32 @@ def loss_geometry(z: np.ndarray, y_tilde: np.ndarray, v_unit: np.ndarray
     cos_pair, cos_proto = u @ u.T, u @ v_unit.T
     terms = []
     for pair_mask, proto_mask in ((~same_pair, ~same_proto), (intra_pair, same_proto)):
-        value, dz = 0.0, np.zeros_like(z)
+        value, du = 0.0, np.zeros_like(u)
         for other, cos, mask, w in ((u, cos_pair, pair_mask, 2.0),
                                     (v_unit, cos_proto, proto_mask, 1.0)):
             cnt = int(mask.sum())
             if cnt == 0:
                 continue
             value += float(((1.0 - cos) * mask).sum() / cnt)
-            a = mask * (w / cnt)
-            dz += -((a @ other) - (a * cos).sum(axis=1)[:, None] * u) / r[:, None]
-        terms.append((value, dz))
+            du -= (mask * (w / cnt)) @ other
+        terms.append((value, du))
     (inter, d_inter), intra = terms
     return (-inter, -d_inter), intra
 
 
-def loss_inter(z: np.ndarray, y_tilde: np.ndarray,
+def loss_inter(u: np.ndarray, y_tilde: np.ndarray,
                proto_weights: np.ndarray) -> tuple[float, np.ndarray]:
     """Negated mean cosine distance between differently-labeled target
     pairs and between each sample and the prototypes of other classes;
-    minimizing widens both gaps. Gradient w.r.t. the raw codes only."""
-    return loss_geometry(z, y_tilde, l2_normalize_rows(proto_weights.T)[0])[0]
+    minimizing widens both gaps. Takes and differentiates the unit codes."""
+    return loss_geometry(u, y_tilde, l2_normalize_rows(proto_weights.T)[0])[0]
 
 
-def loss_intra(z: np.ndarray, y_tilde: np.ndarray,
+def loss_intra(u: np.ndarray, y_tilde: np.ndarray,
                proto_weights: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cosine distance between same-labeled target pairs and between
     each sample and its own class prototype; minimizing compacts classes."""
-    return loss_geometry(z, y_tilde, l2_normalize_rows(proto_weights.T)[0])[1]
+    return loss_geometry(u, y_tilde, l2_normalize_rows(proto_weights.T)[0])[1]
 
 
 # -- the adaptation loop -----------------------------------------------------
@@ -352,7 +350,6 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
         weights_acc = {"nl": 0, "geom": 0}
         for idx in epoch_batches(target, cfg.batch_size, batch_rng):
             fwd = encoder.forward(x[idx])
-            dz = np.zeros_like(fwd.z)
             dz_l2 = np.zeros_like(fwd.z_l2)
             ens_grad = None  # for the members selected by ``members``
             sel = np.flatnonzero(conf_mask[idx])
@@ -381,16 +378,16 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
                 weights_acc["nl"] += sel.size
 
             if geometry and sel.size:
-                terms = loss_geometry(fwd.z[sel], table.labels[idx[sel]], v_unit)
+                terms = loss_geometry(fwd.z_l2[sel], table.labels[idx[sel]], v_unit)
                 for key, coef, (v, d) in zip(("inter", "intra"), (cfg.alpha, cfg.beta), terms):
                     if coef != 0.0:
-                        dz[sel] += coef * d
+                        dz_l2[sel] += coef * d
                         sums[key] += v * sel.size
                 weights_acc["geom"] += sel.size
 
             if not math.isfinite(sums["align"] + sums["nl"] + sums["inter"] + sums["intra"]):
                 raise NumericError(f"adaptation diverged at epoch {epoch}")
-            apply_sgd_momentum(encoder.theta, encoder.backward(fwd.ctx, dz=dz, dz_l2=dz_l2),
+            apply_sgd_momentum(encoder.theta, encoder.backward(fwd.ctx, dz_l2),
                                enc_vel, lr)
             if ens_grad is not None:
                 apply_sgd_momentum(ensemble.weights[members], ens_grad, ens_vel[members],

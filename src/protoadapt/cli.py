@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .datasets import read_feature_file
 from .errors import (ConfigError, DataFormatError, EvaluationUnavailableError,
                      NumericError, parse_digits)
@@ -122,7 +124,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # an overflow is reported through the exit code by the finiteness checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -118,11 +118,11 @@ def _check_geometry_loss(seed: int, loss_fn) -> float:
     y = rng.integers(0, K_S, size=BATCH)
 
     def value(theta):
-        return loss_fn(_with_theta(encoder, theta).forward(x).z, y, protos.weights)[0]
+        return loss_fn(_with_theta(encoder, theta).forward(x).z_l2, y, protos.weights)[0]
 
     fwd = encoder.forward(x)
-    _, dz = loss_fn(fwd.z, y, protos.weights)
-    analytic = encoder.backward(fwd.ctx, dz=dz)
+    _, dz_l2 = loss_fn(fwd.z_l2, y, protos.weights)
+    analytic = encoder.backward(fwd.ctx, dz_l2=dz_l2)
     return max_rel_err(analytic, finite_diff_grad(value, encoder.theta))
 
 

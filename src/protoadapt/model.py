@@ -30,8 +30,7 @@ _ACTIVATIONS = {
 
 @dataclass
 class EncodeResult:
-    """Raw codes, unit codes, and the context needed to backpropagate."""
-    z: np.ndarray
+    """Unit codes and the context needed to backpropagate."""
     z_l2: np.ndarray
     ctx: tuple
 
@@ -84,11 +83,10 @@ class Encoder:
 
     def forward(self, x: np.ndarray) -> EncodeResult:
         """Encode a batch; the returned context suffices to backpropagate
-        any downstream gradient through the normalization and the MLP."""
+        any gradient of the unit codes through the normalization and the MLP."""
         inputs = []
-        h = self._layers(x, inputs)
-        z_l2, norms, raw = l2_normalize_rows(h)
-        return EncodeResult(h, z_l2, (inputs, z_l2, norms, raw))
+        z_l2, norms, raw = l2_normalize_rows(self._layers(x, inputs))
+        return EncodeResult(z_l2, (inputs, z_l2, norms, raw))
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         """The unit codes of ``forward``, bit for bit, keeping no layer
@@ -116,20 +114,14 @@ class Encoder:
                 act(h)
         return h
 
-    def backward(self, ctx: tuple, dz: np.ndarray | None = None,
-                 dz_l2: np.ndarray | None = None) -> np.ndarray:
-        """Gradients from the raw-code and unit-code paths, laid out like ``theta``."""
+    def backward(self, ctx: tuple, dz_l2: np.ndarray) -> np.ndarray:
+        """The gradient of ``theta`` from a gradient of the unit codes, laid
+        out like ``theta``."""
         inputs, z_l2, norms, raw = ctx
-        total = np.zeros_like(z_l2)
-        if dz is not None:
-            total = total + dz
-        if dz_l2 is not None:
-            total = total + l2_normalize_backward(raw, z_l2, norms, dz_l2)
-
         _, dact = _ACTIVATIONS[self.activation]
         grad = np.empty_like(self.theta)
         d_weights, d_biases = self._views(grad)
-        upstream = total
+        upstream = l2_normalize_backward(raw, z_l2, norms, dz_l2)
         for i in range(self.n_layers - 1, -1, -1):
             np.matmul(inputs[i].T, upstream, out=d_weights[i])
             upstream.sum(axis=0, out=d_biases[i])

@@ -16,7 +16,8 @@ from protoadapt.adaptation import (AdaptConfig, EnsembleState,
 from protoadapt.datasets import SyntheticSpec, generate_synthetic
 from protoadapt.errors import ConfigError
 from protoadapt.model import Encoder, PrototypeMatrix, load_checkpoint, save_checkpoint
-from protoadapt.numerics import finite_diff_grad, l2_normalize_rows, softmax
+from protoadapt.numerics import (finite_diff_grad, l2_normalize_backward,
+                                l2_normalize_rows, softmax)
 
 
 def frozen_prototypes(d_z, k_s, seed=0):
@@ -319,37 +320,41 @@ class TestConfidentSubset:
             assert subset.tau == pytest.approx(scores.mean(), abs=1e-12)
 
 
+def unit(z):
+    return l2_normalize_rows(np.asarray(z, dtype=float))[0]
+
+
 class TestGeometryLosses:
     def test_inter_single_label_batch_uses_prototype_term_only(self):
-        z = np.array([[1.0, 0.0], [0.9, 0.1]])
+        u = unit([[1.0, 0.0], [0.9, 0.1]])
         y = np.array([0, 0])
         protos = np.eye(2)
-        value, dz = loss_inter(z, y, protos)
+        value, du = loss_inter(u, y, protos)
         # no differently-labeled pairs; each sample against prototype e1:
         # distances 1 and 1 - 0.1/|z1|, so the value is minus their mean
         assert value == pytest.approx(-(1.0 - 0.05 / math.sqrt(0.82)), abs=1e-12)
-        # z0 = e0 is orthogonal to e1: its gradient is e1 / cnt
-        np.testing.assert_allclose(dz[0], [0.0, 0.5], atol=1e-12)
+        # the gradient at the unit codes is e1 / cnt for every row, unprojected
+        np.testing.assert_allclose(du, [[0.0, 0.5], [0.0, 0.5]], atol=1e-12)
 
     def test_inter_orthogonal_hand_value(self):
-        z = np.array([[1.0, 0.0], [0.0, 1.0]])
+        u = np.array([[1.0, 0.0], [0.0, 1.0]])
         y = np.array([0, 1])
-        protos = np.eye(2)  # mu_0 = e0 (perp to z1), mu_1 = e1 (perp to z0)
-        value, _ = loss_inter(z, y, protos)
+        protos = np.eye(2)  # mu_0 = e0 (perp to u1), mu_1 = e1 (perp to u0)
+        value, _ = loss_inter(u, y, protos)
         assert value == pytest.approx(-2.0, abs=1e-12)
 
     def test_intra_perfect_compactness_is_zero(self):
         v = np.array([0.6, 0.8])
-        z = np.vstack([v, v])
+        u = np.vstack([v, v])
         protos = np.column_stack([v, np.array([1.0, 0.0])])
-        value, _ = loss_intra(z, np.array([0, 0]), protos)
+        value, _ = loss_intra(u, np.array([0, 0]), protos)
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_intra_antipodal_pair_term(self):
         v = np.array([1.0, 2.0])
-        z = np.vstack([v, -v])
+        u = unit([v, -v])
         protos = np.column_stack([v, np.array([1.0, 0.0])])
-        value, _ = loss_intra(z, np.array([0, 0]), protos)
+        value, _ = loss_intra(u, np.array([0, 0]), protos)
         # the pair sits at distance 2; against prototype v the samples sit
         # at 0 and 2, mean 1
         assert value == pytest.approx(3.0, abs=1e-12)
@@ -358,7 +363,8 @@ class TestGeometryLosses:
     def _pairwise_reference(z, y, protos, same):
         """Mean cosine distance over the (i, j), i != j, sample pairs and
         the (i, c) sample-prototype pairs whose label equality is
-        ``same``, one pair at a time; an empty set contributes 0."""
+        ``same``, one pair at a time, from the raw codes; an empty set
+        contributes 0."""
         def dist(a, b):
             return 1.0 - float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
         total = 0.0
@@ -371,6 +377,8 @@ class TestGeometryLosses:
         return total
 
     def test_geometry_matches_pairwise_reference(self):
+        # the unit-code gradient, pulled back through the normalization's
+        # Jacobian, against finite differences of a raw-code reference
         rng = np.random.default_rng(13)
         batches = [([0, 0, 1, 2, 2, 2], 4),  # repeats, a singleton class, an absent class
                    ([3, 3, 3, 3], 5),        # one label: no differently-labeled pairs
@@ -380,36 +388,58 @@ class TestGeometryLosses:
         for labels, k in batches:
             y = np.array(labels)
             z = rng.normal(size=(len(y), 4))
+            u, norms, raw = l2_normalize_rows(z)
             protos = rng.normal(size=(4, k))
             for loss, same, sign in ((loss_inter, False, -1.0), (loss_intra, True, 1.0)):
-                value, dz = loss(z, y, protos)
+                value, du = loss(u, y, protos)
                 ref = lambda t: sign * self._pairwise_reference(
                     t.reshape(z.shape), y, protos, same)
                 assert value == pytest.approx(ref(z.ravel()), abs=1e-12), (labels, same)
+                dz = l2_normalize_backward(raw, u, norms, du)
                 np.testing.assert_allclose(dz.ravel(), finite_diff_grad(ref, z.ravel()),
                                            atol=1e-8, err_msg=str((labels, same)))
 
+    def test_gradient_under_norm_guard_is_the_guarded_maps(self):
+        # a code row of norm 1e-13 sits under NORM_EPS, where the
+        # normalization is z / NORM_EPS: linear, so its Jacobian is a scale
+        rng = np.random.default_rng(7)
+        y = np.array([0, 1, 1, 2])
+        z = rng.normal(size=(4, 3))
+        z[2] *= 1e-13 / np.linalg.norm(z[2])
+        v_unit = unit(rng.normal(size=(3, 4)).T)
+        u, norms, raw = l2_normalize_rows(z)
+        for k, (_, du) in enumerate(loss_geometry(u, y, v_unit)):
+            dz = l2_normalize_backward(raw, u, norms, du)
+            step = 1e-17  # moves the row's unit code by 1e-5
+            numeric = np.empty(3)
+            for j in range(3):
+                values = []
+                for sign in (1.0, -1.0):
+                    bumped = z.copy()
+                    bumped[2, j] += sign * step
+                    values.append(loss_geometry(unit(bumped), y, v_unit)[k][0])
+                numeric[j] = (values[0] - values[1]) / (2.0 * step)
+            np.testing.assert_allclose(dz[2], numeric, rtol=1e-6)
+
     @staticmethod
-    def _separate_term(z, y, proto_weights, same):
+    def _separate_term(u, y, proto_weights, same):
         """One geometry term computed on its own, as before the two were
-        fused: the codes and prototypes normalized and the products formed
-        per term. The fused helper must keep its float operations."""
-        u, r, _ = l2_normalize_rows(z)
+        fused: the prototypes normalized and the products formed per term.
+        The fused helper must keep its float operations."""
         v_unit, _, _ = l2_normalize_rows(proto_weights.T)
         pair_mask = (y[:, None] == y[None, :]) == same
         if same:
             np.fill_diagonal(pair_mask, False)
         proto_mask = (y[:, None] == np.arange(proto_weights.shape[1])[None, :]) == same
-        value, dz = 0.0, np.zeros_like(z)
+        value, du = 0.0, np.zeros_like(u)
         for other, mask, w in ((u, pair_mask, 2.0), (v_unit, proto_mask, 1.0)):
             cnt = int(mask.sum())
             if cnt == 0:
                 continue
             cos = u @ other.T
             value += float(((1.0 - cos) * mask).sum() / cnt)
-            a = mask * (w / cnt)
-            dz += -((a @ other) - (a * cos).sum(axis=1)[:, None] * u) / r[:, None]
-        return value, dz
+            du -= (mask * (w / cnt)) @ other
+        return value, du
 
     @pytest.mark.parametrize("labels, zero_row", [
         ([3], None),                          # one row: no pairs at all
@@ -423,23 +453,24 @@ class TestGeometryLosses:
         z = rng.normal(size=(len(y), 6))
         if zero_row is not None:
             z[zero_row] = 0.0
+        u = unit(z)
         protos = rng.normal(size=(6, 7))
-        inter, intra = loss_geometry(z, y, l2_normalize_rows(protos.T)[0])
-        ref_value, ref_dz = self._separate_term(z, y, protos, same=False)
-        for (value, dz), (want, want_dz) in ((inter, (-ref_value, -ref_dz)),
-                                             (intra, self._separate_term(z, y, protos, True))):
+        inter, intra = loss_geometry(u, y, l2_normalize_rows(protos.T)[0])
+        ref_value, ref_du = self._separate_term(u, y, protos, same=False)
+        for (value, du), (want, want_du) in ((inter, (-ref_value, -ref_du)),
+                                             (intra, self._separate_term(u, y, protos, True))):
             assert value == want
-            assert dz.tobytes() == want_dz.tobytes()
+            assert du.tobytes() == want_du.tobytes()
         for loss, fused in ((loss_inter, inter), (loss_intra, intra)):
-            value, dz = loss(z, y, protos)
-            assert value == fused[0] and dz.tobytes() == fused[1].tobytes()
+            value, du = loss(u, y, protos)
+            assert value == fused[0] and du.tobytes() == fused[1].tobytes()
 
     def test_empty_masks_contribute_zero(self):
-        z = np.array([[1.0, 0.0]])
-        value, dz = loss_inter(z, np.array([0]), np.array([[1.0], [0.0]]))
+        u = np.array([[1.0, 0.0]])
+        value, du = loss_inter(u, np.array([0]), np.array([[1.0], [0.0]]))
         # single sample, single class: no pairs, no differing prototypes
         assert value == 0.0
-        np.testing.assert_array_equal(dz, np.zeros_like(z))
+        np.testing.assert_array_equal(du, np.zeros_like(u))
 
 
 class TestAdaptLoop:

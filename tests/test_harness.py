@@ -4,6 +4,7 @@ experiment runner, and the CLI surface."""
 import json
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -550,7 +551,10 @@ class TestCli:
         found = breakage(tmp_path)
         for name, value in (found if isinstance(found, dict) else {}).items():
             monkeypatch.setenv(name, value)
-        assert main([arg.format(tmp=tmp_path) for arg in command]) == code
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([arg.format(tmp=tmp_path) for arg in command]) == code
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert not isinstance(found, str) or found in err, err
