@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,44 +76,6 @@ def check_complement_capacity(n_e: int, n_cl: int, k_s: int) -> None:
         raise ConfigError(f"n_e*n_cl={n_e * n_cl} exceeds K_s-1={k_s - 1}")
 
 
-class EnsembleState:
-    """Target-classifier weights plus the logit history behind the
-    moving-average predictions.
-
-    ``weights`` is one (n_e, d_z, K_s) array; every member starts as an
-    exact copy of the frozen prototypes. The history holds per-sample
-    ensemble-mean logits for up to ``n_a`` epochs, most recent last.
-    """
-
-    def __init__(self, prototypes: PrototypeMatrix, n_e: int, n_a: int):
-        if n_e < 1 or n_a < 1:
-            raise ConfigError("n_e and n_a must be >= 1")
-        self.weights = np.tile(prototypes.weights, (n_e, 1, 1))
-        self.history: deque[np.ndarray] = deque(maxlen=n_a)
-
-    @property
-    def n_e(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_hist(self) -> int:
-        return len(self.history)
-
-    def push_epoch_logits(self, z_l2: np.ndarray) -> None:
-        self.history.append((z_l2 @ self.weights).sum(axis=0) / self.n_e)
-
-    def history_mean(self) -> np.ndarray:
-        if not self.history:
-            raise ValueError("empty logit history")
-        return sum(self.history) / self.n_hist
-
-    def history_base_sum(self) -> np.ndarray:
-        """Sum of all history entries except the current epoch's."""
-        if not self.history:
-            raise ValueError("empty logit history")
-        return sum(self.history) - self.history[-1]
-
-
 @dataclass
 class PseudoLabelTable:
     """Per-sample moving-average prediction, hard pseudo-label, and
@@ -130,12 +93,15 @@ class ConfidentSubset:
     mask: np.ndarray
 
 
-def update_pseudo_labels(ensemble: EnsembleState) -> PseudoLabelTable:
-    """Soft labels from the mean of the stored logit history.
+def update_pseudo_labels(logit_history: Sequence[np.ndarray]) -> PseudoLabelTable:
+    """Soft labels from the mean of the per-epoch ensemble-mean logits in
+    ``logit_history``, most recent last.
 
     argmax ties break toward the lowest class index.
     """
-    probs = softmax(ensemble.history_mean())
+    if not logit_history:
+        raise ValueError("empty logit history")
+    probs = softmax(sum(logit_history) / len(logit_history))
     labels = probs.argmax(axis=1)
     return PseudoLabelTable(probs, labels, cac(probs))
 
@@ -295,7 +261,7 @@ class AdaptEpochMetrics:
 
 @dataclass
 class AdaptResult:
-    ensemble: EnsembleState
+    ensemble: np.ndarray  # (n_e, d_z, K_s)
     history: list[AdaptEpochMetrics]
 
 
@@ -303,13 +269,16 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
           cfg: AdaptConfig, epoch_hook=None, log_path=None) -> AdaptResult:
     """Adapt ``encoder`` in place to an unlabeled target set.
 
+    The ensemble, ``AdaptResult.ensemble``, is one (n_e, d_z, K_s) array
+    whose members start as copies of the frozen prototypes.
+
     ``epoch_hook(epoch, z_l2, ensemble)`` may return a target accuracy
     to record as a float, from the unit codes ``z_l2`` of the full target
-    set at the epoch's final parameters; it is the only channel through
-    which evaluation enters the log, keeping hidden labels out of this
-    module. The same codes feed the next epoch's pseudo-label refresh, so
-    a run makes epochs + 1 full-target ``Encoder.encode`` passes.
-    Deterministic given the config seed.
+    set and the ensemble at the epoch's final parameters; it is the only
+    channel through which evaluation enters the log, keeping hidden
+    labels out of this module. The same codes feed the next epoch's
+    pseudo-label refresh, so a run makes epochs + 1 full-target
+    ``Encoder.encode`` passes. Deterministic given the config seed.
     """
     if not prototypes.frozen:
         raise ConfigError("adapt requires frozen prototypes")
@@ -322,11 +291,12 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
     batch_rng = np.random.default_rng(seeds[0])
     comp_rng = np.random.default_rng(seeds[1])
 
-    ensemble = EnsembleState(prototypes, cfg.n_e, cfg.n_a)
+    ensemble = np.tile(prototypes.weights, (cfg.n_e, 1, 1))
+    logit_history: deque[np.ndarray] = deque(maxlen=cfg.n_a)
     v_unit = l2_normalize_rows(prototypes.weights.T)[0]
     x = target.features
     enc_vel = np.zeros_like(encoder.theta)
-    ens_vel = np.zeros_like(ensemble.weights)
+    ens_vel = np.zeros_like(ensemble)
 
     if log_path is not None:
         csvlog.start(log_path, ADAPT_LOG_HEADER)
@@ -334,8 +304,8 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
     z_l2 = encoder.encode(x)
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg.lr0)
-        ensemble.push_epoch_logits(z_l2)
-        table = update_pseudo_labels(ensemble)
+        logit_history.append((z_l2 @ ensemble).sum(axis=0) / cfg.n_e)
+        table = update_pseudo_labels(logit_history)
         subset = build_confident_subset(table)
         conf_mask = subset.mask if cfg.use_confident_subset else np.ones(target.n, dtype=bool)
 
@@ -344,7 +314,7 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
         geometry = epoch >= cfg.warmup_epochs and (cfg.alpha != 0.0 or cfg.beta != 0.0)
         if nl_phase:
             comp_masks = _epoch_complement_masks(table.labels, k_s, cfg, comp_rng)
-            hist_base = ensemble.history_base_sum()
+            hist_base = sum(logit_history) - logit_history[-1]
 
         sums = {"nl": 0.0, "inter": 0.0, "intra": 0.0, "align": 0.0}
         weights_acc = {"nl": 0, "geom": 0}
@@ -360,18 +330,17 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
             sums["align"] += align_val * len(idx)
 
             if nl_phase:
-                nl_val, d_nl, ens_grad = loss_nl(fwd.z_l2, ensemble.weights,
-                                                 hist_base[idx], ensemble.n_hist,
+                nl_val, d_nl, ens_grad = loss_nl(fwd.z_l2, ensemble,
+                                                 hist_base[idx], len(logit_history),
                                                  comp_masks[idx], cfg.n_cl)
                 dz_l2 += d_nl
                 members = slice(None)
                 sums["nl"] += nl_val * len(idx)
                 weights_acc["nl"] += len(idx)
             elif ce_phase and sel.size:
-                ce_val, d_ce = loss_ce(classify(ensemble.weights[0], fwd.z_l2[sel]),
+                ce_val, d_ce = loss_ce(classify(ensemble[0], fwd.z_l2[sel]),
                                        table.labels[idx[sel]])
-                dw0, d_sel = classify_backward(ensemble.weights[0],
-                                               fwd.z_l2[sel], d_ce)
+                dw0, d_sel = classify_backward(ensemble[0], fwd.z_l2[sel], d_ce)
                 dz_l2[sel] += d_sel
                 members, ens_grad = 0, dw0
                 sums["nl"] += ce_val * sel.size
@@ -390,7 +359,7 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
             apply_sgd_momentum(encoder.theta, encoder.backward(fwd.ctx, dz_l2),
                                enc_vel, lr)
             if ens_grad is not None:
-                apply_sgd_momentum(ensemble.weights[members], ens_grad, ens_vel[members],
+                apply_sgd_momentum(ensemble[members], ens_grad, ens_vel[members],
                                    CLASSIFIER_LR_FACTOR * lr)
 
         z_l2 = encoder.encode(x)

@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 configuration error or sizes too large to
-allocate, 3 numeric failure, 4 I/O or file-format error.
+Exit codes: 0 success, 1 a gradcheck loss at or over TOLERANCE,
+2 configuration error or sizes too large to allocate, 3 numeric
+failure, 4 I/O or file-format error.
 """
 
 from __future__ import annotations

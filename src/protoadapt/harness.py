@@ -302,12 +302,12 @@ def run_adapt_phase(cfg: ExperimentConfig, encoder: Encoder,
     hook = None
     if target.hidden_labels is not None:
         def hook(epoch, z_l2, ensemble):
-            return float((predict(ensemble.weights[0], z_l2) == target.hidden_labels).mean())
+            return float((predict(ensemble[0], z_l2) == target.hidden_labels).mean())
 
     with _phase("adapt"):
         result = adapt(encoder, prototypes, target, cfg.adapt,
                        epoch_hook=hook, log_path=out / "adapt_metrics.csv")
-        save_checkpoint(ckpt_path, encoder, prototypes, result.ensemble.weights)
+        save_checkpoint(ckpt_path, encoder, prototypes, result.ensemble)
     return target, result
 
 
@@ -321,7 +321,7 @@ def _adapt_and_summarize(cfg: ExperimentConfig, source_encoder: Encoder,
 
     with _phase("evaluate"):
         baseline = evaluate(source_encoder, prototypes.weights, target)
-        adapted = evaluate(encoder, result.ensemble.weights[0], target)
+        adapted = evaluate(encoder, result.ensemble[0], target)
 
     summary = {"seed": cfg.seed,
                "baseline": _eval_summary(baseline),

@@ -238,9 +238,14 @@ def _read_matrix(lines: list[str], pos: int, rows: int, cols: int) -> tuple[np.n
 
 
 def save_checkpoint(path, encoder: Encoder, prototypes: PrototypeMatrix,
-                    ensemble_weights: np.ndarray | None = None) -> None:
+                    ensemble: np.ndarray | None = None) -> None:
     """Versioned text checkpoint; floats are written with full round-trip
-    precision so a reload reproduces forward outputs bit-exactly."""
+    precision so a reload reproduces forward outputs bit-exactly. Only the
+    ensemble shape ``load_checkpoint`` reads, (n_e >= 1, d_z, K_s), is written."""
+    if ensemble is not None and (ensemble.ndim != 3 or len(ensemble) < 1
+                                 or ensemble.shape[1:] != prototypes.weights.shape):
+        raise ValueError(f"ensemble shape {ensemble.shape} is not (n_e >= 1, {prototypes.d_z}, "
+                         f"{prototypes.k_s})")
     hidden = ",".join(str(h) for h in encoder.hidden) or "-"
     lines = [CHECKPOINT_HEADER,
              f"encoder d_x={encoder.d_x} hidden={hidden} d_z={encoder.d_z} "
@@ -251,9 +256,9 @@ def save_checkpoint(path, encoder: Encoder, prototypes: PrototypeMatrix,
         _write_matrix(lines, b[None, :])
     lines.append(f"prototypes {prototypes.d_z} {prototypes.k_s} frozen={int(prototypes.frozen)}")
     _write_matrix(lines, prototypes.weights)
-    if ensemble_weights is not None:
-        lines.append(f"ensemble {len(ensemble_weights)}")
-        _write_matrix(lines, ensemble_weights.reshape(-1, prototypes.k_s))
+    if ensemble is not None:
+        lines.append(f"ensemble {len(ensemble)}")
+        _write_matrix(lines, ensemble.reshape(-1, prototypes.k_s))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

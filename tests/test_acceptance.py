@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from protoadapt.adaptation import (AdaptConfig, EnsembleState, adapt, cac,
-                                   gen_complement_sets, update_pseudo_labels)
+from protoadapt.adaptation import (AdaptConfig, adapt, cac, gen_complement_sets,
+                                   update_pseudo_labels)
 from protoadapt.datasets import SyntheticSpec, generate_synthetic
 from protoadapt.gradcheck import TOLERANCE, run_suite
 from protoadapt.harness import load_config, run_experiment
@@ -159,10 +159,8 @@ def test_ablation_reductions(tmp_path):
     # n_e = n_a = 1 pseudo-labels equal direct single-classifier softmax
     protos = PrototypeMatrix.random(6, 4, seed=5)
     protos.frozen = True
-    ens = EnsembleState(protos, n_e=1, n_a=1)
     z = np.random.default_rng(6).standard_normal((20, 6))
-    ens.push_epoch_logits(z)
-    table = update_pseudo_labels(ens)
+    table = update_pseudo_labels([z @ protos.weights])
     direct = softmax(z @ protos.weights)
     assert np.array_equal(table.probs, direct)
 

@@ -2,13 +2,13 @@
 and the adaptation loop."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
 from protoadapt import adaptation, gradcheck
-from protoadapt.adaptation import (AdaptConfig, EnsembleState,
-                                   _epoch_complement_masks, adapt,
+from protoadapt.adaptation import (AdaptConfig, _epoch_complement_masks, adapt,
                                    build_confident_subset, cac,
                                    gen_complement_sets, loss_align,
                                    loss_geometry, loss_inter, loss_intra,
@@ -55,34 +55,26 @@ class TestLossAlign:
 class TestPseudoLabels:
     def test_single_member_single_epoch_is_direct_softmax(self):
         protos = frozen_prototypes(3, 4, seed=1)
-        ens = EnsembleState(protos, n_e=1, n_a=1)
         z = np.random.default_rng(0).standard_normal((6, 3))
-        ens.push_epoch_logits(z)
-        table = update_pseudo_labels(ens)
+        table = update_pseudo_labels([z @ protos.weights])
         direct = softmax(z @ protos.weights)
         np.testing.assert_array_equal(table.probs, direct)
         np.testing.assert_array_equal(table.labels, direct.argmax(axis=1))
 
     def test_constant_history_reduces_to_one_entry(self):
         protos = frozen_prototypes(3, 4, seed=2)
-        ens = EnsembleState(protos, n_e=2, n_a=5)
         z = np.random.default_rng(1).standard_normal((4, 3))
-        for _ in range(5):
-            ens.push_epoch_logits(z)
-        table = update_pseudo_labels(ens)
+        table = update_pseudo_labels([z @ protos.weights] * 5)
         np.testing.assert_allclose(table.probs,
                                    softmax(z @ protos.weights), atol=1e-12)
 
     def test_two_epoch_mean_oracle(self):
         protos = frozen_prototypes(2, 3, seed=3)
-        ens = EnsembleState(protos, n_e=1, n_a=4)
         rng = np.random.default_rng(2)
         z1, z2 = rng.standard_normal((2, 5, 2))
-        ens.push_epoch_logits(z1)
-        ens.push_epoch_logits(z2)
-        table = update_pseudo_labels(ens)
-        # independent mean-then-softmax computation
         l1, l2 = z1 @ protos.weights, z2 @ protos.weights
+        table = update_pseudo_labels([l1, l2])
+        # independent mean-then-softmax computation
         expected = softmax((l1 + l2) / 2.0)
         np.testing.assert_allclose(table.probs, expected, atol=1e-12)
 
@@ -90,29 +82,51 @@ class TestPseudoLabels:
         protos = frozen_prototypes(3, 5, seed=4)
         rng = np.random.default_rng(3)
         z = rng.standard_normal((7, 3))
-        ens_a = EnsembleState(protos, 1, 3)
-        ens_b = EnsembleState(protos, 1, 3)
-        for _ in range(3):
-            ens_a.push_epoch_logits(z)
-            ens_b.push_epoch_logits(z)
-        ens_b.history = type(ens_b.history)((h + 11.5 for h in ens_b.history),
-                                            maxlen=ens_b.history.maxlen)
-        a, b = update_pseudo_labels(ens_a), update_pseudo_labels(ens_b)
+        history = [z @ protos.weights] * 3
+        a = update_pseudo_labels(history)
+        b = update_pseudo_labels([h + 11.5 for h in history])
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_allclose(a.probs, b.probs, atol=1e-12)
 
     def test_empty_history_rejected(self):
-        ens = EnsembleState(frozen_prototypes(2, 3), 1, 1)
         with pytest.raises(ValueError):
-            update_pseudo_labels(ens)
+            update_pseudo_labels(deque(maxlen=1))
 
     def test_members_start_as_prototype_copies(self):
         protos = frozen_prototypes(3, 4, seed=5)
-        ens = EnsembleState(protos, n_e=3, n_a=2)
-        assert ens.weights.shape == (3, 3, 4)
-        assert not np.shares_memory(ens.weights, protos.weights)
-        for w in ens.weights:
+        result = adapt(Encoder(5, [8], 3, seed=0), protos, small_target(k_s=4, k_t=2),
+                       AdaptConfig(epochs=0, n_e=3, n_a=2, n_cl=1, seed=0))
+        assert result.ensemble.shape == (3, 3, 4)
+        assert not np.shares_memory(result.ensemble, protos.weights)
+        for w in result.ensemble:
             np.testing.assert_array_equal(w, protos.weights)
+
+    def test_refresh_reads_the_last_n_a_ensemble_mean_logits(self, monkeypatch):
+        # each epoch appends the members' mean logits on the current codes;
+        # the refresh sees at most n_a entries, the newest last
+        seen = []
+        real = adaptation.update_pseudo_labels
+
+        def recording(logit_history):
+            seen.append([h.copy() for h in logit_history])
+            return real(logit_history)
+
+        monkeypatch.setattr(adaptation, "update_pseudo_labels", recording)
+        target, protos = small_target(seed=3), frozen_prototypes(6, 8, seed=4)
+        encoder = Encoder(5, [8], 6, seed=5)
+        codes = [encoder.encode(target.features)]
+        cfg = AdaptConfig(epochs=4, warmup_epochs=1, switch_epoch=2, n_a=2,
+                          n_e=2, n_cl=2, batch_size=16, seed=6)
+        adapt(encoder, protos, target, cfg,
+              epoch_hook=lambda e, z_l2, ens: codes.append(z_l2.copy()))
+        assert [len(h) for h in seen] == [1, 2, 2, 2]
+        # warmup epoch 0 leaves the members at the prototypes, so the entries
+        # of epochs 0 and 1 are the prototype logits of that epoch's codes
+        for epoch in (0, 1):
+            np.testing.assert_allclose(seen[epoch][-1], codes[epoch] @ protos.weights,
+                                       atol=1e-12)
+        for epoch in range(1, cfg.epochs):
+            np.testing.assert_array_equal(seen[epoch][0], seen[epoch - 1][-1])
 
 
 class TestComplementSets:
@@ -483,7 +497,7 @@ class TestAdaptLoop:
                        AdaptConfig(epochs=0, n_e=2, n_cl=2, seed=0))
         np.testing.assert_array_equal(encoder.theta, before)
         assert result.history == []
-        for w in result.ensemble.weights:
+        for w in result.ensemble:
             np.testing.assert_array_equal(w, protos.weights)
 
     def test_requires_frozen_prototypes(self):
@@ -583,15 +597,20 @@ class TestAdaptLoop:
     def test_hook_gets_the_current_codes(self):
         target = small_target(seed=14)
         encoder = Encoder(5, [8], 6, seed=9)
-        matches = []
+        matches, ensembles = [], []
 
         def hook(epoch, z_l2, ensemble):
             matches.append(z_l2.tobytes() == encoder.forward(target.features).z_l2.tobytes())
+            ensembles.append(ensemble)
 
         cfg = AdaptConfig(epochs=3, warmup_epochs=1, switch_epoch=2, n_a=2,
                           n_e=2, n_cl=2, batch_size=16, seed=6)
-        adapt(encoder, frozen_prototypes(6, 8, seed=10), target, cfg, epoch_hook=hook)
+        result = adapt(encoder, frozen_prototypes(6, 8, seed=10), target, cfg,
+                       epoch_hook=hook)
         assert matches == [True] * cfg.epochs
+        # the hook gets the ensemble array itself, the one adapt returns
+        assert all(ensemble is result.ensemble for ensemble in ensembles)
+        assert len(ensembles) == cfg.epochs
 
     def test_log_blank_target_acc_without_hook(self, tmp_path):
         target = small_target(seed=9)
@@ -627,10 +646,10 @@ class TestAdaptLoop:
         cfg = AdaptConfig(epochs=5, warmup_epochs=1, switch_epoch=2, n_a=2,
                           n_e=3, n_cl=2, batch_size=16, seed=6)
         result = adapt(encoder, protos, target, cfg)
-        save_checkpoint(tmp_path / "adapted.ckpt", encoder, protos, result.ensemble.weights)
+        save_checkpoint(tmp_path / "adapted.ckpt", encoder, protos, result.ensemble)
         _, _, ensemble = load_checkpoint(tmp_path / "adapted.ckpt")
-        assert result.ensemble.weights.shape == (3, 6, 8)
-        assert np.array_equal(ensemble, result.ensemble.weights)
+        assert result.ensemble.shape == (3, 6, 8)
+        assert np.array_equal(ensemble, result.ensemble)
 
     def test_determinism_same_seed(self):
         target = small_target(seed=10)

@@ -10,12 +10,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from protoadapt import harness
+from protoadapt import cli, harness
 from protoadapt.adaptation import AdaptConfig
 from protoadapt.cli import main
 from protoadapt.datasets import (CHUNK_ROWS, Dataset, SyntheticSpec, read_feature_file,
                                  write_feature_file)
 from protoadapt.errors import ConfigError, EvaluationUnavailableError
+from protoadapt.gradcheck import TOLERANCE
 from protoadapt.harness import (ABLATION_MODES, apply_ablation, derive_seeds, evaluate,
                                 load_config, run_ablation, run_experiment)
 from protoadapt.model import (Encoder, PrototypeMatrix, load_checkpoint,
@@ -680,3 +681,10 @@ class TestCli:
         assert main(["gradcheck", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "loss_nl" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("err", [TOLERANCE, 10 * TOLERANCE])
+    def test_gradcheck_exit_one_at_or_over_tolerance(self, capsys, monkeypatch, err):
+        monkeypatch.setattr(cli, "run_suite", lambda seed: {"loss_ce": 1e-9, "loss_nl": err})
+        assert main(["gradcheck"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "loss_ce max_rel_err 1.000e-09 ok", f"loss_nl max_rel_err {err:.3e} FAIL"]

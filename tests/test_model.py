@@ -233,6 +233,16 @@ class TestCheckpoints:
         assert protos2.frozen
         np.testing.assert_array_equal(ensemble, ensemble2)
 
+    # each of these was written by reshape(-1, K_s) and rejected on reload
+    @pytest.mark.parametrize("shape", [(0, 3, 7), (3, 7), (2, 4, 7), (2, 3, 6)],
+                             ids=["no members", "one member 2-D", "wrong d_z", "wrong K_s"])
+    def test_ensemble_of_another_shape_rejected(self, tmp_path, shape):
+        protos = PrototypeMatrix.random(3, 7, seed=4)
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match=r"is not \(n_e >= 1, 3, 7\)"):
+            save_checkpoint(path, Encoder(4, [6], 3, seed=3), protos, np.zeros(shape))
+        assert not path.exists()
+
     def test_without_ensemble(self, tmp_path):
         enc = Encoder(2, [], 2, seed=0)
         protos = PrototypeMatrix.random(2, 3, seed=1)
