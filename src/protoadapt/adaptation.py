@@ -34,7 +34,7 @@ from .datasets import Dataset, epoch_batches
 from .errors import ConfigError, NumericError
 from .model import (Encoder, PrototypeMatrix, apply_sgd_momentum, classify,
                     classify_backward, lr_schedule)
-from .numerics import clamped_log, entropy, l2_normalize_rows, softmax, softmax_vjp
+from .numerics import clamped_log, entropy, l2_normalize_rows, one_hot, softmax, softmax_vjp
 from .source_trainer import CLASSIFIER_LR_FACTOR, loss_ce
 
 
@@ -201,29 +201,31 @@ def loss_nl(z_l2: np.ndarray, weights: np.ndarray,
 
 def loss_geometry(u: np.ndarray, y_tilde: np.ndarray, v_unit: np.ndarray
                   ) -> tuple[tuple[float, np.ndarray], tuple[float, np.ndarray]]:
-    """``loss_inter`` then ``loss_intra``, each (value, d/du), from one
-    product of the unit codes ``u`` with themselves and with the unit
-    prototypes ``v_unit`` (K_s, d_z). A term is the mean cosine distance
-    over the sample pairs (diagonal excluded), plus the same over the
-    (sample, prototype) pairs, whose labels differ (inter) or agree (intra).
-    A pair weighs 2/cnt in the gradient since both its ends move; a
-    prototype is a constant and weighs 1/cnt. An empty mask contributes 0."""
+    """``loss_inter`` then ``loss_intra``, each (value, d/du), for the unit
+    codes ``u`` labeled ``y_tilde`` in [0, K_s) and the unit prototypes
+    ``v_unit`` (K_s, d_z). A term is the mean cosine distance over the
+    sample pairs (diagonal excluded), plus the same over the (sample,
+    prototype) pairs, whose labels differ (inter) or agree (intra). Each of
+    the four parts is (cnt - sum u.partners)/cnt over its cnt pairs, with one
+    partner sum per row read off the per-class code sums one_hot(y).T @ u:
+    O(n*K_s*d), and no n x n array. A pair weighs 2/cnt in the gradient since
+    both its ends move; a prototype is a constant and weighs 1/cnt. A part
+    with no pairs contributes 0."""
     y = np.asarray(y_tilde)
-    same_pair = y[:, None] == y[None, :]
-    intra_pair = same_pair.copy()
-    np.fill_diagonal(intra_pair, False)
-    same_proto = y[:, None] == np.arange(v_unit.shape[0])[None, :]
-    cos_pair, cos_proto = u @ u.T, u @ v_unit.T
+    n, k_s = u.shape[0], v_unit.shape[0]
+    class_sums = one_hot(y, k_s).T @ u
+    n_same = int(np.square(np.bincount(y, minlength=k_s)).sum())
+    own_sums = class_sums[y]
     terms = []
-    for pair_mask, proto_mask in ((~same_pair, ~same_proto), (intra_pair, same_proto)):
+    for parts in (((class_sums.sum(axis=0) - own_sums, n * n - n_same, 2.0),
+                   (v_unit.sum(axis=0) - v_unit[y], n * (k_s - 1), 1.0)),
+                  ((own_sums - u, n_same - n, 2.0), (v_unit[y], n, 1.0))):
         value, du = 0.0, np.zeros_like(u)
-        for other, cos, mask, w in ((u, cos_pair, pair_mask, 2.0),
-                                    (v_unit, cos_proto, proto_mask, 1.0)):
-            cnt = int(mask.sum())
+        for partners, cnt, w in parts:
             if cnt == 0:
                 continue
-            value += float(((1.0 - cos) * mask).sum() / cnt)
-            du -= (mask * (w / cnt)) @ other
+            value += float((cnt - (u * partners).sum()) / cnt)
+            du -= partners * (w / cnt)
         terms.append((value, du))
     (inter, d_inter), intra = terms
     return (-inter, -d_inter), intra
@@ -233,14 +235,16 @@ def loss_inter(u: np.ndarray, y_tilde: np.ndarray,
                proto_weights: np.ndarray) -> tuple[float, np.ndarray]:
     """Negated mean cosine distance between differently-labeled target
     pairs and between each sample and the prototypes of other classes;
-    minimizing widens both gaps. Takes and differentiates the unit codes."""
+    minimizing widens both gaps. Takes and differentiates the unit codes.
+    ``adapt`` calls ``loss_geometry``; this remains for ``gradcheck`` and the tracer."""
     return loss_geometry(u, y_tilde, l2_normalize_rows(proto_weights.T)[0])[0]
 
 
 def loss_intra(u: np.ndarray, y_tilde: np.ndarray,
                proto_weights: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cosine distance between same-labeled target pairs and between
-    each sample and its own class prototype; minimizing compacts classes."""
+    each sample and its own class prototype; minimizing compacts classes.
+    Remains, like ``loss_inter``, for ``gradcheck`` and the tracer."""
     return loss_geometry(u, y_tilde, l2_normalize_rows(proto_weights.T)[0])[1]
 
 

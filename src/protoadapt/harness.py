@@ -27,7 +27,14 @@ from .errors import ConfigError, DataFormatError, EvaluationUnavailableError, pa
 from .model import Encoder, PrototypeMatrix, predict, save_checkpoint
 from .source_trainer import SourceEpochMetrics, SourcePhaseConfig, train_source
 
-ABLATION_MODES = ("full", "no_EL", "no_TSCS", "no_CLS", "no_DO")
+_ABLATION_OVERRIDES = {
+    "full": {},
+    "no_EL": {"n_e": 1},
+    "no_TSCS": {"use_confident_subset": False},
+    "no_CLS": {"n_cl": 1, "share_complement_set": True},
+    "no_DO": {"alpha": 0.0, "beta": 0.0},
+}
+ABLATION_MODES = tuple(_ABLATION_OVERRIDES)
 SEED_ENV_VAR = "PDA_SEED"
 
 
@@ -187,25 +194,14 @@ def evaluate(encoder: Encoder, weights: np.ndarray, dataset: Dataset) -> EvalRes
 
 
 def apply_ablation(cfg: ExperimentConfig, mode: str) -> ExperimentConfig:
-    """Return a config with exactly one component disabled.
-
-    no_EL shrinks the ensemble to one classifier; no_TSCS feeds every
-    target sample to the geometry/supervision terms; no_CLS shares a
-    single one-element complementary set across members; no_DO zeroes
-    both geometry coefficients.
-    """
-    if mode not in ABLATION_MODES:
+    """Return a config with exactly one component disabled by the mode's
+    row of ``_ABLATION_OVERRIDES``: no_EL shrinks the ensemble to one
+    classifier; no_TSCS feeds every target sample to the geometry and
+    supervision terms; no_CLS shares a single one-element complementary
+    set across members; no_DO zeroes both geometry coefficients."""
+    if mode not in _ABLATION_OVERRIDES:
         raise ConfigError(f"unknown ablation mode {mode!r}")
-    a = cfg.adapt
-    if mode == "no_EL":
-        a = replace(a, n_e=1)
-    elif mode == "no_TSCS":
-        a = replace(a, use_confident_subset=False)
-    elif mode == "no_CLS":
-        a = replace(a, n_cl=1, share_complement_set=True)
-    elif mode == "no_DO":
-        a = replace(a, alpha=0.0, beta=0.0)
-    return replace(cfg, adapt=a)
+    return replace(cfg, adapt=replace(cfg.adapt, **_ABLATION_OVERRIDES[mode]))
 
 
 @contextmanager
