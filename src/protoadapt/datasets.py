@@ -175,8 +175,8 @@ def write_feature_file(dataset: Dataset, path) -> None:
 def read_feature_file(path) -> Dataset:
     """Parse a feature file; errors name the offending line number. The file is
     streamed, split as ``str.splitlines`` splits it, and the values of each
-    ``CHUNK_ROWS`` lines go through one ``parse_floats`` call, so a read peaks at
-    about twice the array's size."""
+    ``CHUNK_ROWS`` lines go through one ``parse_floats`` call, re-run line by line
+    if it fails, so a read peaks at about twice the array's size."""
     with open(path, encoding="utf-8") as fh:
         try:
             return _parse_features(path, (ln for phys in fh for ln in phys.splitlines()))
@@ -204,18 +204,18 @@ def _parse_features(path, lines) -> Dataset:
     if role not in ("source", "target"):
         raise DataFormatError(f"{path}: line 1: unknown role {role!r}")
 
-    labels, hidden, blocks = [], [], [np.empty(0)]
+    labels, hidden, blocks = [], [], [np.empty((0, d_x))]
     misrole_line = None  # the first unlabeled source row or labeled target row
     chunk = {}  # line number -> value text, for lines whose values are not yet converted
 
     def convert():
         try:
             if d_x and chunk:
-                blocks.append(parse_floats(",".join(chunk.values()), ","))
+                blocks.append(parse_floats(list(chunk.values()), ","))
         except ValueError:
             for lineno, text in chunk.items():  # re-run line by line to name the bad one
                 try:
-                    parse_floats(text, ",")
+                    parse_floats([text], ",")
                 except ValueError as exc:
                     raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
         chunk.clear()
@@ -223,7 +223,7 @@ def _parse_features(path, lines) -> Dataset:
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
-        body, _, comment = line.partition("#")
+        body, hash_sign, comment = line.partition("#")
         label, _, text = body.partition(",")
         try:
             if body.count(",") != d_x:
@@ -232,14 +232,14 @@ def _parse_features(path, lines) -> Dataset:
             if "_" in body:  # float() would read "1_0" as 10.0
                 raise ValueError(f"'_' in {body!r}")
             chunk[lineno] = text  # converted later, but in this order of checks
-            hidden_label = parse_digits(comment) if comment else None
+            hidden_label = parse_digits(comment) if hash_sign else None  # a bare '#' too
             for lb in (label, hidden_label):
                 if lb is not None and not 0 <= lb < k_s:
                     raise ValueError(f"label {lb} not in [0, {k_s})")
         except ValueError as exc:
             convert()  # a bad value before this check is reported first
             raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
-        if comment:
+        if hash_sign:
             hidden.append(hidden_label)
         if misrole_line is None and (label is None) == (role == "source"):
             misrole_line = lineno

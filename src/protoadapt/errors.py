@@ -7,6 +7,7 @@ OSError -> 4.
 """
 
 import math
+import warnings
 
 import numpy as np
 
@@ -44,10 +45,22 @@ def parse_key_values(tokens: list[str], keys: tuple[str, ...]) -> dict[str, str]
     return meta
 
 
-def parse_floats(text: str, sep: str | None) -> np.ndarray:
-    """The ``sep``-separated values of ``text``, each read with ``float()``'s syntax,
-    bits and error text (unlike ``np.loadtxt``), by one call for the whole text."""
-    return np.array(text.split(sep), dtype=float)
+def parse_floats(lines: list[str], sep: str | None) -> np.ndarray:
+    """One row per line of ``sep``-separated values, with ``float()``'s syntax, bits
+    and error text. ASCII text free of ``\\x1c``-``\\x1f`` (``np.loadtxt`` strips
+    them, ``float()`` rejects them) goes through one ``np.loadtxt`` call, kept if it
+    gave one row per line with no error or warning; ``float()`` decides the rest."""
+    text = "".join(lines)
+    if text.isascii() and not any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                rows = np.loadtxt(lines, delimiter=sep, comments=None, ndmin=2)
+                if len(rows) == len(lines):
+                    return rows
+            except (ValueError, Warning):  # float() below decides, and words the error
+                pass
+    return np.array([ln.split(sep) for ln in lines], dtype=float)
 
 
 def check_array_size(what: str, *shape: int) -> None:

@@ -223,15 +223,22 @@ def _write_matrix(lines: list[str], m: np.ndarray) -> None:
 
 
 def _read_matrix(lines: list[str], pos: int, rows: int, cols: int) -> tuple[np.ndarray, int]:
+    """The ``rows`` x ``cols`` matrix from line ``pos`` on, by one ``parse_floats``
+    call; its lines are counted one by one only to name a bad one."""
+    block = lines[pos:pos + rows]
     try:
-        for r in range(pos, pos + rows):
-            if len(lines[r].split()) != cols or "_" in lines[r]:  # float() reads "1_0" as 10.0
-                raise DataFormatError(f"checkpoint line {r + 1}: expected {cols} "
-                                      "values without '_'")
-    except (IndexError, DataFormatError):
-        parse_floats(" ".join(lines[pos:r]), None)  # a bad value on an earlier line comes first
-        raise
-    m = parse_floats(" ".join(lines[pos:pos + rows]), None).reshape(rows, cols)
+        m = parse_floats(block, None)
+    except ValueError:
+        m = None
+    if m is None or m.shape != (rows, cols) or "_" in "".join(block):  # float(): "1_0" is 10.0
+        try:
+            for r in range(pos, pos + rows):
+                if len(lines[r].split()) != cols or "_" in lines[r]:
+                    raise DataFormatError(f"checkpoint line {r + 1}: expected {cols} values without '_'")
+        except (IndexError, DataFormatError):
+            parse_floats(lines[pos:r], None)  # a bad value on an earlier line comes first
+            raise
+        m = parse_floats(block, None).reshape(rows, cols)
     if not np.all(np.isfinite(m)):
         raise DataFormatError(f"checkpoint lines {pos + 1}-{pos + rows}: non-finite value")
     return m, pos + rows

@@ -128,22 +128,29 @@ def float_or_error(token: str):
         return str(exc)
 
 
-# pieces of tokens float() accepts or rejects: whitespace it strips
-# ("\xa0", "\x0c"), a control character it rejects but np.loadtxt skips
-# ("\x1c") and a non-ASCII digit it reads but np.loadtxt rejects
-FLOAT_PIECES = [*"0123456789+-.eE", "nan", "inf", "\xa0", "\x0c", "\x1c", "\u0661"]
+# pieces of values float() accepts or rejects: whitespace it strips ("\xa0",
+# "\x0c", "\t", " "), control characters it rejects but np.loadtxt skips
+# ("\x1c", "\x1f"), a non-ASCII digit and a "_" it reads but np.loadtxt
+# rejects, and ASCII either reader could take for something else
+FLOAT_PIECES = [*"0123456789+-.eE", "nan", "inf", "\xa0", "\x0c", "\x1c", "\u0661",
+                "\x1f", "\x00", "\x7f", "\t", " ", "#", '"', "_"]
+VALUES = st.lists(st.sampled_from(FLOAT_PIECES), max_size=6).map("".join)
 
 
-@given(tokens=st.lists(st.lists(st.sampled_from(FLOAT_PIECES), max_size=6).map("".join),
-                       min_size=1, max_size=4))
-def test_parse_floats_matches_float(tokens):
-    expected = [float_or_error(t) for t in tokens]
+@given(rows=st.lists(st.lists(VALUES, max_size=3), min_size=1, max_size=4),
+       sep=st.sampled_from([",", None]))
+def test_parse_floats_matches_float(rows, sep):
+    lines = [(sep or " ").join(row) for row in rows]
+    expected = [[float_or_error(t) for t in ln.split(sep)] for ln in lines]
+    ragged = len({len(row) for row in expected}) > 1
+    errors = [e for row in expected for e in row if isinstance(e, str)]
     try:
-        got = parse_floats(",".join(tokens), ",")
+        got = parse_floats(lines, sep)
     except ValueError as exc:
-        assert str(exc) == next(e for e in expected if isinstance(e, str))
+        assert ragged or str(exc) == errors[0]
     else:
-        assert not any(isinstance(e, str) for e in expected)
+        assert not ragged and not errors
+        assert got.shape == (len(lines), len(expected[0]))  # no blank line dropped
         assert got.tobytes() == np.array(expected, dtype=float).tobytes()
 
 

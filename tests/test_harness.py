@@ -363,6 +363,19 @@ def first_weight(text, value):
     return "".join(lines)
 
 
+def reshape_layer0(text, long_rows):
+    """``text`` with the first value of layer 0's second row (line 5) moved to
+    the end of its first row (line 4), or, with ``long_rows``, every row of
+    that matrix one value longer."""
+    lines = text.splitlines(keepends=True)
+    if long_rows:
+        lines[3:8] = ["0.5 " + line for line in lines[3:8]]
+    else:
+        first, rest = lines[4].split(" ", 1)
+        lines[3:5] = [lines[3].rstrip("\n") + f" {first}\n", rest]
+    return "".join(lines)
+
+
 def add_ensemble(path, count, n_matrices):
     """Append an ``ensemble <count>`` section holding ``n_matrices``
     copies of the tiny model's (6 x K_s) prototypes."""
@@ -478,6 +491,21 @@ BAD_INPUTS = [
       for value in ("+0", " 0 ", "0_1")],
     ("hidden label '#0_1'", EVAL, 4, lambda t: rewrite(
         t / "t.features", lambda s: re.sub(r"#\d+\n", "#0_1\n", s, count=1))),
+    ("feature wrapped in '\\x1f'", EVAL, 4, lambda t: rewrite(  # np.loadtxt alone reads it
+        t / "t.features", lambda s: re.sub(r"\n\?,([^,]*),", "\n?,\x1f\\1\x1f,", s, count=1))
+     or "line 2: could not convert string to float: '\\x1f"),
+    ("bare '#' on a target row", EVAL, 4, lambda t: rewrite(
+        t / "t.features", lambda s: re.sub(r"#\d+\n", "#\n", s, count=1))
+     or "line 2: '' is not ASCII digits"),
+    ("bare '#' on a source row", TRAIN, 4, lambda t: rewrite(
+        t / "s.features", lambda s: re.sub(r"\n(\d+,[^\n]*)", "\n\\1#", s, count=1))
+     or "line 2: '' is not ASCII digits"),
+    ("checkpoint rows of cols+1 and cols-1 values", EVAL, 4, lambda t: rewrite(
+        t / "model.ckpt", lambda s: reshape_layer0(s, long_rows=False))
+     or "checkpoint line 4: expected 8 values"),
+    ("checkpoint matrix rows one value too long", EVAL, 4, lambda t: rewrite(
+        t / "model.ckpt", lambda s: reshape_layer0(s, long_rows=True))
+     or "checkpoint line 4: expected 8 values"),
     ("feature '1_0'", EVAL, 4, lambda t: rewrite(
         t / "t.features", lambda s: re.sub(r"\n\?,[^,]*,", "\n?,1_0,", s, count=1))),
     *[(f"{case} past the first chunk", EVAL, 4,
@@ -555,7 +583,7 @@ class TestCli:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main([arg.format(tmp=tmp_path) for arg in command]) == code
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not caught, [str(w.message) for w in caught]
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert not isinstance(found, str) or found in err, err
