@@ -76,34 +76,14 @@ def check_complement_capacity(n_e: int, n_cl: int, k_s: int) -> None:
         raise ConfigError(f"n_e*n_cl={n_e * n_cl} exceeds K_s-1={k_s - 1}")
 
 
-@dataclass
-class PseudoLabelTable:
-    """Per-sample moving-average prediction, hard pseudo-label, and
-    confidence-adjusted certainty score for one epoch."""
-    probs: np.ndarray
-    labels: np.ndarray
-    cac: np.ndarray
-
-
-@dataclass
-class ConfidentSubset:
-    """Boolean mask of the samples whose CAC strictly exceeds the epoch
-    mean ``tau``."""
-    tau: float
-    mask: np.ndarray
-
-
-def update_pseudo_labels(logit_history: Sequence[np.ndarray]) -> PseudoLabelTable:
-    """Soft labels from the mean of the per-epoch ensemble-mean logits in
-    ``logit_history``, most recent last.
-
-    argmax ties break toward the lowest class index.
+def update_pseudo_labels(logit_history: Sequence[np.ndarray]) -> np.ndarray:
+    """Soft labels: the softmax of the mean of the per-epoch ensemble-mean
+    logits in ``logit_history``, most recent last. ``adapt`` takes their
+    argmax, ties toward the lowest class index, as the pseudo-labels.
     """
     if not logit_history:
         raise ValueError("empty logit history")
-    probs = softmax(sum(logit_history) / len(logit_history))
-    labels = probs.argmax(axis=1)
-    return PseudoLabelTable(probs, labels, cac(probs))
+    return softmax(sum(logit_history) / len(logit_history))
 
 
 def cac(p: np.ndarray) -> float | np.ndarray:
@@ -123,16 +103,18 @@ def cac(p: np.ndarray) -> float | np.ndarray:
     return float(value) if np.ndim(value) == 0 else value
 
 
-def build_confident_subset(table: PseudoLabelTable) -> ConfidentSubset:
-    """tau = mean CAC over the full target set; membership is strict,
-    so identical scores everywhere yield an empty subset."""
-    tau = float(table.cac.mean())
-    return ConfidentSubset(tau, table.cac > tau)
+def build_confident_subset(scores: np.ndarray) -> tuple[float, np.ndarray]:
+    """``(tau, mask)``: tau = mean CAC ``scores`` over the full target set,
+    and the boolean mask of the samples strictly above it, so identical
+    scores everywhere yield an empty subset."""
+    tau = float(scores.mean())
+    return tau, scores > tau
 
 
 def gen_complement_sets(labels: np.ndarray, k_s: int, n_e: int, n_cl: int,
                         rng: np.random.Generator) -> np.ndarray:
-    """(n, n_e, n_cl) complementary label sets, one row per pseudo-label.
+    """(n, n_e, K_s) boolean membership masks of complementary label sets,
+    one row per pseudo-label.
 
     Each row ranks the classes by uniform random keys with its own label
     forced last, and the first n_e*n_cl ranks become n_e sets of n_cl:
@@ -143,18 +125,9 @@ def gen_complement_sets(labels: np.ndarray, k_s: int, n_e: int, n_cl: int,
     keys = rng.random((labels.shape[0], k_s))
     np.put_along_axis(keys, labels[:, None], np.inf, axis=1)
     ranked = np.argsort(keys, axis=1)[:, :n_e * n_cl]
-    return np.sort(ranked.reshape(-1, n_e, n_cl), axis=2)
-
-
-def _epoch_complement_masks(labels: np.ndarray, k_s: int, cfg: AdaptConfig,
-                            rng: np.random.Generator) -> np.ndarray:
-    """Boolean (n, n_e, K_s) membership masks from one draw per epoch;
-    in shared mode every member gets the same single set."""
-    n_sets = 1 if cfg.share_complement_set else cfg.n_e
-    masks = np.zeros((labels.shape[0], n_sets, k_s), dtype=bool)
-    np.put_along_axis(masks, gen_complement_sets(labels, k_s, n_sets, cfg.n_cl, rng),
-                      True, axis=2)
-    return np.broadcast_to(masks, (labels.shape[0], cfg.n_e, k_s))
+    masks = np.zeros((labels.shape[0], n_e, k_s), dtype=bool)
+    np.put_along_axis(masks, ranked.reshape(-1, n_e, n_cl), True, axis=2)
+    return masks
 
 
 def loss_align(probs: np.ndarray) -> tuple[float, np.ndarray]:
@@ -309,15 +282,20 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg.lr0)
         logit_history.append((z_l2 @ ensemble).sum(axis=0) / cfg.n_e)
-        table = update_pseudo_labels(logit_history)
-        subset = build_confident_subset(table)
-        conf_mask = subset.mask if cfg.use_confident_subset else np.ones(target.n, dtype=bool)
+        probs = update_pseudo_labels(logit_history)
+        labels = probs.argmax(axis=1)
+        tau, conf_mask = build_confident_subset(cac(probs))
+        if not cfg.use_confident_subset:
+            conf_mask = np.ones(target.n, dtype=bool)
 
         nl_phase = cfg.warmup_epochs <= epoch <= cfg.switch_epoch
         ce_phase = epoch > cfg.switch_epoch
         geometry = epoch >= cfg.warmup_epochs and (cfg.alpha != 0.0 or cfg.beta != 0.0)
         if nl_phase:
-            comp_masks = _epoch_complement_masks(table.labels, k_s, cfg, comp_rng)
+            n_sets = 1 if cfg.share_complement_set else cfg.n_e
+            comp_masks = np.broadcast_to(
+                gen_complement_sets(labels, k_s, n_sets, cfg.n_cl, comp_rng),
+                (target.n, cfg.n_e, k_s))
             hist_base = sum(logit_history) - logit_history[-1]
 
         sums = {"nl": 0.0, "inter": 0.0, "intra": 0.0, "align": 0.0}
@@ -343,7 +321,7 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
                 weights_acc["nl"] += len(idx)
             elif ce_phase and sel.size:
                 ce_val, d_ce = loss_ce(classify(ensemble[0], fwd.z_l2[sel]),
-                                       table.labels[idx[sel]])
+                                       labels[idx[sel]])
                 dw0, d_sel = classify_backward(ensemble[0], fwd.z_l2[sel], d_ce)
                 dz_l2[sel] += d_sel
                 members, ens_grad = 0, dw0
@@ -351,7 +329,7 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
                 weights_acc["nl"] += sel.size
 
             if geometry and sel.size:
-                terms = loss_geometry(fwd.z_l2[sel], table.labels[idx[sel]], v_unit)
+                terms = loss_geometry(fwd.z_l2[sel], labels[idx[sel]], v_unit)
                 for key, coef, (v, d) in zip(("inter", "intra"), (cfg.alpha, cfg.beta), terms):
                     if coef != 0.0:
                         dz_l2[sel] += coef * d
@@ -374,7 +352,7 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
         row = AdaptEpochMetrics(
             epoch, sums["nl"] / n_sup, sums["inter"] / n_geom,
             sums["intra"] / n_geom, sums["align"] / target.n,
-            subset.tau, int(conf_mask.sum()), target_acc)
+            tau, int(conf_mask.sum()), target_acc)
         history.append(row)
         if log_path is not None:
             csvlog.append(log_path, row)

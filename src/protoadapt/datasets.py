@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -148,6 +149,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
 # Rows the writer formats, and the reader converts, per chunk: the text
 # held in memory stays a few hundred lines whatever the file size.
 CHUNK_ROWS = 256
+# Characters of whole lines the reader splits per ``str.splitlines`` call.
+READ_HINT = 1 << 16
 
 
 def write_feature_file(dataset: Dataset, path) -> None:
@@ -174,12 +177,14 @@ def write_feature_file(dataset: Dataset, path) -> None:
 
 def read_feature_file(path) -> Dataset:
     """Parse a feature file; errors name the offending line number. The file is
-    streamed, split as ``str.splitlines`` splits it, and the values of each
+    streamed in blocks of whole lines of about ``READ_HINT`` characters, each
+    block split as ``str.splitlines`` splits it, and the values of each
     ``CHUNK_ROWS`` lines go through one ``parse_floats`` call, re-run line by line
     if it fails, so a read peaks at about twice the array's size."""
     with open(path, encoding="utf-8") as fh:
+        blocks = iter(lambda: "".join(fh.readlines(READ_HINT)), "")
         try:
-            return _parse_features(path, (ln for phys in fh for ln in phys.splitlines()))
+            return _parse_features(path, chain.from_iterable(map(str.splitlines, blocks)))
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
 

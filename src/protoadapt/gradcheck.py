@@ -90,9 +90,7 @@ def check_loss_nl(seed: int) -> float:
     rng, encoder, protos, x, labels = _instance(seed)
     weights0 = protos.weights + 0.1 * rng.standard_normal((NL_MEMBERS, D_Z, K_S))
     hist_base = rng.standard_normal((BATCH, K_S))  # summed older entries
-    masks = np.zeros((BATCH, NL_MEMBERS, K_S), dtype=bool)
-    np.put_along_axis(masks, gen_complement_sets(labels, K_S, NL_MEMBERS,
-                                                 NL_SET_SIZE, rng), True, axis=2)
+    masks = gen_complement_sets(labels, K_S, NL_MEMBERS, NL_SET_SIZE, rng)
 
     fwd = encoder.forward(x)
     _, dz_l2, d_ws = loss_nl(fwd.z_l2, weights0, hist_base, NL_HISTORY, masks, NL_SET_SIZE)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from protoadapt import adaptation, gradcheck
-from protoadapt.adaptation import (AdaptConfig, _epoch_complement_masks, adapt,
+from protoadapt.adaptation import (AdaptConfig, adapt,
                                    build_confident_subset, cac,
                                    gen_complement_sets, loss_align,
                                    loss_geometry, loss_inter, loss_intra,
@@ -57,16 +57,16 @@ class TestPseudoLabels:
     def test_single_member_single_epoch_is_direct_softmax(self):
         protos = frozen_prototypes(3, 4, seed=1)
         z = np.random.default_rng(0).standard_normal((6, 3))
-        table = update_pseudo_labels([z @ protos.weights])
+        probs = update_pseudo_labels([z @ protos.weights])
         direct = softmax(z @ protos.weights)
-        np.testing.assert_array_equal(table.probs, direct)
-        np.testing.assert_array_equal(table.labels, direct.argmax(axis=1))
+        np.testing.assert_array_equal(probs, direct)
+        np.testing.assert_array_equal(probs.argmax(axis=1), direct.argmax(axis=1))
 
     def test_constant_history_reduces_to_one_entry(self):
         protos = frozen_prototypes(3, 4, seed=2)
         z = np.random.default_rng(1).standard_normal((4, 3))
-        table = update_pseudo_labels([z @ protos.weights] * 5)
-        np.testing.assert_allclose(table.probs,
+        probs = update_pseudo_labels([z @ protos.weights] * 5)
+        np.testing.assert_allclose(probs,
                                    softmax(z @ protos.weights), atol=1e-12)
 
     def test_two_epoch_mean_oracle(self):
@@ -74,10 +74,10 @@ class TestPseudoLabels:
         rng = np.random.default_rng(2)
         z1, z2 = rng.standard_normal((2, 5, 2))
         l1, l2 = z1 @ protos.weights, z2 @ protos.weights
-        table = update_pseudo_labels([l1, l2])
+        probs = update_pseudo_labels([l1, l2])
         # independent mean-then-softmax computation
         expected = softmax((l1 + l2) / 2.0)
-        np.testing.assert_allclose(table.probs, expected, atol=1e-12)
+        np.testing.assert_allclose(probs, expected, atol=1e-12)
 
     def test_argmax_invariant_to_logit_shift(self):
         protos = frozen_prototypes(3, 5, seed=4)
@@ -86,8 +86,8 @@ class TestPseudoLabels:
         history = [z @ protos.weights] * 3
         a = update_pseudo_labels(history)
         b = update_pseudo_labels([h + 11.5 for h in history])
-        np.testing.assert_array_equal(a.labels, b.labels)
-        np.testing.assert_allclose(a.probs, b.probs, atol=1e-12)
+        np.testing.assert_array_equal(a.argmax(axis=1), b.argmax(axis=1))
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
@@ -133,18 +133,16 @@ class TestPseudoLabels:
 class TestComplementSets:
     def test_structural_example(self):
         rng = np.random.default_rng(0)
-        sets = gen_complement_sets(np.array([0]), k_s=5, n_e=2, n_cl=2, rng=rng)
-        union = set(sets[0, 0]) | set(sets[0, 1])
-        assert sets.shape == (1, 2, 2)
-        assert len(union) == 4 and 0 not in union
-        assert union <= {1, 2, 3, 4}
+        masks = gen_complement_sets(np.array([0]), k_s=5, n_e=2, n_cl=2, rng=rng)
+        assert masks.shape == (1, 2, 5) and masks.dtype == bool
+        np.testing.assert_array_equal(masks[0].sum(axis=1), [2, 2])
+        np.testing.assert_array_equal(masks[0].sum(axis=0), [0, 1, 1, 1, 1])
 
     def test_exhaustive_cover_when_sizes_match(self):
         rng = np.random.default_rng(1)
         labels = np.array([3, 0, 9, 3])
-        sets = gen_complement_sets(labels, k_s=10, n_e=3, n_cl=3, rng=rng)
-        for row, y in zip(sets, labels):
-            assert set(row.ravel()) == set(range(10)) - {y}
+        masks = gen_complement_sets(labels, k_s=10, n_e=3, n_cl=3, rng=rng)
+        np.testing.assert_array_equal(masks.any(axis=1), np.arange(10) != labels[:, None])
 
     def test_thousand_seeded_trials(self):
         rng = np.random.default_rng(99)
@@ -154,30 +152,25 @@ class TestComplementSets:
             max_cl = (k_s - 1) // n_e
             n_cl = int(rng.integers(1, max_cl + 1))
             labels = rng.integers(0, k_s, size=int(rng.integers(1, 6)))
-            sets = gen_complement_sets(labels, k_s, n_e, n_cl, rng)
-            assert sets.shape == (len(labels), n_e, n_cl)
-            for row, y in zip(sets, labels):
-                flat = row.ravel()
-                assert len(set(flat)) == n_e * n_cl  # disjoint, no repeats
-                assert y not in flat
-                assert flat.min() >= 0 and flat.max() < k_s
-                assert np.all(np.diff(row, axis=1) > 0)  # each set sorted
+            masks = gen_complement_sets(labels, k_s, n_e, n_cl, rng)
+            assert masks.shape == (len(labels), n_e, k_s) and masks.dtype == bool
+            assert np.all(masks.sum(axis=2) == n_cl)  # each member holds n_cl classes
+            assert masks.sum(axis=1).max() <= 1  # members disjoint
+            assert not masks[np.arange(len(labels)), :, labels].any()  # never the label
 
     def test_draws_are_uniform_over_classes_and_members(self):
         # per-row checks cannot see a biased ranking, tie handling or
         # label placement; class and member frequencies over many rows can
         k_s, n_e, n_cl, n = 9, 3, 2, 20_000
         labels = np.random.default_rng(5).integers(0, k_s, size=n)
-        sets = gen_complement_sets(labels, k_s, n_e, n_cl, np.random.default_rng(6))
-        onehot = np.zeros((n, n_e, k_s), dtype=int)
-        np.put_along_axis(onehot, sets, 1, axis=2)
-        assert not onehot[np.arange(n), :, labels].any()
+        masks = gen_complement_sets(labels, k_s, n_e, n_cl, np.random.default_rng(6))
+        assert not masks[np.arange(n), :, labels].any()
         # each non-label class lands in some set with p = n_e*n_cl/(k_s-1)
         # and in each member with p/n_e; at ~17.8k rows per class the
         # binomial sd of either frequency is ~0.0032, so 0.02 is ~6 sd
         for c in range(k_s):
             rows = labels != c
-            counts = onehot[rows, :, c].sum(axis=0)
+            counts = masks[rows, :, c].sum(axis=0)
             p = n_e * n_cl / (k_s - 1)
             assert abs(counts.sum() / rows.sum() - p) < 0.02
             assert np.all(np.abs(counts / rows.sum() - p / n_e) < 0.02)
@@ -187,17 +180,30 @@ class TestComplementSets:
             gen_complement_sets(np.array([0]), k_s=4, n_e=2, n_cl=2,
                                 rng=np.random.default_rng(0))
 
-    def test_epoch_masks_shared_mode(self):
-        cfg = AdaptConfig(n_e=3, n_cl=1, share_complement_set=True,
-                          warmup_epochs=1, switch_epoch=5)
-        labels = np.array([0, 2, 4])
-        masks = _epoch_complement_masks(labels, 6, cfg, np.random.default_rng(0))
-        for j, y in enumerate(labels):
-            # every member shares one identical single-class set
-            assert masks[j].sum() == 3
-            cols = np.flatnonzero(masks[j].any(axis=0))
-            assert len(cols) == 1 and cols[0] != y
-            assert np.all(masks[j][:, cols[0]])
+    @pytest.mark.parametrize("shared", [False, True], ids=["per_member", "shared"])
+    def test_masks_adapt_hands_to_loss_nl(self, monkeypatch, shared):
+        # shared mode: every member reads the same single-class set;
+        # otherwise each member has its own n_cl classes, disjoint from the rest
+        seen = []
+        real = adaptation.loss_nl
+
+        def recording(z_l2, weights, hist_base_sum, n_hist, masks, n_cl):
+            seen.append(np.array(masks))
+            return real(z_l2, weights, hist_base_sum, n_hist, masks, n_cl)
+
+        monkeypatch.setattr(adaptation, "loss_nl", recording)
+        cfg = AdaptConfig(epochs=3, warmup_epochs=1, switch_epoch=2, n_a=2, n_e=3,
+                          n_cl=1 if shared else 2, batch_size=16, seed=2,
+                          share_complement_set=shared)
+        adapt(Encoder(5, [8], 6, seed=3), frozen_prototypes(6, 8, seed=4),
+              small_target(seed=5), cfg)
+        masks = np.concatenate(seen)
+        assert len(seen) > 0 and masks.shape[1:] == (3, 8)
+        assert np.all(masks.sum(axis=2) == cfg.n_cl)
+        if shared:
+            assert np.all(masks == masks[:, :1])
+        else:
+            assert masks.sum(axis=1).max() == 1
 
 
 class TestLossNl:
@@ -301,38 +307,32 @@ class TestCac:
 
 
 class TestConfidentSubset:
-    def _table(self, scores):
-        scores = np.asarray(scores, dtype=float)
-        n = len(scores)
-        from protoadapt.adaptation import PseudoLabelTable
-        return PseudoLabelTable(np.full((n, 2), 0.5), np.zeros(n, dtype=int), scores)
-
     def test_two_point_example(self):
-        subset = build_confident_subset(self._table([1.0, 0.0]))
-        assert subset.tau == pytest.approx(0.5)
-        assert subset.mask.dtype == bool and subset.mask.shape == (2,)
-        np.testing.assert_array_equal(np.flatnonzero(subset.mask), [0])
+        tau, mask = build_confident_subset(np.array([1.0, 0.0]))
+        assert tau == pytest.approx(0.5)
+        assert mask.dtype == bool and mask.shape == (2,)
+        np.testing.assert_array_equal(np.flatnonzero(mask), [0])
 
     def test_all_equal_scores_empty(self):
-        subset = build_confident_subset(self._table([0.4, 0.4, 0.4]))
-        assert np.flatnonzero(subset.mask).size == 0
+        _, mask = build_confident_subset(np.array([0.4, 0.4, 0.4]))
+        assert np.flatnonzero(mask).size == 0
 
     def test_mean_threshold(self):
-        subset = build_confident_subset(self._table([0.9, 0.8, 0.1]))
-        assert subset.tau == pytest.approx(0.6, abs=1e-12)
-        np.testing.assert_array_equal(np.flatnonzero(subset.mask), [0, 1])
+        tau, mask = build_confident_subset(np.array([0.9, 0.8, 0.1]))
+        assert tau == pytest.approx(0.6, abs=1e-12)
+        np.testing.assert_array_equal(np.flatnonzero(mask), [0, 1])
 
     def test_strictness(self):
-        subset = build_confident_subset(self._table([0.5, 0.5, 1.0, 0.0]))
-        np.testing.assert_array_equal(np.flatnonzero(subset.mask), [2])
+        _, mask = build_confident_subset(np.array([0.5, 0.5, 1.0, 0.0]))
+        np.testing.assert_array_equal(np.flatnonzero(mask), [2])
 
     def test_every_member_strictly_above_mean(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
             scores = rng.random(int(rng.integers(1, 40)))
-            subset = build_confident_subset(self._table(scores))
-            assert np.all(scores[np.flatnonzero(subset.mask)] > subset.tau)
-            assert subset.tau == pytest.approx(scores.mean(), abs=1e-12)
+            tau, mask = build_confident_subset(scores)
+            assert np.all(scores[np.flatnonzero(mask)] > tau)
+            assert tau == pytest.approx(scores.mean(), abs=1e-12)
 
 
 def unit(z):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from protoadapt import datasets
 from protoadapt.datasets import (Dataset, SyntheticSpec, epoch_batches,
                                  generate_synthetic, read_feature_file,
                                  write_feature_file)
@@ -164,6 +165,27 @@ class TestFeatureFiles:
         path.write_text("1,2,3\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="line 1"):
             read_feature_file(path)
+
+    SEPARATORS = {"LF": "\n", "CR": "\r", "CRLF": "\r\n", "VT": "\x0b", "FF": "\x0c",
+                  "FS": "\x1c", "GS": "\x1d", "RS": "\x1e", "NEL": "\x85",
+                  "LS": "\u2028", "PS": "\u2029"}
+
+    @pytest.mark.parametrize("hint", [1, 1 << 16], ids=["line-blocks", "one-block"])
+    @pytest.mark.parametrize("sep", [*SEPARATORS.values(), "".join(SEPARATORS.values())],
+                             ids=[*SEPARATORS, "all"])
+    def test_rows_split_as_str_splitlines(self, tmp_path, monkeypatch, sep, hint):
+        # the reader splits blocks of lines; rows must come out as
+        # str.splitlines splits the whole text, whatever the block size
+        monkeypatch.setattr(datasets, "READ_HINT", hint)
+        rows = ["0,1.5,-2", "1,3,4e-3", "0,0.25,7"]
+        text = "#pda-features v1 d=2 k=2 role=source" + sep + sep.join(rows) + sep
+        path = tmp_path / "seps.features"
+        path.write_bytes(text.encode("utf-8"))
+        lines = [ln for ln in text.splitlines()[1:] if ln.strip()]
+        ds = read_feature_file(path)
+        np.testing.assert_array_equal(ds.labels, [int(ln.split(",")[0]) for ln in lines])
+        np.testing.assert_array_equal(
+            ds.features, [[float(v) for v in ln.split(",")[1:]] for ln in lines])
 
     def test_read_peak_memory_is_bounded(self, tmp_path):
         # the reader streams the file and converts it in chunks, so its
