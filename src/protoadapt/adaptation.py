@@ -319,22 +319,23 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
                 members = slice(None)
                 sums["nl"] += nl_val * len(idx)
                 weights_acc["nl"] += len(idx)
-            elif ce_phase and sel.size:
-                ce_val, d_ce = loss_ce(classify(ensemble[0], fwd.z_l2[sel]),
-                                       labels[idx[sel]])
-                dw0, d_sel = classify_backward(ensemble[0], fwd.z_l2[sel], d_ce)
-                dz_l2[sel] += d_sel
-                members, ens_grad = 0, dw0
-                sums["nl"] += ce_val * sel.size
-                weights_acc["nl"] += sel.size
-
-            if geometry and sel.size:
-                terms = loss_geometry(fwd.z_l2[sel], labels[idx[sel]], v_unit)
-                for key, coef, (v, d) in zip(("inter", "intra"), (cfg.alpha, cfg.beta), terms):
-                    if coef != 0.0:
-                        dz_l2[sel] += coef * d
-                        sums[key] += v * sel.size
-                weights_acc["geom"] += sel.size
+            if (ce_phase or geometry) and sel.size:  # one gather, one scatter
+                z_sel, y_sel, dz_sel = fwd.z_l2[sel], labels[idx[sel]], dz_l2[sel]
+                if ce_phase:
+                    ce_val, d_ce = loss_ce(classify(ensemble[0], z_sel), y_sel)
+                    ens_grad, d_sel = classify_backward(ensemble[0], z_sel, d_ce)
+                    dz_sel += d_sel
+                    members = 0
+                    sums["nl"] += ce_val * sel.size
+                    weights_acc["nl"] += sel.size
+                if geometry:
+                    terms = loss_geometry(z_sel, y_sel, v_unit)
+                    for key, coef, (v, d) in zip(("inter", "intra"), (cfg.alpha, cfg.beta), terms):
+                        if coef != 0.0:
+                            dz_sel += coef * d
+                            sums[key] += v * sel.size
+                    weights_acc["geom"] += sel.size
+                dz_l2[sel] = dz_sel
 
             if not math.isfinite(sums["align"] + sums["nl"] + sums["inter"] + sums["intra"]):
                 raise NumericError(f"adaptation diverged at epoch {epoch}")

@@ -179,8 +179,8 @@ def read_feature_file(path) -> Dataset:
     """Parse a feature file; errors name the offending line number. The file is
     streamed in blocks of whole lines of about ``READ_HINT`` characters, each
     block split as ``str.splitlines`` splits it, and the values of each
-    ``CHUNK_ROWS`` lines go through one ``parse_floats`` call, re-run line by line
-    if it fails, so a read peaks at about twice the array's size."""
+    ``CHUNK_ROWS`` lines go through one ``parse_floats`` call, so a read peaks at
+    about twice the array's size."""
     with open(path, encoding="utf-8") as fh:
         blocks = iter(lambda: "".join(fh.readlines(READ_HINT)), "")
         try:
@@ -216,13 +216,9 @@ def _parse_features(path, lines) -> Dataset:
     def convert():
         try:
             if d_x and chunk:
-                blocks.append(parse_floats(list(chunk.values()), ","))
-        except ValueError:
-            for lineno, text in chunk.items():  # re-run line by line to name the bad one
-                try:
-                    parse_floats([text], ",")
-                except ValueError as exc:
-                    raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
+                blocks.append(parse_floats(list(chunk.values()), ",", d_x, chunk))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
         chunk.clear()
 
     for lineno, line in enumerate(lines, start=2):
@@ -234,8 +230,6 @@ def _parse_features(path, lines) -> Dataset:
             if body.count(",") != d_x:
                 raise ValueError(f"expected {d_x} features, got {body.count(',')}")
             label = None if label == "?" else parse_digits(label)
-            if "_" in body:  # float() would read "1_0" as 10.0
-                raise ValueError(f"'_' in {body!r}")
             chunk[lineno] = text  # converted later, but in this order of checks
             hidden_label = parse_digits(comment) if hash_sign else None  # a bare '#' too
             for lb in (label, hidden_label):

@@ -45,22 +45,39 @@ def parse_key_values(tokens: list[str], keys: tuple[str, ...]) -> dict[str, str]
     return meta
 
 
-def parse_floats(lines: list[str], sep: str | None) -> np.ndarray:
-    """One row per line of ``sep``-separated values, with ``float()``'s syntax, bits
-    and error text. ASCII text free of ``\\x1c``-``\\x1f`` (``np.loadtxt`` strips
-    them, ``float()`` rejects them) goes through one ``np.loadtxt`` call, kept if it
-    gave one row per line with no error or warning; ``float()`` decides the rest."""
+def parse_floats(lines: list[str], sep: str | None, cols: int, numbers) -> np.ndarray:
+    """The (len(lines), cols) array of ``sep``-separated values, one row per line.
+    A valid row has exactly ``cols`` values, each with ``float()``'s syntax and bits,
+    no ``_`` (``float()`` reads "1_0" as 10.0), and all finite. ASCII text free of
+    ``_`` and ``\\x1c``-``\\x1f`` (``np.loadtxt`` strips them, ``float()`` rejects
+    them) goes through one ``np.loadtxt`` call, kept if it gave that shape, finite,
+    with no error or warning. Otherwise ``float()`` walks the rows, and the first
+    bad one raises ValueError("line N: ...") with N taken from ``numbers``."""
     text = "".join(lines)
-    if text.isascii() and not any(c in text for c in "\x1c\x1d\x1e\x1f"):
+    if text.isascii() and not any(c in text for c in "_\x1c\x1d\x1e\x1f"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
                 rows = np.loadtxt(lines, delimiter=sep, comments=None, ndmin=2)
-                if len(rows) == len(lines):
+                if rows.shape == (len(lines), cols) and np.isfinite(rows).all():
                     return rows
             except (ValueError, Warning):  # float() below decides, and words the error
                 pass
-    return np.array([ln.split(sep) for ln in lines], dtype=float)
+    rows = []
+    for number, line in zip(numbers, lines):
+        values = line.split(sep)
+        try:
+            if len(values) != cols:
+                raise ValueError(f"expected {cols} values, got {len(values)}")
+            if "_" in line:
+                raise ValueError(f"'_' in {line!r}")
+            rows.append([float(v) for v in values])
+            for value, x in zip(values, rows[-1]):
+                if not math.isfinite(x):
+                    raise ValueError(f"non-finite value {value!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+    return np.array(rows, dtype=float).reshape(len(lines), cols)
 
 
 def check_array_size(what: str, *shape: int) -> None:

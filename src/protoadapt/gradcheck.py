@@ -35,7 +35,7 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def _instance(seed: int):
     rng = np.random.default_rng(seed)
-    encoder = Encoder(D_X, HIDDEN, D_Z, "tanh", seed=seed)
+    encoder = Encoder(D_X, HIDDEN, D_Z, seed=seed)
     protos = PrototypeMatrix.random(D_Z, K_S, seed=seed + 10_000)
     x = rng.standard_normal((BATCH, D_X))
     labels = rng.integers(0, K_S, size=BATCH)

@@ -42,7 +42,6 @@ SEED_ENV_VAR = "PDA_SEED"
 class ModelConfig:
     hidden: tuple[int, ...] = (64, 64)
     d_z: int = 32
-    activation: str = "tanh"
 
 
 @dataclass(frozen=True)
@@ -260,8 +259,7 @@ def run_source_phase(cfg: ExperimentConfig, ckpt_path
         source = load_experiment_data(cfg, out, "source")
     check_complement_capacity(cfg.adapt.n_e, cfg.adapt.n_cl, source.k_s)
     _, model_seed, _, _ = derive_seeds(cfg.seed)
-    encoder = Encoder(source.d_x, list(cfg.model.hidden), cfg.model.d_z,
-                      cfg.model.activation, seed=model_seed)
+    encoder = Encoder(source.d_x, list(cfg.model.hidden), cfg.model.d_z, seed=model_seed)
     prototypes = PrototypeMatrix.random(cfg.model.d_z, source.k_s,
                                         seed=model_seed + 1)
     with _phase("train-source"):

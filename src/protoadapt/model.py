@@ -21,12 +21,6 @@ LR_GAMMA = 0.0002
 LR_ALPHA = 0.75
 MOMENTUM = 0.9
 
-_ACTIVATIONS = {
-    # forward in place, derivative expressed in terms of the activation output
-    "tanh": (lambda h: np.tanh(h, out=h), lambda y: 1.0 - y * y),
-    "identity": (lambda h: h, lambda y: np.ones_like(y)),
-}
-
 
 @dataclass
 class EncodeResult:
@@ -36,8 +30,8 @@ class EncodeResult:
 
 
 class Encoder:
-    """MLP d_x -> hidden... -> d_z with a smooth nonlinearity on hidden
-    layers and a linear output layer.
+    """MLP d_x -> hidden... -> d_z with tanh on hidden layers and a linear
+    output layer.
 
     Weights initialize uniformly in +/- sqrt(6/(fan_in+fan_out)) from the
     given seed; the architecture is immutable after construction. All
@@ -46,16 +40,12 @@ class Encoder:
     layer is written with ``[...] =`` and can never be detached.
     """
 
-    def __init__(self, d_x: int, hidden: list[int], d_z: int,
-                 activation: str = "tanh", seed: int = 0):
-        if activation not in _ACTIVATIONS:
-            raise ConfigError(f"unknown activation {activation!r}")
+    def __init__(self, d_x: int, hidden: list[int], d_z: int, seed: int = 0):
         if d_x < 1 or d_z < 1 or any(h < 1 for h in hidden):
             raise ConfigError("all layer widths must be >= 1")
         self.d_x = d_x
         self.hidden = list(hidden)
         self.d_z = d_z
-        self.activation = activation
         self.seed = seed
         self._sizes = [d_x, *hidden, d_z]
         n_theta = sum((i + 1) * o for i, o in zip(self._sizes, self._sizes[1:]))
@@ -95,13 +85,12 @@ class Encoder:
 
     def _layers(self, x: np.ndarray, inputs: list | None) -> np.ndarray:
         """The raw codes of ``x``, appending each layer's input to ``inputs``
-        unless it is None. Each layer adds its bias and applies its
-        activation in place in its matmul's fresh output, so ``x`` and the
-        kept inputs are never written."""
+        unless it is None. Each layer adds its bias and applies tanh in
+        place in its matmul's fresh output, so ``x`` and the kept inputs
+        are never written."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.d_x:
             raise ValueError(f"expected input dimension {self.d_x}, got {x.shape[1]}")
-        act, _ = _ACTIVATIONS[self.activation]
         h = x
         for i in range(self.n_layers):
             if inputs is not None:
@@ -111,14 +100,13 @@ class Encoder:
             if not np.isfinite(h).all():
                 raise NumericError(f"non-finite activation in encoder layer {i}")
             if i < self.n_layers - 1:
-                act(h)
+                np.tanh(h, out=h)
         return h
 
     def backward(self, ctx: tuple, dz_l2: np.ndarray) -> np.ndarray:
         """The gradient of ``theta`` from a gradient of the unit codes, laid
         out like ``theta``."""
         inputs, z_l2, norms, raw = ctx
-        _, dact = _ACTIVATIONS[self.activation]
         grad = np.empty_like(self.theta)
         d_weights, d_biases = self._views(grad)
         upstream = l2_normalize_backward(raw, z_l2, norms, dz_l2)
@@ -127,11 +115,11 @@ class Encoder:
             upstream.sum(axis=0, out=d_biases[i])
             if i > 0:
                 upstream = upstream @ self.weights[i].T
-                upstream = upstream * dact(inputs[i])
+                upstream = upstream * (1.0 - inputs[i] * inputs[i])  # tanh' from its output
         return grad
 
     def copy(self) -> "Encoder":
-        clone = Encoder(self.d_x, self.hidden, self.d_z, self.activation, self.seed)
+        clone = Encoder(self.d_x, self.hidden, self.d_z, self.seed)
         clone.theta[...] = self.theta
         return clone
 
@@ -224,23 +212,15 @@ def _write_matrix(lines: list[str], m: np.ndarray) -> None:
 
 def _read_matrix(lines: list[str], pos: int, rows: int, cols: int) -> tuple[np.ndarray, int]:
     """The ``rows`` x ``cols`` matrix from line ``pos`` on, by one ``parse_floats``
-    call; its lines are counted one by one only to name a bad one."""
+    call, so a bad value is named before the file is found to end too soon."""
     block = lines[pos:pos + rows]
     try:
-        m = parse_floats(block, None)
-    except ValueError:
-        m = None
-    if m is None or m.shape != (rows, cols) or "_" in "".join(block):  # float(): "1_0" is 10.0
-        try:
-            for r in range(pos, pos + rows):
-                if len(lines[r].split()) != cols or "_" in lines[r]:
-                    raise DataFormatError(f"checkpoint line {r + 1}: expected {cols} values without '_'")
-        except (IndexError, DataFormatError):
-            parse_floats(lines[pos:r], None)  # a bad value on an earlier line comes first
-            raise
-        m = parse_floats(block, None).reshape(rows, cols)
-    if not np.all(np.isfinite(m)):
-        raise DataFormatError(f"checkpoint lines {pos + 1}-{pos + rows}: non-finite value")
+        m = parse_floats(block, None, cols, range(pos + 1, pos + rows + 1))
+    except ValueError as exc:
+        raise DataFormatError(f"checkpoint {exc}") from exc
+    if len(block) != rows:
+        raise DataFormatError(f"checkpoint ends at line {len(lines)}, {rows - len(block)} "
+                              f"line(s) short of the {rows} x {cols} matrix from line {pos + 1}")
     return m, pos + rows
 
 
@@ -256,7 +236,7 @@ def save_checkpoint(path, encoder: Encoder, prototypes: PrototypeMatrix,
     hidden = ",".join(str(h) for h in encoder.hidden) or "-"
     lines = [CHECKPOINT_HEADER,
              f"encoder d_x={encoder.d_x} hidden={hidden} d_z={encoder.d_z} "
-             f"activation={encoder.activation} seed={encoder.seed}"]
+             f"activation=tanh seed={encoder.seed}"]
     for i, (w, b) in enumerate(zip(encoder.weights, encoder.biases)):
         lines.append(f"layer {i} {w.shape[0]} {w.shape[1]}")
         _write_matrix(lines, w)
@@ -291,13 +271,15 @@ def _parse_checkpoint(path, lines: list[str]):
         if tokens[:1] != ["encoder"]:
             raise ValueError("expected 'encoder'")
         meta = parse_key_values(tokens[1:], ("d_x", "hidden", "d_z", "activation", "seed"))
+        if meta["activation"] != "tanh":
+            raise ValueError(f"activation={meta['activation']} is not tanh")
     except ValueError as exc:
         raise DataFormatError(f"{path}: line 2: {exc}") from exc
     hidden = [] if meta["hidden"] == "-" else [parse_digits(h) for h in meta["hidden"].split(",")]
     d_x, d_z = parse_digits(meta["d_x"]), parse_digits(meta["d_z"])
     if d_x + sum(hidden) + d_z > len(lines):  # each width is some matrix's row count
         raise DataFormatError(f"{path}: layer widths exceed the file's {len(lines)} lines")
-    encoder = Encoder(d_x, hidden, d_z, meta["activation"], parse_digits(meta["seed"]))
+    encoder = Encoder(d_x, hidden, d_z, parse_digits(meta["seed"]))
 
     pos = 2
     for i in range(encoder.n_layers):

@@ -113,9 +113,9 @@ def train_source(encoder: Encoder, prototypes: PrototypeMatrix, source: Dataset,
         ce_sum = comp_sum = 0.0
         for idx in epoch_batches(source, cfg.batch_size, rng):
             enc_out = encoder.forward(source.features[idx])
-            probs = classify(prototypes.weights, enc_out.z_l2)
-            ce_val, d_ce = loss_ce(probs, source.labels[idx])
-            comp_val, d_comp = loss_comp(probs, source.labels[idx])
+            probs, labels = classify(prototypes.weights, enc_out.z_l2), source.labels[idx]
+            ce_val, d_ce = loss_ce(probs, labels)
+            comp_val, d_comp = loss_comp(probs, labels)
             total = ce_val + cfg.eta * comp_val
             if not math.isfinite(total):
                 raise NumericError(f"source training diverged at epoch {epoch}")

@@ -249,9 +249,6 @@ def test_synthetic_pda_study(tmp_path):
 # seeds 0-19. Neither effect below holds on each of those seeds (``full``
 # loses on seeds 12 and 19, negative transfer rises on seed 12), but both
 # hold as means over every run of 10 consecutive seeds in 0-19.
-HARD_SEEDS = range(10)
-
-
 def hard_config_dict(out_dir, seed):
     """The study config in the hard regime: 16 source classes of 60 rows with
     cluster_std 1.6, rotation 2*pi/5, translation 2/sqrt(10) per coordinate,
@@ -265,12 +262,22 @@ def hard_config_dict(out_dir, seed):
     return cfg
 
 
-def test_hard_regime_adaptation_helps(tmp_path):
+def office31_config_dict(out_dir, seed):
+    """The hard regime with the label spaces of PADA's Office-31 protocol:
+    31 source and 10 target classes, 40 target rows per class, cluster_std 1.0."""
+    cfg = hard_config_dict(out_dir, seed)
+    cfg["data"]["synthetic"].update(k_s=31, k_t=10, target_per_class=40, cluster_std=1.0)
+    return cfg
+
+
+def assert_adaptation_helps(tmp_path, regime, config_dict, seeds):
+    """``full`` beats the source-only baseline and negative transfer falls,
+    both as means over ``seeds``."""
     start = time.process_time()
     summaries = []
-    for seed in HARD_SEEDS:
-        cfg_path = tmp_path / f"hard_{seed}.json"
-        cfg_path.write_text(json.dumps(hard_config_dict(tmp_path / f"hard_{seed}", seed)),
+    for seed in seeds:
+        cfg_path = tmp_path / f"{seed}.json"
+        cfg_path.write_text(json.dumps(config_dict(tmp_path / str(seed), seed)),
                             encoding="utf-8")
         summaries.append(run_experiment(load_config(cfg_path)))
     elapsed = time.process_time() - start
@@ -282,8 +289,18 @@ def test_hard_regime_adaptation_helps(tmp_path):
     neg = mean("baseline", "negative_transfer"), mean("adapted", "negative_transfer")
     assert gain > 0, summaries
     assert neg[1] < neg[0], summaries
-    print(f"\nACCEPTANCE hard-regime: PASS (mean gain {gain:+.4f}, negative transfer "
+    print(f"\nACCEPTANCE {regime}: PASS (mean gain {gain:+.4f}, negative transfer "
           f"{neg[0]:.4f} -> {neg[1]:.4f}, {len(summaries)} seeds, {elapsed:.1f}s CPU)")
+
+
+def test_hard_regime_adaptation_helps(tmp_path):
+    assert_adaptation_helps(tmp_path, "hard-regime", hard_config_dict, range(10))
+
+
+# Both effects hold on each of seeds 0-9 in the 31->10 regime (gain at least
+# 0.060, negative transfer down on all ten), so on every run of 5 of them.
+def test_office31_regime_adaptation_helps(tmp_path):
+    assert_adaptation_helps(tmp_path, "31->10 regime", office31_config_dict, range(5))
 
 
 def test_determinism_byte_identical_outputs(tmp_path):

@@ -114,18 +114,22 @@ class TestFeatureFiles:
             read_feature_file(path)
 
     # With several faults, the first in value-at-a-time order is named: a
-    # line's label, '_' and values are checked in that order, then its
-    # hidden label, and a bad value comes before a later line's fault or
-    # bad value.
+    # line's label, '_', values and their finiteness are checked in that
+    # order, then its hidden label, and a bad value comes before a later
+    # line's fault or bad value.
     @pytest.mark.parametrize("rows, message", [
         (["0,1.5", "0,x", "0,1,2"], "line 3: could not convert string to float: 'x'"),
         (["0,1.5", "0,x", "0,y"], "line 3: could not convert string to float: 'x'"),
         (["0,x", "0,1_5"], "line 2: could not convert string to float: 'x'"),
         (["0,x", "7,1"], "line 2: could not convert string to float: 'x'"),
         (["y,x"], "line 2: 'y' is not ASCII digits"),
-        (["0,1_x"], "line 2: '_' in '0,1_x'"),
+        (["0,1_x"], "line 2: '_' in '1_x'"),
         (["0,x#y"], "line 2: could not convert string to float: 'x'"),
-        (["0,1#7"], r"line 2: label 7 not in \[0, 2\)")])
+        (["0,1#7"], r"line 2: label 7 not in \[0, 2\)"),
+        (["0,1.5", "0,nan"], "line 3: non-finite value 'nan'"),
+        (["0,inf", "0,1"], "line 2: non-finite value 'inf'"),
+        (["0,1e400"], "line 2: non-finite value '1e400'"),
+        (["0,1", "0,nan", "7,1"], "line 3: non-finite value 'nan'")])
     def test_first_fault_is_named(self, tmp_path, rows, message):
         path = tmp_path / "bad"
         path.write_text("#pda-features v1 d=1 k=2 role=source\n" + "\n".join(rows) + "\n",

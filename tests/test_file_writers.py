@@ -4,6 +4,8 @@ boundaries included, and pinned to literal golden text. The feature
 reader and its float parser: bit-for-bit equal to ``float()`` one value
 at a time."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,37 +123,50 @@ def test_feature_reader_matches_reference(path, kind, n, d_x, data):
     assert (ds.hidden_labels.tolist() if ds.hidden_labels is not None else []) == hidden
 
 
-def float_or_error(token: str):
-    try:
-        return float(token)
-    except ValueError as exc:
-        return str(exc)
+def reference_row_error(line: str, sep, cols: int):
+    """What is wrong with one row of ``cols`` values, judged by ``float()`` one
+    value at a time, with '_' and non-finite results as errors; None if nothing."""
+    values = line.split(sep)
+    if len(values) != cols:
+        return f"expected {cols} values, got {len(values)}"
+    if "_" in line:
+        return f"'_' in {line!r}"
+    for value in values:
+        try:
+            float(value)
+        except ValueError as exc:
+            return str(exc)
+    return next((f"non-finite value {v!r}" for v in values if not math.isfinite(float(v))),
+                None)
 
 
 # pieces of values float() accepts or rejects: whitespace it strips ("\xa0",
 # "\x0c", "\t", " "), control characters it rejects but np.loadtxt skips
 # ("\x1c", "\x1f"), a non-ASCII digit and a "_" it reads but np.loadtxt
-# rejects, and ASCII either reader could take for something else
+# rejects, non-finite spellings, and ASCII either reader could take for
+# something else
 FLOAT_PIECES = [*"0123456789+-.eE", "nan", "inf", "\xa0", "\x0c", "\x1c", "\u0661",
                 "\x1f", "\x00", "\x7f", "\t", " ", "#", '"', "_"]
 VALUES = st.lists(st.sampled_from(FLOAT_PIECES), max_size=6).map("".join)
 
 
 @given(rows=st.lists(st.lists(VALUES, max_size=3), min_size=1, max_size=4),
-       sep=st.sampled_from([",", None]))
-def test_parse_floats_matches_float(rows, sep):
+       sep=st.sampled_from([",", None]), first=st.integers(1, 10**6))
+def test_parse_floats_matches_float(rows, sep, first):
     lines = [(sep or " ").join(row) for row in rows]
-    expected = [[float_or_error(t) for t in ln.split(sep)] for ln in lines]
-    ragged = len({len(row) for row in expected}) > 1
-    errors = [e for row in expected for e in row if isinstance(e, str)]
+    cols = len(lines[0].split(sep))
+    numbers = range(first, first + len(lines))
+    errors = [(n, e) for n, ln in zip(numbers, lines)
+              if (e := reference_row_error(ln, sep, cols)) is not None]
     try:
-        got = parse_floats(lines, sep)
+        got = parse_floats(lines, sep, cols, numbers)
     except ValueError as exc:
-        assert ragged or str(exc) == errors[0]
+        assert errors and str(exc) == "line %d: %s" % errors[0]
     else:
-        assert not ragged and not errors
-        assert got.shape == (len(lines), len(expected[0]))  # no blank line dropped
-        assert got.tobytes() == np.array(expected, dtype=float).tobytes()
+        assert not errors
+        assert got.shape == (len(lines), cols)  # no blank line dropped
+        expected = [[float(v) for v in ln.split(sep)] for ln in lines]
+        assert got.tobytes() == np.array(expected, dtype=float).reshape(got.shape).tobytes()
 
 
 @given(m=st.tuples(st.integers(1, 6), st.integers(0, 6)).flatmap(
@@ -202,7 +217,7 @@ GOLDEN_FEATURES = """\
 
 GOLDEN_CHECKPOINT = """\
 #pda-checkpoint v1
-encoder d_x=2 hidden=- d_z=2 activation=identity seed=5
+encoder d_x=2 hidden=- d_z=2 activation=tanh seed=5
 layer 0 2 2
 0.1 -0.0
 1e-07 123456789012.0
@@ -225,7 +240,7 @@ def test_feature_file_golden_text(path):
 
 
 def test_checkpoint_golden_text(path):
-    encoder = Encoder(2, [], 2, activation="identity", seed=5)
+    encoder = Encoder(2, [], 2, seed=5)
     encoder.weights[0][...] = [[0.1, -0.0], [1e-7, 123456789012.0]]
     encoder.biases[0][...] = [0.30000000000000004, 5e-324]
     prototypes = PrototypeMatrix(np.array([[1.0, -1.0], [0.5, 1e16]]), frozen=True)

@@ -25,7 +25,7 @@ from protoadapt.source_trainer import SourcePhaseConfig
 
 
 def identity_encoder(d):
-    enc = Encoder(d, [], d, activation="identity", seed=0)
+    enc = Encoder(d, [], d, seed=0)
     enc.weights[0][...] = np.eye(d)
     return enc
 
@@ -441,8 +441,9 @@ UNSHIFTED = {**TINY_SYNTHETIC, "rotation_angle": 0.0, "translation": []}
 BAD_INPUTS = [
     ("truncated checkpoint", EVAL, 4, lambda t: rewrite(
         t / "model.ckpt", lambda s: "\n".join(s.splitlines()[:6]) + "\n")),
-    ("nan feature", EVAL, 4, lambda t: rewrite(
-        t / "t.features", lambda s: re.sub(r"\n\?,[^,]*,", "\n?,nan,", s, count=1))),
+    *[(f"{value} feature", EVAL, 4, lambda t, v=value: rewrite(
+        t / "t.features", lambda s: re.sub(r"\n\?,[^,]*,", f"\n?,{v},", s, count=1))
+       or f"line 2: non-finite value '{v}'") for value in ("nan", "inf", "1e400")],
     ("header-only target file", ADAPT, 4, lambda t: rewrite(
         t / "t.features", lambda s: s.splitlines()[0] + "\n")),
     ("no evaluation labels", EVAL, 4, lambda t: rewrite(
@@ -463,7 +464,13 @@ BAD_INPUTS = [
     ("checkpoint extra prototypes field", ADAPT, 4, lambda t: rewrite(
         t / "model.ckpt", lambda s: s.replace("frozen=1", "frozen=1 x"))),
     *[(f"checkpoint weight {value}", EVAL, 4, lambda t, v=value: rewrite(
-        t / "model.ckpt", lambda s: first_weight(s, v))) for value in ("nan", "inf", "1e400", "1_0")],
+        t / "model.ckpt", lambda s: first_weight(s, v)) or "checkpoint line 4: ")
+      for value in ("nan", "inf", "1e400", "1_0", "x")],
+    ("checkpoint activation=identity", EVAL, 4, lambda t: rewrite(
+        t / "model.ckpt", lambda s: s.replace("activation=tanh", "activation=identity"))
+     or "line 2: activation=identity is not tanh"),
+    ("config model.activation", TRAIN, 2, lambda t: edit_config(
+        t, lambda c: c["model"].update(activation="tanh"))),
     ("checkpoint duplicate encoder key", EVAL, 4, lambda t: rewrite(
         t / "model.ckpt", lambda s: s.replace("seed=0", "seed=0 seed=5", 1))),
     ("checkpoint extra encoder key", EVAL, 4, lambda t: rewrite(

@@ -52,7 +52,7 @@ class TestParameterBuffer:
 class TestEncoderForward:
     def test_identity_configuration(self):
         # single linear layer (no hidden => no nonlinearity), weights = I
-        enc = Encoder(3, [], 3, activation="identity", seed=0)
+        enc = Encoder(3, [], 3, seed=0)
         enc.weights[0][...] = np.eye(3)
         x = np.array([[1.0, -2.0, 0.5], [0.0, 4.0, 1.0]])
         np.testing.assert_array_equal(enc._layers(x, None), x)
@@ -99,10 +99,8 @@ class TestEncoderForward:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((40, 10))
         x[7] = 0.0
-        study = Encoder(10, [64, 64], 32, seed=1)  # the acceptance study's encoder
-        identity = Encoder(10, [6], 4, activation="identity", seed=2)
-        for enc in (study, identity):
-            assert enc.encode(x).tobytes() == enc.forward(x).z_l2.tobytes()
+        enc = Encoder(10, [64, 64], 32, seed=1)  # the acceptance study's encoder
+        assert enc.encode(x).tobytes() == enc.forward(x).z_l2.tobytes()
 
     def test_in_place_layers_leave_inputs_unwritten(self):
         enc = Encoder(5, [7, 6], 4, seed=4)
@@ -265,4 +263,21 @@ class TestCheckpoints:
             lines[4] = "" if later_fault == "short line" else "1_0"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="could not convert string to float: 'x'"):
+            load_checkpoint(path)
+
+    # layer 0 of a 4 -> 3 encoder: its weight rows are lines 4-7, its bias line 8
+    @pytest.mark.parametrize("line, value, message", [
+        (5, "x", "could not convert string to float: 'x'"),
+        (6, "nan", "non-finite value 'nan'"),
+        (8, "1e400", "non-finite value '1e400'"),
+        (4, "1_0", "'_' in '1_0 "),
+        (5, "", "expected 3 values, got 2"),
+        (6, "0.5 0.5", "expected 3 values, got 4")])
+    def test_bad_value_names_its_line(self, tmp_path, line, value, message):
+        path = tmp_path / "m"
+        save_checkpoint(path, Encoder(4, [], 3, seed=0), PrototypeMatrix.random(3, 2, seed=1))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[line - 1] = " ".join([value, *lines[line - 1].split()[1:]]).strip()
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=f"^checkpoint line {line}: {message}"):
             load_checkpoint(path)
