@@ -176,7 +176,8 @@ def evaluate(encoder: Encoder, weights: np.ndarray, dataset: Dataset) -> EvalRes
 
     For target data these are the hidden labels; the negative-transfer
     indicator is the fraction of samples predicted into classes absent
-    from the target label space.
+    from the target label space. A class is present if some label names
+    it; ``per_class`` holds each present class, in ascending order.
     """
     labels = dataset.hidden_labels if dataset.role == "target" else dataset.labels
     if labels is None:
@@ -184,11 +185,16 @@ def evaluate(encoder: Encoder, weights: np.ndarray, dataset: Dataset) -> EvalRes
     if dataset.n == 0:
         raise EvaluationUnavailableError("dataset has no samples to evaluate")
     preds = predict(weights, encoder.encode(dataset.features))
-    classes = np.unique(labels)
-    per_class = {int(c): float((preds[labels == c] == c).mean()) for c in classes}
+    # per-class counts over the label range and every weight column, so each
+    # prediction indexes ``present``; a class's accuracy is hits / count,
+    # the bits of the mean of its rows' hit flags
+    counts = np.bincount(labels, minlength=np.shape(weights)[1])
+    hits = np.bincount(labels[preds == labels], minlength=counts.size)
+    present = counts > 0
+    per_class = {int(c): float(hits[c] / counts[c]) for c in np.flatnonzero(present)}
     negative_transfer = None
     if dataset.role == "target":
-        negative_transfer = float((~np.isin(preds, classes)).mean())
+        negative_transfer = float((~present[preds]).mean())
     return EvalResult(float((preds == labels).mean()), per_class, negative_transfer)
 
 

@@ -34,13 +34,16 @@ class Encoder:
     output layer.
 
     Weights initialize uniformly in +/- sqrt(6/(fan_in+fan_out)) from the
-    given seed; the architecture is immutable after construction. All
-    parameters live in one float64 vector ``theta``, laid out w0, b0, w1,
-    b1, ...; ``weights`` and ``biases`` are tuples of views into it, so a
-    layer is written with ``[...] =`` and can never be detached.
+    given seed, unless a ``theta`` is given: then it is copied and nothing is
+    drawn, the path of ``copy`` and ``load_checkpoint``. The architecture is
+    immutable after construction. All parameters live in one float64 vector
+    ``theta``, laid out w0, b0, w1, b1, ...; ``weights`` and ``biases`` are
+    tuples of views into it, so a layer is written with ``[...] =`` and can
+    never be detached.
     """
 
-    def __init__(self, d_x: int, hidden: list[int], d_z: int, seed: int = 0):
+    def __init__(self, d_x: int, hidden: list[int], d_z: int, seed: int = 0,
+                 theta: np.ndarray | None = None):
         if d_x < 1 or d_z < 1 or any(h < 1 for h in hidden):
             raise ConfigError("all layer widths must be >= 1")
         self.d_x = d_x
@@ -50,12 +53,15 @@ class Encoder:
         self._sizes = [d_x, *hidden, d_z]
         n_theta = sum((i + 1) * o for i, o in zip(self._sizes, self._sizes[1:]))
         check_array_size("encoder parameters", n_theta)
-        self.theta = np.zeros(n_theta)
+        self.theta = np.zeros(n_theta) if theta is None else np.array(theta, dtype=float)
+        if self.theta.shape != (n_theta,):
+            raise ValueError(f"theta of shape {self.theta.shape}, expected ({n_theta},)")
         self.weights, self.biases = self._views(self.theta)
-        rng = np.random.default_rng(seed)
-        for w in self.weights:
-            limit = np.sqrt(6.0 / sum(w.shape))
-            w[...] = rng.uniform(-limit, limit, size=w.shape)
+        if theta is None:
+            rng = np.random.default_rng(seed)
+            for w in self.weights:
+                limit = np.sqrt(6.0 / sum(w.shape))
+                w[...] = rng.uniform(-limit, limit, size=w.shape)
 
     def _views(self, flat: np.ndarray) -> tuple[tuple, tuple]:
         """Per-layer weight and bias views of a vector laid out like theta."""
@@ -119,9 +125,7 @@ class Encoder:
         return grad
 
     def copy(self) -> "Encoder":
-        clone = Encoder(self.d_x, self.hidden, self.d_z, self.seed)
-        clone.theta[...] = self.theta
-        return clone
+        return Encoder(self.d_x, self.hidden, self.d_z, self.seed, theta=self.theta)
 
 
 def classify(weights: np.ndarray, z_l2: np.ndarray) -> np.ndarray:
@@ -265,8 +269,18 @@ def load_checkpoint(path) -> tuple[Encoder, PrototypeMatrix, np.ndarray | None]:
         raise DataFormatError(f"{path}: truncated or malformed checkpoint ({exc!r})") from exc
 
 
+def _head(path, lines: list[str], pos: int, expected: str) -> list[str]:
+    """The tokens of the section head at index ``pos``; a file that ends
+    before it is named by its last line and the ``expected`` head."""
+    if pos >= len(lines):
+        raise DataFormatError(f"{path}: checkpoint ends at line {len(lines)}, "
+                              f"expected {expected!r}")
+    return lines[pos].split()
+
+
 def _parse_checkpoint(path, lines: list[str]):
-    tokens = lines[1].split()
+    tokens = _head(path, lines, 1, "encoder d_x=<n> hidden=<n,...|-> d_z=<n> "
+                                   "activation=tanh seed=<n>")
     try:
         if tokens[:1] != ["encoder"]:
             raise ValueError("expected 'encoder'")
@@ -277,20 +291,21 @@ def _parse_checkpoint(path, lines: list[str]):
         raise DataFormatError(f"{path}: line 2: {exc}") from exc
     hidden = [] if meta["hidden"] == "-" else [parse_digits(h) for h in meta["hidden"].split(",")]
     d_x, d_z = parse_digits(meta["d_x"]), parse_digits(meta["d_z"])
-    if d_x + sum(hidden) + d_z > len(lines):  # each width is some matrix's row count
-        raise DataFormatError(f"{path}: layer widths exceed the file's {len(lines)} lines")
-    encoder = Encoder(d_x, hidden, d_z, parse_digits(meta["seed"]))
+    sizes = [d_x, *hidden, d_z]
 
-    pos = 2
-    for i in range(encoder.n_layers):
-        head = lines[pos].split()
-        rows, cols = encoder.weights[i].shape
-        if head != ["layer", str(i), str(rows), str(cols)]:
-            raise DataFormatError(f"{path}: expected layer {i} {rows} {cols} at line {pos + 1}")
-        encoder.weights[i][...], pos = _read_matrix(lines, pos + 1, rows, cols)
-        encoder.biases[i][...], pos = _read_matrix(lines, pos, 1, cols)
+    # every matrix is read before the encoder is built from them, so a width
+    # the file does not hold fails at its head, not at an allocation
+    theta, pos = [], 2
+    for i, (rows, cols) in enumerate(zip(sizes, sizes[1:])):
+        expected = f"layer {i} {rows} {cols}"
+        if _head(path, lines, pos, expected) != expected.split():
+            raise DataFormatError(f"{path}: expected {expected} at line {pos + 1}")
+        weights, pos = _read_matrix(lines, pos + 1, rows, cols)
+        bias, pos = _read_matrix(lines, pos, 1, cols)
+        theta += [weights.ravel(), bias.ravel()]
+    encoder = Encoder(d_x, hidden, d_z, parse_digits(meta["seed"]), theta=np.concatenate(theta))
 
-    head = lines[pos].split()
+    head = _head(path, lines, pos, f"prototypes {d_z} <k_s> frozen=0|1")
     if len(head) != 4 or head[0] != "prototypes" or head[3] not in ("frozen=0", "frozen=1"):
         raise DataFormatError(f"{path}: line {pos + 1}: expected "
                               "'prototypes <d_z> <k_s> frozen=0|1'")
@@ -302,7 +317,7 @@ def _parse_checkpoint(path, lines: list[str]):
 
     if pos == len(lines):
         return encoder, prototypes, None
-    head = lines[pos].split()
+    head = _head(path, lines, pos, "ensemble <n>")
     n_e = parse_digits(head[1]) if head[:1] == ["ensemble"] and len(head) == 2 else 0
     if n_e < 1 or pos + 1 + n_e * d_z != len(lines):
         raise DataFormatError(f"{path}: line {pos + 1}: expected 'ensemble <n>' with n >= 1, "

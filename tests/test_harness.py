@@ -2,7 +2,10 @@
 experiment runner, and the CLI surface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -10,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import protoadapt
 from protoadapt import cli, harness
 from protoadapt.adaptation import AdaptConfig
 from protoadapt.cli import main
@@ -19,7 +23,7 @@ from protoadapt.errors import ConfigError, EvaluationUnavailableError
 from protoadapt.gradcheck import TOLERANCE
 from protoadapt.harness import (ABLATION_MODES, apply_ablation, derive_seeds, evaluate,
                                 load_config, run_ablation, run_experiment)
-from protoadapt.model import (Encoder, PrototypeMatrix, load_checkpoint,
+from protoadapt.model import (Encoder, PrototypeMatrix, load_checkpoint, predict,
                               save_checkpoint)
 from protoadapt.source_trainer import SourcePhaseConfig
 
@@ -80,6 +84,35 @@ class TestEvaluate:
             tracemalloc.stop()
         assert peak - base <= 2.2 * ds.features.nbytes
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_unique_isin_form(self, seed):
+        # labels drawn from a subset of [0, K_s), weights with up to three
+        # columns past K_s; every third case is a source dataset
+        rng = np.random.default_rng(seed)
+        k_s, extra, n, d = (int(v) for v in rng.integers([1, 0, 1, 1], [9, 4, 80, 6]))
+        classes = rng.choice(k_s, size=int(rng.integers(1, k_s + 1)), replace=False)
+        labels = rng.choice(classes, size=n)
+        feats = rng.standard_normal((n, d))
+        enc = Encoder(d, [4], 3, seed=seed)
+        weights = rng.standard_normal((3, k_s + extra))
+        ds = (Dataset(feats, labels, k_s, "source") if seed % 3 == 0 else
+              Dataset(feats, None, k_s, "target", hidden_labels=labels))
+        result = evaluate(enc, weights, ds)
+        assert repr(result) == repr(reference_evaluate(
+            predict(weights, enc.encode(feats)), labels, ds.role))
+
+    def test_predictions_past_k_s_are_negative_transfer(self):
+        # K_s = 3 with class 1 absent from the labels; weights of 5 columns
+        # send e_3 and e_4 past K_s
+        preds = np.array([0, 1, 2, 3, 4, 0])
+        hidden = np.array([0, 0, 2, 2, 0, 0])
+        ds = Dataset(np.eye(5)[preds], None, 3, "target", hidden_labels=hidden)
+        result = evaluate(identity_encoder(5), np.eye(5), ds)
+        assert list(result.per_class) == [0, 2]
+        assert result.per_class == {0: 2 / 4, 2: 1 / 2}
+        assert result.negative_transfer == 3 / 6  # into classes 1, 3 and 4
+        assert repr(result) == repr(reference_evaluate(preds, hidden, "target"))
+
     def test_missing_hidden_labels(self):
         ds = Dataset(np.eye(2), None, 2, "target")
         with pytest.raises(EvaluationUnavailableError):
@@ -91,6 +124,15 @@ class TestEvaluate:
         result = evaluate(identity_encoder(2), np.eye(2), ds)
         assert result.accuracy == 1.0
         assert result.negative_transfer is None
+
+
+def reference_evaluate(preds, labels, role):
+    """``evaluate``'s result from its predictions, by the np.unique/np.isin
+    form: the classes present are the unique labels."""
+    classes = np.unique(labels)
+    per_class = {int(c): float((preds[labels == c] == c).mean()) for c in classes}
+    negative_transfer = float((~np.isin(preds, classes)).mean()) if role == "target" else None
+    return harness.EvalResult(float((preds == labels).mean()), per_class, negative_transfer)
 
 
 TINY_SYNTHETIC = {"k_s": 6, "k_t": 3, "d_x": 5, "source_per_class": 10,
@@ -441,6 +483,12 @@ UNSHIFTED = {**TINY_SYNTHETIC, "rotation_angle": 0.0, "translation": []}
 BAD_INPUTS = [
     ("truncated checkpoint", EVAL, 4, lambda t: rewrite(
         t / "model.ckpt", lambda s: "\n".join(s.splitlines()[:6]) + "\n")),
+    # the tiny model's checkpoint cut after its header, after layer 0's
+    # bias (line 9) and after layer 1's bias (line 19)
+    *[(f"checkpoint cut to {n} line(s)", EVAL, 4, lambda t, n=n, h=head: rewrite(
+        t / "model.ckpt", lambda s: "\n".join(s.splitlines()[:n]) + "\n")
+       or f"checkpoint ends at line {n}, expected '{h}")
+      for n, head in [(1, "encoder d_x="), (9, "layer 1 8 6'"), (19, "prototypes 6 ")]],
     *[(f"{value} feature", EVAL, 4, lambda t, v=value: rewrite(
         t / "t.features", lambda s: re.sub(r"\n\?,[^,]*,", f"\n?,{v},", s, count=1))
        or f"line 2: non-finite value '{v}'") for value in ("nan", "inf", "1e400")],
@@ -592,9 +640,25 @@ class TestCli:
             assert main([arg.format(tmp=tmp_path) for arg in command]) == code
         assert not caught, [str(w.message) for w in caught]
         err = capsys.readouterr().err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "IndexError" not in err
         assert not isinstance(found, str) or found in err, err
         assert code != 2 or not list(tmp_path.rglob("*_metrics.csv"))  # nothing trained
+
+    def test_eval_imports_neither_numpy_ma_nor_numpy_random(self, tmp_path):
+        # a fresh process scores a checkpoint without drawing an init
+        # (numpy.random) or calling np.unique/np.isin (numpy.ma)
+        write_bad_inputs(tmp_path)
+        argv = [arg.format(tmp=tmp_path) for arg in EVAL]
+        script = ("import sys; from protoadapt.cli import main; "
+                  f"code = main({argv!r}); "
+                  "print(code, [m for m in ('numpy.ma', 'numpy.random') if m in sys.modules])")
+        src = os.path.dirname(os.path.dirname(protoadapt.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []", proc.stdout
 
     def test_oversized_complement_sets_rejected_before_training(self, tmp_path, capsys):
         cfg_dict = tiny_config(tmp_path / "out", n_e=3, n_cl=3)

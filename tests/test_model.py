@@ -37,6 +37,43 @@ class TestParameterBuffer:
         for a in (clone.theta, *clone.weights, *clone.biases):
             assert not np.shares_memory(a, enc.theta)
 
+    @pytest.mark.parametrize("d_x, hidden, d_z, seed",
+                             [(4, [6, 5], 3, 1), (3, [], 2, 7), (5, [8], 6, 0)])
+    def test_seeded_init_is_the_uniform_draw(self, d_x, hidden, d_z, seed):
+        # the reference draw: each weight matrix in layer order from one
+        # generator, in +/- sqrt(6/(fan_in+fan_out)); every bias zero
+        rng = np.random.default_rng(seed)
+        sizes = [d_x, *hidden, d_z]
+        expected = []
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            expected += [rng.uniform(-limit, limit, size=(fan_in, fan_out)).ravel(),
+                         np.zeros(fan_out)]
+        enc = Encoder(d_x, hidden, d_z, seed=seed)
+        assert enc.theta.tobytes() == np.concatenate(expected).tobytes()
+
+    def test_built_from_theta_draws_nothing(self, tmp_path, monkeypatch):
+        enc = Encoder(4, [6, 5], 3, seed=1)
+        enc.theta[...] = np.random.default_rng(3).standard_normal(enc.theta.size) / 7
+        save_checkpoint(tmp_path / "m", enc, PrototypeMatrix.random(3, 2, seed=0))
+        theta = enc.theta.copy()
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an encoder built from parameters drew from an RNG")
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        built = Encoder(4, [6, 5], 3, seed=9, theta=theta)
+        for other in (built, enc.copy(), load_checkpoint(tmp_path / "m")[0]):
+            assert other.theta.tobytes() == enc.theta.tobytes()
+            assert not np.shares_memory(other.theta, enc.theta)
+            assert all(np.shares_memory(p, other.theta) for p in (*other.weights, *other.biases))
+        assert not np.shares_memory(built.theta, theta)
+
+    @pytest.mark.parametrize("theta", [np.zeros(5), np.zeros((1, 4 * 6 + 6 + 6 * 3 + 3))],
+                             ids=["short", "2-D"])
+    def test_theta_of_another_shape_rejected(self, theta):
+        with pytest.raises(ValueError, match=r"expected \(51,\)"):
+            Encoder(4, [6], 3, theta=theta)
+
     def test_loaded_views_alias_theta(self, tmp_path):
         save_checkpoint(tmp_path / "m", Encoder(3, [4], 2, seed=2),
                         PrototypeMatrix.random(2, 3, seed=1))
