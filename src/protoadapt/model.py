@@ -8,15 +8,17 @@ Gradients through the l2 normalization use the exact Jacobian
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConfigError, DataFormatError, NumericError, check_array_size,
-                     parse_digits, parse_floats, parse_key_values)
+                     parse_digits, parse_key_values)
 from .numerics import l2_normalize_backward, l2_normalize_rows, softmax
 
-CHECKPOINT_HEADER = "#pda-checkpoint v1"
+CHECKPOINT_HEADER = "#pda-checkpoint v2"
+ROW_DTYPE = np.dtype("<f8")  # the bytes a checkpoint row encodes
 LR_GAMMA = 0.0002
 LR_ALPHA = 0.75
 MOMENTUM = 0.9
@@ -208,20 +210,46 @@ def lr_schedule(n: int, lr0: float) -> float:
 
 
 def _write_matrix(lines: list[str], m: np.ndarray) -> None:
-    """One line per row, each value as ``repr`` of its Python float."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    row_fmt = " ".join(["%r"] * m.shape[1])
-    lines.extend([row_fmt % tuple(row) for row in m.tolist()])
+    """One line per row: the standard base64 of its little-endian float64 bytes."""
+    m = np.ascontiguousarray(np.atleast_2d(m), dtype=ROW_DTYPE)
+    lines.extend([binascii.b2a_base64(row, newline=False).decode("ascii") for row in m])
+
+
+def _row_fault(line: str, cols: int) -> str:
+    """Why ``line`` is not a checkpoint row of ``cols`` values."""
+    width = 4 * -(-cols * ROW_DTYPE.itemsize // 3)
+    if not line.isascii():
+        return "not base64: non-ASCII text"
+    if len(line) != width:
+        return f"expected {width} base64 characters for {cols} values, got {len(line)}"
+    return f"not the canonical base64 of {cols} values"
 
 
 def _read_matrix(lines: list[str], pos: int, rows: int, cols: int) -> tuple[np.ndarray, int]:
-    """The ``rows`` x ``cols`` matrix from line ``pos`` on, by one ``parse_floats``
-    call, so a bad value is named before the file is found to end too soon."""
+    """The ``rows`` x ``cols`` matrix from line ``pos`` on, every value finite.
+    The first bad row is named, before the file is found to end too soon."""
     block = lines[pos:pos + rows]
-    try:
-        m = parse_floats(block, None, cols, range(pos + 1, pos + rows + 1))
-    except ValueError as exc:
-        raise DataFormatError(f"checkpoint {exc}") from exc
+    n_bytes = cols * ROW_DTYPE.itemsize
+    payload, fault = [], None
+    for number, line in enumerate(block, pos + 1):
+        # decoding alone skips stray characters and tolerates bad padding and
+        # trailing bits, so a row must also be what encoding its bytes gives
+        try:
+            data = binascii.a2b_base64(line)
+        except ValueError:  # binascii.Error, or a non-ASCII str
+            data = b""
+        if len(data) != n_bytes or binascii.b2a_base64(data, newline=False) != line.encode():
+            fault = f"line {number}: {_row_fault(line, cols)}"
+            break
+        payload.append(data)
+    m = np.frombuffer(bytearray().join(payload), ROW_DTYPE).reshape(len(payload), cols)
+    finite = np.isfinite(m).all(axis=1)
+    if not finite.all():  # in rows before any text fault, so named first
+        i = int(finite.argmin())
+        value = float(m[i][~np.isfinite(m[i])][0])
+        fault = f"line {pos + 1 + i}: non-finite value {value!r}"
+    if fault is not None:
+        raise DataFormatError(f"checkpoint {fault}")
     if len(block) != rows:
         raise DataFormatError(f"checkpoint ends at line {len(lines)}, {rows - len(block)} "
                               f"line(s) short of the {rows} x {cols} matrix from line {pos + 1}")
@@ -230,9 +258,10 @@ def _read_matrix(lines: list[str], pos: int, rows: int, cols: int) -> tuple[np.n
 
 def save_checkpoint(path, encoder: Encoder, prototypes: PrototypeMatrix,
                     ensemble: np.ndarray | None = None) -> None:
-    """Versioned text checkpoint; floats are written with full round-trip
-    precision so a reload reproduces forward outputs bit-exactly. Only the
-    ensemble shape ``load_checkpoint`` reads, (n_e >= 1, d_z, K_s), is written."""
+    """Versioned text checkpoint: section heads as words, each matrix row as
+    the base64 of its float64 bytes, so a reload reproduces forward outputs
+    bit-exactly. Only the ensemble shape ``load_checkpoint`` reads,
+    (n_e >= 1, d_z, K_s), is written."""
     if ensemble is not None and (ensemble.ndim != 3 or len(ensemble) < 1
                                  or ensemble.shape[1:] != prototypes.weights.shape):
         raise ValueError(f"ensemble shape {ensemble.shape} is not (n_e >= 1, {prototypes.d_z}, "
@@ -259,9 +288,14 @@ def load_checkpoint(path) -> tuple[Encoder, PrototypeMatrix, np.ndarray | None]:
     (n_e, d_z, K_s) ensemble, which must have n_e >= 1 and end the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            try:
+                lines = fh.read().splitlines()
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
         if not lines or lines[0] != CHECKPOINT_HEADER:
-            raise DataFormatError(f"{path}: not a '{CHECKPOINT_HEADER}' file")
+            first = lines[0][:40] if lines else ""
+            raise DataFormatError(f"{path}: line 1: expected '{CHECKPOINT_HEADER}', "
+                                  f"got {first!r}")
         return _parse_checkpoint(path, lines)
     except DataFormatError:
         raise
@@ -287,11 +321,14 @@ def _parse_checkpoint(path, lines: list[str]):
         meta = parse_key_values(tokens[1:], ("d_x", "hidden", "d_z", "activation", "seed"))
         if meta["activation"] != "tanh":
             raise ValueError(f"activation={meta['activation']} is not tanh")
+        hidden = ([] if meta["hidden"] == "-"
+                  else [parse_digits(h) for h in meta["hidden"].split(",")])
+        d_x, d_z, seed = (parse_digits(meta[key]) for key in ("d_x", "d_z", "seed"))
+        sizes = [d_x, *hidden, d_z]
+        if min(sizes) < 1:
+            raise ValueError("all layer widths must be >= 1")
     except ValueError as exc:
         raise DataFormatError(f"{path}: line 2: {exc}") from exc
-    hidden = [] if meta["hidden"] == "-" else [parse_digits(h) for h in meta["hidden"].split(",")]
-    d_x, d_z = parse_digits(meta["d_x"]), parse_digits(meta["d_z"])
-    sizes = [d_x, *hidden, d_z]
 
     # every matrix is read before the encoder is built from them, so a width
     # the file does not hold fails at its head, not at an allocation
@@ -303,22 +340,28 @@ def _parse_checkpoint(path, lines: list[str]):
         weights, pos = _read_matrix(lines, pos + 1, rows, cols)
         bias, pos = _read_matrix(lines, pos, 1, cols)
         theta += [weights.ravel(), bias.ravel()]
-    encoder = Encoder(d_x, hidden, d_z, parse_digits(meta["seed"]), theta=np.concatenate(theta))
+    encoder = Encoder(d_x, hidden, d_z, seed, theta=np.concatenate(theta))
 
     head = _head(path, lines, pos, f"prototypes {d_z} <k_s> frozen=0|1")
-    if len(head) != 4 or head[0] != "prototypes" or head[3] not in ("frozen=0", "frozen=1"):
-        raise DataFormatError(f"{path}: line {pos + 1}: expected "
-                              "'prototypes <d_z> <k_s> frozen=0|1'")
-    d_z, k_s = parse_digits(head[1]), parse_digits(head[2])
+    try:
+        if len(head) != 4 or head[0] != "prototypes" or head[3] not in ("frozen=0", "frozen=1"):
+            raise ValueError("expected 'prototypes <d_z> <k_s> frozen=0|1'")
+        d_z, k_s = parse_digits(head[1]), parse_digits(head[2])
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: line {pos + 1}: {exc}") from exc
     if d_z != encoder.d_z:
-        raise DataFormatError(f"{path}: prototypes have d_z={d_z}, encoder {encoder.d_z}")
+        raise DataFormatError(f"{path}: line {pos + 1}: prototypes have d_z={d_z}, "
+                              f"encoder {encoder.d_z}")
     weights, pos = _read_matrix(lines, pos + 1, d_z, k_s)
     prototypes = PrototypeMatrix(weights, frozen=head[3] == "frozen=1")
 
     if pos == len(lines):
         return encoder, prototypes, None
     head = _head(path, lines, pos, "ensemble <n>")
-    n_e = parse_digits(head[1]) if head[:1] == ["ensemble"] and len(head) == 2 else 0
+    try:
+        n_e = parse_digits(head[1]) if head[:1] == ["ensemble"] and len(head) == 2 else 0
+    except ValueError:
+        n_e = 0
     if n_e < 1 or pos + 1 + n_e * d_z != len(lines):
         raise DataFormatError(f"{path}: line {pos + 1}: expected 'ensemble <n>' with n >= 1, "
                               f"then n {d_z}-row matrices ending the file")

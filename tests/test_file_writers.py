@@ -1,10 +1,11 @@
 """The feature-file and checkpoint writers: byte-for-byte equal to
-value-at-a-time reference formatters on any finite input, chunk
-boundaries included, and pinned to literal golden text. The feature
-reader and its float parser: bit-for-bit equal to ``float()`` one value
-at a time."""
+reference formatters on any finite input, chunk boundaries included, and
+pinned to literal golden text. The feature reader and its float parser:
+bit-for-bit equal to ``float()`` one value at a time."""
 
+import base64
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from protoadapt.model import (Encoder, PrototypeMatrix, _write_matrix, load_chec
 
 MAX = np.finfo(float).max
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-4, 1e9,
-               1e-7, 0.1, MAX, -MAX]
+               1e-7, 0.1, MAX, -MAX,
+               0.30000000000000004, 1.0000000000000002, -123456789.12345679]  # 17 digits
 FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False, width=64),
                    st.sampled_from(EDGE_FLOATS))
 CHUNK = 4  # small stand-in for CHUNK_ROWS, so tests cross chunk edges
@@ -40,7 +42,8 @@ def reference_feature_text(ds: Dataset) -> str:
 
 
 def reference_matrix_lines(m: np.ndarray) -> list[str]:
-    return [" ".join(repr(float(v)) for v in row) for row in np.atleast_2d(m)]
+    return [base64.b64encode(struct.pack(f"<{len(row)}d", *map(float, row))).decode()
+            for row in np.atleast_2d(m)]
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +186,10 @@ def checkpoints(draw):
     encoder = Encoder(d_x, draw(st.lists(st.integers(1, 3), max_size=2)), d_z)
     for p in (*encoder.weights, *encoder.biases):
         p[...] = draw(arrays(np.float64, p.shape, elements=FINITE))
+    # every example holds edge values, signed zero, subnormal, the extremes
+    # and 17-digit ones among them, up to the parameter count
+    n_edges = min(len(EDGE_FLOATS), encoder.theta.size)
+    encoder.theta[:n_edges] = draw(st.permutations(EDGE_FLOATS))[:n_edges]
     prototypes = PrototypeMatrix(draw(arrays(np.float64, (d_z, k_s), elements=FINITE)),
                                  frozen=draw(st.booleans()))
     n_e = draw(st.integers(0, 3))
@@ -207,7 +214,9 @@ def test_checkpoint_round_trip_bit_exact(path, ckpt):
 
 
 # Golden text: %.9g gives "-0" for negative zero and exponent form outside
-# [1e-4, 1e9); checkpoints hold repr(), the shortest round-tripping form.
+# [1e-4, 1e9). A checkpoint row is the base64 of its little-endian float64
+# bytes: the first layer row below holds 0.1 and -0.0, the bias
+# 0.30000000000000004 and 5e-324.
 GOLDEN_FEATURES = """\
 #pda-features v1 d=3 k=3 role=target
 ?,0.1,-0,0.0001#0
@@ -216,18 +225,18 @@ GOLDEN_FEATURES = """\
 """
 
 GOLDEN_CHECKPOINT = """\
-#pda-checkpoint v1
+#pda-checkpoint v2
 encoder d_x=2 hidden=- d_z=2 activation=tanh seed=5
 layer 0 2 2
-0.1 -0.0
-1e-07 123456789012.0
-0.30000000000000004 5e-324
+mpmZmZmZuT8AAAAAAAAAgA==
+SK+8mvLXej4AABQamb48Qg==
+NDMzMzMz0z8BAAAAAAAAAA==
 prototypes 2 2 frozen=1
-1.0 -1.0
-0.5 1e+16
+AAAAAAAA8D8AAAAAAADwvw==
+AAAAAAAA4D8AgOA3ecNBQw==
 ensemble 1
-0.25 -0.75
-1e-05 3.0
+AAAAAAAA0D8AAAAAAADovw==
+8WjjiLX45D4AAAAAAAAIQA==
 """
 
 

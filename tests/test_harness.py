@@ -1,9 +1,11 @@
 """Tests for the evaluator, ablation modes, config parsing, the
 experiment runner, and the CLI surface."""
 
+import base64
 import json
 import os
 import re
+import string
 import subprocess
 import sys
 import tracemalloc
@@ -398,24 +400,41 @@ def scale_last_layer(path, factor):
     save_checkpoint(path, encoder, protos)
 
 
+B64 = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+
+
+def row_values(row):
+    return np.frombuffer(base64.b64decode(row), "<f8")
+
+
+def values_row(values):
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+def edit_line(text, number, edit):
+    """``text`` with line ``number`` replaced by ``edit`` of it."""
+    lines = text.splitlines()
+    lines[number - 1] = edit(lines[number - 1])
+    return "\n".join(lines) + "\n"
+
+
 def first_weight(text, value):
     """``text`` with the first weight of layer 0 (line 4) set to ``value``."""
-    lines = text.splitlines(keepends=True)
-    lines[3] = value + lines[3][lines[3].index(" "):]
-    return "".join(lines)
+    return edit_line(text, 4, lambda row: values_row([value, *row_values(row)[1:]]))
 
 
 def reshape_layer0(text, long_rows):
     """``text`` with the first value of layer 0's second row (line 5) moved to
     the end of its first row (line 4), or, with ``long_rows``, every row of
     that matrix one value longer."""
-    lines = text.splitlines(keepends=True)
+    lines = text.splitlines()
+    rows = [row_values(row) for row in lines[3:8]]
     if long_rows:
-        lines[3:8] = ["0.5 " + line for line in lines[3:8]]
+        rows = [[0.5, *row] for row in rows]
     else:
-        first, rest = lines[4].split(" ", 1)
-        lines[3:5] = [lines[3].rstrip("\n") + f" {first}\n", rest]
-    return "".join(lines)
+        rows[:2] = [[*rows[0], rows[1][0]], rows[1][1:]]
+    lines[3:8] = [values_row(row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def add_ensemble(path, count, n_matrices):
@@ -511,9 +530,40 @@ BAD_INPUTS = [
         t / "model.ckpt", lambda s: s.replace("frozen=1", "frozen=2"))),
     ("checkpoint extra prototypes field", ADAPT, 4, lambda t: rewrite(
         t / "model.ckpt", lambda s: s.replace("frozen=1", "frozen=1 x"))),
+    # layer 0's rows, lines 4-8, hold 8 values as 88 base64 characters
     *[(f"checkpoint weight {value}", EVAL, 4, lambda t, v=value: rewrite(
-        t / "model.ckpt", lambda s: first_weight(s, v)) or "checkpoint line 4: ")
-      for value in ("nan", "inf", "1e400", "1_0", "x")],
+        t / "model.ckpt", lambda s: first_weight(s, float(v)))
+       or f"checkpoint line 4: non-finite value {v}") for value in ("nan", "inf", "-inf")],
+    *[(f"checkpoint weight {case}", EVAL, 4, lambda t, e=edit, m=message: rewrite(
+        t / "model.ckpt", lambda s: edit_line(s, 4, e)) or f"checkpoint line 4: {m}")
+      for case, edit, message in [
+          ("x", lambda row: "x", "expected 88 base64 characters for 8 values, got 1"),
+          ("1_0", lambda row: "1_0" + row[3:], "not the canonical base64 of 8 values"),
+          ("1e400", lambda row: " ".join(["1e400", *map(repr, row_values(row)[1:])]),
+           "expected 88 base64 characters for 8 values, got "),
+          ("non-ASCII", lambda row: "\u00e9" + row[1:], "not base64: non-ASCII text"),
+          ("trailing bits", lambda row: row[:-3] + B64[B64.index(row[-3]) ^ 1] + "==",
+           "not the canonical base64 of 8 values")]],
+    ("checkpoint v1 header", EVAL, 4, lambda t: rewrite(
+        t / "model.ckpt", lambda s: s.replace("#pda-checkpoint v2", "#pda-checkpoint v1"))
+     or "line 1: expected '#pda-checkpoint v2', got '#pda-checkpoint v1'"),
+    ("checkpoint not UTF-8", EVAL, 4, lambda t: (t / "model.ckpt").write_bytes(
+        (t / "model.ckpt").read_bytes().replace(b"seed=0", b"seed=\xff0")) or "not UTF-8 text"),
+    *[(f"checkpoint {case}", EVAL, 4, lambda t, o=old, n=new, m=f"line {line}: {message}":
+       rewrite(t / "model.ckpt", lambda s: s.replace(o, n, 1)) or m)
+      for case, old, new, line, message in [
+          ("hidden=8,", "hidden=8", "hidden=8,", 2, "'' is not ASCII digits 0-9"),
+          ("d_x=x", "d_x=5", "d_x=x", 2, "'x' is not ASCII digits 0-9"),
+          ("seed=-1", "seed=0", "seed=-1", 2, "'-1' is not ASCII digits 0-9"),
+          ("prototypes +6", "prototypes 6", "prototypes +6", 20,
+           "'+6' is not ASCII digits 0-9"),
+          ("prototypes 6 4x", "prototypes 6 6", "prototypes 6 4x", 20,
+           "'4x' is not ASCII digits 0-9"),
+          ("prototypes 5 6", "prototypes 6 6", "prototypes 5 6", 20,
+           "prototypes have d_z=5, encoder 6"),
+          ("d_x=0 with layer 0 0 8", "d_x=5 hidden=8 d_z=6 activation=tanh seed=0\nlayer 0 5 8",
+           "d_x=0 hidden=8 d_z=6 activation=tanh seed=0\nlayer 0 0 8", 2,
+           "all layer widths must be >= 1")]],
     ("checkpoint activation=identity", EVAL, 4, lambda t: rewrite(
         t / "model.ckpt", lambda s: s.replace("activation=tanh", "activation=identity"))
      or "line 2: activation=identity is not tanh"),
@@ -523,9 +573,8 @@ BAD_INPUTS = [
         t / "model.ckpt", lambda s: s.replace("seed=0", "seed=0 seed=5", 1))),
     ("checkpoint extra encoder key", EVAL, 4, lambda t: rewrite(
         t / "model.ckpt", lambda s: s.replace("seed=0", "seed=0 x=1", 1))),
-    ("checkpoint prototypes +6", EVAL, 4, lambda t: rewrite(
-        t / "model.ckpt", lambda s: s.replace("prototypes 6", "prototypes +6"))),
-    ("checkpoint ensemble +1", EVAL, 4, lambda t: add_ensemble(t / "model.ckpt", "+1", 1)),
+    ("checkpoint ensemble +1", EVAL, 4, lambda t: add_ensemble(t / "model.ckpt", "+1", 1)
+     or "line 27: expected 'ensemble <n>' with n >= 1"),
     # codes whose squared norm overflows would normalize to zero vectors
     ("checkpoint last layer scaled by 1e200", EVAL, 3,
      lambda t: scale_last_layer(t / "model.ckpt", 1e200)),
@@ -557,10 +606,10 @@ BAD_INPUTS = [
      or "line 2: '' is not ASCII digits"),
     ("checkpoint rows of cols+1 and cols-1 values", EVAL, 4, lambda t: rewrite(
         t / "model.ckpt", lambda s: reshape_layer0(s, long_rows=False))
-     or "checkpoint line 4: expected 8 values"),
+     or "checkpoint line 4: expected 88 base64 characters for 8 values, got 96"),
     ("checkpoint matrix rows one value too long", EVAL, 4, lambda t: rewrite(
         t / "model.ckpt", lambda s: reshape_layer0(s, long_rows=True))
-     or "checkpoint line 4: expected 8 values"),
+     or "checkpoint line 4: expected 88 base64 characters for 8 values, got 96"),
     ("feature '1_0'", EVAL, 4, lambda t: rewrite(
         t / "t.features", lambda s: re.sub(r"\n\?,[^,]*,", "\n?,1_0,", s, count=1))),
     *[(f"{case} past the first chunk", EVAL, 4,

@@ -1,5 +1,7 @@
 """Tests for the encoder, classifiers, optimizer, and checkpoints."""
 
+import base64
+import string
 
 import numpy as np
 import pytest
@@ -286,35 +288,62 @@ class TestCheckpoints:
         assert ensemble2 is None
         assert not protos2.frozen
 
-    # A bad value is named before a later line's fault in the same matrix,
-    # the order of a reader that converted each line as it checked it.
+    # A non-finite value is named before a later line's fault in the same
+    # matrix, the order of a reader that checked each line as it decoded it.
     @pytest.mark.parametrize("later_fault", ["short line", "'_'", "truncated"])
     def test_earlier_bad_value_is_named_first(self, tmp_path, later_fault):
         path = tmp_path / "m"
         save_checkpoint(path, Encoder(4, [], 1, seed=0), PrototypeMatrix.random(1, 2, seed=1))
         lines = path.read_text(encoding="utf-8").splitlines()  # layer 0 rows: lines 4-7
-        lines[3] = "x"
+        lines[3] = with_first_value(lines[3], np.nan)
         if later_fault == "truncated":
             del lines[5:]
         else:
-            lines[4] = "" if later_fault == "short line" else "1_0"
+            lines[4] = "" if later_fault == "short line" else "_" + lines[4][1:]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="could not convert string to float: 'x'"):
+        with pytest.raises(DataFormatError, match="^checkpoint line 4: non-finite value nan$"):
             load_checkpoint(path)
 
-    # layer 0 of a 4 -> 3 encoder: its weight rows are lines 4-7, its bias line 8
-    @pytest.mark.parametrize("line, value, message", [
-        (5, "x", "could not convert string to float: 'x'"),
-        (6, "nan", "non-finite value 'nan'"),
-        (8, "1e400", "non-finite value '1e400'"),
-        (4, "1_0", "'_' in '1_0 "),
-        (5, "", "expected 3 values, got 2"),
-        (6, "0.5 0.5", "expected 3 values, got 4")])
-    def test_bad_value_names_its_line(self, tmp_path, line, value, message):
+    # A 4 -> 3 encoder: layer 0's weight rows are lines 4-7 and its bias
+    # line 8, 3 values as 32 base64 characters. The 3 x 2 prototypes are
+    # lines 10-12, 2 values as 24 characters, the last 4 of them "xx==".
+    @pytest.mark.parametrize("line, edit, message", [
+        (5, lambda row: "x", "expected 32 base64 characters for 3 values, got 1"),
+        (6, lambda row: with_first_value(row, np.nan), "non-finite value nan"),
+        (8, lambda row: with_first_value(row, np.inf), "non-finite value inf"),
+        (11, lambda row: with_first_value(row, -np.inf), "non-finite value -inf"),
+        (4, lambda row: "_" + row[1:], "not the canonical base64 of 3 values"),
+        (7, lambda row: "\u00e9" + row[1:], "not base64: non-ASCII text"),
+        (10, lambda row: row[:-3] + B64[B64.index(row[-3]) ^ 1] + "==",
+         "not the canonical base64 of 2 values"),  # nonzero trailing bits
+        (12, lambda row: base64.b64encode(bytes(17)).decode(),
+         "not the canonical base64 of 2 values"),  # 24 characters, 17 bytes
+        (5, lambda row: values_row(row_values(row)[:2]),
+         "expected 32 base64 characters for 3 values, got 24"),
+        (6, lambda row: values_row([*row_values(row), 0.5]),
+         "expected 32 base64 characters for 3 values, got 44")],
+        ids=["5-x", "6-nan", "8-inf", "11--inf", "4-_", "7-non-ASCII", "10-trailing bits",
+             "12-17 bytes", "5-one value short", "6-one value long"])
+    def test_bad_value_names_its_line(self, tmp_path, line, edit, message):
         path = tmp_path / "m"
         save_checkpoint(path, Encoder(4, [], 3, seed=0), PrototypeMatrix.random(3, 2, seed=1))
         lines = path.read_text(encoding="utf-8").splitlines()
-        lines[line - 1] = " ".join([value, *lines[line - 1].split()[1:]]).strip()
+        lines[line - 1] = edit(lines[line - 1])
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match=f"^checkpoint line {line}: {message}"):
+        with pytest.raises(DataFormatError, match=f"^checkpoint line {line}: {message}$"):
             load_checkpoint(path)
+
+
+B64 = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+
+
+def row_values(row: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(row), "<f8")
+
+
+def values_row(values) -> str:
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+def with_first_value(row: str, value: float) -> str:
+    return values_row([value, *row_values(row)[1:]])

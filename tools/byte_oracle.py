@@ -3,11 +3,16 @@
 For each acceptance-study seed 0-4 this runs ``run_experiment`` on the
 study config of ``tests/test_acceptance.py`` and prints the sha256 and the
 path of each of the seven artifacts it writes (two feature files, two
-metric CSVs, two checkpoints and ``summary.json``): 35 lines. Then it runs
-``protoadapt ablate`` once on the seed-0 study config and prints the
-hashes of the artifacts of each of the five ablation modes, in
-``ABLATION_MODES`` order, the same way: 35 more lines. Last it prints the
-output of ``protoadapt gradcheck --seed 0``.
+metric CSVs, two checkpoints and ``summary.json``). After each checkpoint's
+line comes its value line: the sha256 of what that checkout's own
+``load_checkpoint`` returns (``theta``, the prototype weights with
+``frozen``, and the ensemble), the path and ``values``. So a change of the
+checkpoint format shows in the byte lines alone, and the value lines show
+that the reload is unchanged: 45 lines. Then it runs ``protoadapt
+ablate`` once on the seed-0 study config and prints the hashes of the
+artifacts of each of the five ablation modes, in ``ABLATION_MODES`` order,
+the same way: 45 more lines. Last it prints the output of ``protoadapt
+gradcheck --seed 0``: 96 lines in all.
 
     python3 tools/byte_oracle.py [CHECKOUT] > oracle.txt
 
@@ -38,12 +43,21 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
     from protoadapt.cli import main as cli_main
     from protoadapt.harness import ABLATION_MODES, load_config, run_experiment
+    from protoadapt.model import load_checkpoint
     from test_acceptance import study_config_dict
 
     def print_hashes(out: Path, run_dir: Path) -> None:
         for path in sorted(out.iterdir()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(run_dir)}")
+            if path.suffix == ".ckpt":
+                encoder, prototypes, ensemble = load_checkpoint(path)
+                values = hashlib.sha256(encoder.theta.astype("<f8").tobytes())
+                values.update(prototypes.weights.astype("<f8").tobytes())
+                values.update(b"frozen=%d" % prototypes.frozen)
+                if ensemble is not None:
+                    values.update(ensemble.astype("<f8").tobytes())
+                print(f"{values.hexdigest()}  {path.relative_to(run_dir)} values")
 
     with tempfile.TemporaryDirectory() as tmp:
         run_dir = Path(tmp)
