@@ -9,13 +9,14 @@ single consumer.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .errors import (ConfigError, DataFormatError, check_array_size, parse_digits,
-                     parse_floats, parse_key_values)
+                     parse_key_values)
 
 FEATURE_HEADER_PREFIX = "#pda-features v1"
 
@@ -115,35 +116,31 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     directions = rng.standard_normal((spec.k_s, spec.d_x))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     means = spec.MEAN_RADIUS * directions
-
-    src_feats, src_labels = [], []
-    for c in range(spec.k_s):
-        src_feats.append(means[c] + spec.cluster_std
-                         * rng.standard_normal((spec.source_per_class, spec.d_x)))
-        src_labels.append(np.full(spec.source_per_class, c, dtype=int))
-
-    tgt_feats, tgt_labels = [], []
-    for c in range(spec.k_t):
-        tgt_feats.append(means[c] + spec.cluster_std
-                         * rng.standard_normal((spec.target_per_class, spec.d_x)))
-        tgt_labels.append(np.full(spec.target_per_class, c, dtype=int))
-
-    target = np.vstack(tgt_feats)
+    source, labels = _draw_domain(rng, means, spec.source_per_class, spec.cluster_std)
+    target, hidden = _draw_domain(rng, means[:spec.k_t], spec.target_per_class, spec.cluster_std)
     if spec.rotation_angle != 0.0:
         ct, st = math.cos(spec.rotation_angle), math.sin(spec.rotation_angle)
         x0 = target[:, 0] * ct - target[:, 1] * st
         x1 = target[:, 0] * st + target[:, 1] * ct
-        target[:, 0], target[:, 1] = x0, x1  # np.vstack returned a fresh array
+        target[:, 0], target[:, 1] = x0, x1
     if spec.translation:
         target += np.asarray(spec.translation, dtype=float)
-    source = np.vstack(src_feats)
     if not (np.isfinite(source).all() and np.isfinite(target).all()):
         raise ConfigError("synthetic spec overflows: generated features are not finite")
 
-    source_ds = Dataset(source, np.concatenate(src_labels), spec.k_s, "source")
-    target_ds = Dataset(target, None, spec.k_s, "target",
-                        hidden_labels=np.concatenate(tgt_labels))
+    source_ds = Dataset(source, labels, spec.k_s, "source")
+    target_ds = Dataset(target, None, spec.k_s, "target", hidden_labels=hidden)
     return source_ds, target_ds
+
+
+def _draw_domain(rng, means, per_class, cluster_std):
+    """``per_class`` rows around each row of ``means``, class by class, and
+    their labels. One draw fills the whole array: the generator fills it in
+    order, so its values are those of one draw per class."""
+    features = rng.standard_normal((len(means), per_class, means.shape[1]))
+    features *= cluster_std
+    features += means[:, None]
+    return features.reshape(-1, means.shape[1]), np.repeat(np.arange(len(means)), per_class)
 
 
 # Rows the writer formats, and the reader converts, per chunk: the text
@@ -179,7 +176,7 @@ def read_feature_file(path) -> Dataset:
     """Parse a feature file; errors name the offending line number. The file is
     streamed in blocks of whole lines of about ``READ_HINT`` characters, each
     block split as ``str.splitlines`` splits it, and the values of each
-    ``CHUNK_ROWS`` lines go through one ``parse_floats`` call, so a read peaks at
+    ``CHUNK_ROWS`` lines go through one ``_parse_floats`` call, so a read peaks at
     about twice the array's size."""
     with open(path, encoding="utf-8") as fh:
         blocks = iter(lambda: "".join(fh.readlines(READ_HINT)), "")
@@ -216,7 +213,7 @@ def _parse_features(path, lines) -> Dataset:
     def convert():
         try:
             if d_x and chunk:
-                blocks.append(parse_floats(list(chunk.values()), ",", d_x, chunk))
+                blocks.append(_parse_floats(chunk, d_x))
         except ValueError as exc:
             raise DataFormatError(f"{path}: {exc}") from exc
         chunk.clear()
@@ -264,6 +261,41 @@ def _parse_features(path, lines) -> Dataset:
         return Dataset(features, labels_arr, k_s, role, hidden_labels=hidden_arr)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def _parse_floats(chunk: dict[int, str], cols: int) -> np.ndarray:
+    """The (len(chunk), cols) array of the comma-separated values of ``chunk``,
+    which maps line numbers to value text of ``cols`` values each, one row per
+    line. A valid value has ``float()``'s syntax and bits, no ``_`` (``float()``
+    reads "1_0" as 10.0), and is finite. ASCII text free of ``_`` and
+    ``\\x1c``-``\\x1f`` (``np.loadtxt`` strips them, ``float()`` rejects them)
+    goes through one ``np.loadtxt`` call, kept if it gave that shape, finite,
+    with no error or warning. Otherwise ``float()`` walks the rows, and the
+    first bad one raises ValueError("line N: ...")."""
+    lines = list(chunk.values())
+    text = "".join(lines)
+    if text.isascii() and not any(c in text for c in "_\x1c\x1d\x1e\x1f"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+                if rows.shape == (len(lines), cols) and np.isfinite(rows).all():
+                    return rows
+            except (ValueError, Warning):  # float() below decides, and words the error
+                pass
+    rows = []
+    for number, line in chunk.items():
+        values = line.split(",")
+        try:
+            if "_" in line:
+                raise ValueError(f"'_' in {line!r}")
+            rows.append([float(v) for v in values])
+            for value, x in zip(values, rows[-1]):
+                if not math.isfinite(x):
+                    raise ValueError(f"non-finite value {value!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+    return np.array(rows, dtype=float).reshape(len(lines), cols)
 
 
 def epoch_batches(dataset: Dataset, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:

@@ -5,12 +5,55 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from protoadapt import datasets
 from protoadapt.datasets import (Dataset, SyntheticSpec, epoch_batches,
                                  generate_synthetic, read_feature_file,
                                  write_feature_file)
 from protoadapt.errors import ConfigError, DataFormatError
+
+
+def reference_synthetic(spec):
+    """The generator's arrays drawn one class at a time, each class's rows a
+    fresh ``means[c] + cluster_std * z``, stacked after all are drawn."""
+    rng = np.random.default_rng(spec.seed)
+    directions = rng.standard_normal((spec.k_s, spec.d_x))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    means = spec.MEAN_RADIUS * directions
+    domains = []
+    for k, per_class in ((spec.k_s, spec.source_per_class), (spec.k_t, spec.target_per_class)):
+        feats, labels = [], []
+        for c in range(k):
+            feats.append(means[c] + spec.cluster_std
+                         * rng.standard_normal((per_class, spec.d_x)))
+            labels.append(np.full(per_class, c, dtype=int))
+        domains.append((np.vstack(feats), np.concatenate(labels)))
+    (source, labels), (target, hidden) = domains
+    if spec.rotation_angle != 0.0:
+        cos_a, sin_a = math.cos(spec.rotation_angle), math.sin(spec.rotation_angle)
+        x0 = target[:, 0] * cos_a - target[:, 1] * sin_a
+        x1 = target[:, 0] * sin_a + target[:, 1] * cos_a
+        target[:, 0], target[:, 1] = x0, x1
+    if spec.translation:
+        target += np.asarray(spec.translation, dtype=float)
+    return source, labels, target, hidden
+
+
+@st.composite
+def synthetic_specs(draw):
+    k_s = draw(st.integers(1, 12))
+    d_x = draw(st.integers(1, 8))
+    angle = st.floats(0.0, 2 * math.pi, exclude_max=True)
+    offset = st.floats(-1e3, 1e3)
+    return SyntheticSpec(
+        k_s=k_s, k_t=draw(st.integers(1, k_s)), d_x=d_x,
+        source_per_class=draw(st.integers(1, 30)), target_per_class=draw(st.integers(1, 30)),
+        cluster_std=draw(st.floats(1e-3, 1e3)),
+        rotation_angle=draw(st.just(0.0) | angle) if d_x >= 2 else 0.0,
+        translation=draw(st.just(()) | st.tuples(*[offset] * d_x)),
+        seed=draw(st.integers(0, 2**64 - 1)))
 
 
 def small_spec(**overrides):
@@ -63,6 +106,30 @@ class TestSyntheticGeneration:
         expected[0], expected[1] = -mean0[1], mean0[0]
         expected[0] += 1.0
         np.testing.assert_allclose(target.features[0], expected, atol=1e-9)
+
+    @given(spec=synthetic_specs())
+    def test_matches_per_class_reference(self, spec):
+        source, target = generate_synthetic(spec)
+        ref_source, ref_labels, ref_target, ref_hidden = reference_synthetic(spec)
+        assert source.features.tobytes() == ref_source.tobytes()
+        assert target.features.tobytes() == ref_target.tobytes()
+        for got, ref in ((source.labels, ref_labels), (target.hidden_labels, ref_hidden)):
+            assert got.dtype == ref.dtype and got.tolist() == ref.tolist()
+
+    def test_peak_memory_is_bounded(self):
+        # the io_eval spec; each domain is drawn into one array in place,
+        # where per-class arrays stacked afterwards peak near 2.1 times
+        spec = SyntheticSpec(k_s=16, k_t=8, d_x=64, source_per_class=50,
+                             target_per_class=625)
+        tracemalloc.start()
+        try:
+            source, target = generate_synthetic(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (source.features, source.labels,
+                                          target.features, target.hidden_labels))
+        assert peak <= 1.5 * returned, peak / returned
 
     def test_kt_exceeding_ks_rejected(self):
         with pytest.raises(ConfigError):

@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from protoadapt import datasets
-from protoadapt.datasets import (FEATURE_HEADER_PREFIX, Dataset, read_feature_file,
-                                 write_feature_file)
-from protoadapt.errors import parse_floats
+from protoadapt.datasets import (FEATURE_HEADER_PREFIX, Dataset, _parse_floats,
+                                 read_feature_file, write_feature_file)
 from protoadapt.model import (Encoder, PrototypeMatrix, _write_matrix, load_checkpoint,
                               save_checkpoint)
 
@@ -61,7 +60,7 @@ KINDS = ["source", "target", "target with hidden labels"]
 @given(data=st.data())
 def test_feature_writer_matches_reference(path, kind, n, d_x, data):
     features = data.draw(arrays(np.float64, (n, d_x), elements=FINITE))
-    k_s = data.draw(st.sampled_from([1, 3, 10**6]))
+    k_s = data.draw(st.sampled_from([1, 3, 10**6, 2**60]))
     labels = data.draw(arrays(np.int64, n, elements=st.integers(0, k_s - 1)))
     if kind == "source":
         ds = Dataset(features, labels, k_s, "source")
@@ -105,7 +104,7 @@ SPELLINGS = [repr, lambda v: format(v, ".9g"), lambda v: format(v, ".16e"),
 @settings(max_examples=10)  # per case; the grid above fixes the shapes
 @given(data=st.data())
 def test_feature_reader_matches_reference(path, kind, n, d_x, data):
-    k_s = data.draw(st.sampled_from([1, 3, 10**6]))
+    k_s = data.draw(st.sampled_from([1, 3, 10**6, 2**60]))
     lines = [f"{FEATURE_HEADER_PREFIX} d={d_x} k={k_s} role={kind.split()[0]}"]
     for _ in range(n):
         label = "?" if kind != "source" else str(data.draw(st.integers(0, k_s - 1)))
@@ -126,12 +125,11 @@ def test_feature_reader_matches_reference(path, kind, n, d_x, data):
     assert (ds.hidden_labels.tolist() if ds.hidden_labels is not None else []) == hidden
 
 
-def reference_row_error(line: str, sep, cols: int):
-    """What is wrong with one row of ``cols`` values, judged by ``float()`` one
-    value at a time, with '_' and non-finite results as errors; None if nothing."""
-    values = line.split(sep)
-    if len(values) != cols:
-        return f"expected {cols} values, got {len(values)}"
+def reference_row_error(line: str):
+    """What is wrong with one row of comma-separated values, judged by
+    ``float()`` one value at a time, with '_' and non-finite results as
+    errors; None if nothing."""
+    values = line.split(",")
     if "_" in line:
         return f"'_' in {line!r}"
     for value in values:
@@ -153,22 +151,24 @@ FLOAT_PIECES = [*"0123456789+-.eE", "nan", "inf", "\xa0", "\x0c", "\x1c", "\u066
 VALUES = st.lists(st.sampled_from(FLOAT_PIECES), max_size=6).map("".join)
 
 
-@given(rows=st.lists(st.lists(VALUES, max_size=3), min_size=1, max_size=4),
-       sep=st.sampled_from([",", None]), first=st.integers(1, 10**6))
-def test_parse_floats_matches_float(rows, sep, first):
-    lines = [(sep or " ").join(row) for row in rows]
-    cols = len(lines[0].split(sep))
-    numbers = range(first, first + len(lines))
-    errors = [(n, e) for n, ln in zip(numbers, lines)
-              if (e := reference_row_error(ln, sep, cols)) is not None]
+# the reader hands over only lines of d_x values, so every line has the same width
+@given(rows=st.integers(1, 3).flatmap(
+           lambda cols: st.lists(st.lists(VALUES, min_size=cols, max_size=cols),
+                                 min_size=1, max_size=4)),
+       first=st.integers(1, 10**6))
+def test_parse_floats_matches_float(rows, first):
+    lines = [",".join(row) for row in rows]
+    cols = len(rows[0])
+    chunk = dict(zip(range(first, first + len(lines)), lines))
+    errors = [(n, e) for n, ln in chunk.items() if (e := reference_row_error(ln)) is not None]
     try:
-        got = parse_floats(lines, sep, cols, numbers)
+        got = _parse_floats(chunk, cols)
     except ValueError as exc:
         assert errors and str(exc) == "line %d: %s" % errors[0]
     else:
         assert not errors
         assert got.shape == (len(lines), cols)  # no blank line dropped
-        expected = [[float(v) for v in ln.split(sep)] for ln in lines]
+        expected = [[float(v) for v in ln.split(",")] for ln in lines]
         assert got.tobytes() == np.array(expected, dtype=float).reshape(got.shape).tobytes()
 
 

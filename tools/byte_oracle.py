@@ -11,8 +11,11 @@ checkpoint format shows in the byte lines alone, and the value lines show
 that the reload is unchanged: 45 lines. Then it runs ``protoadapt
 ablate`` once on the seed-0 study config and prints the hashes of the
 artifacts of each of the five ablation modes, in ``ABLATION_MODES`` order,
-the same way: 45 more lines. Last it prints the output of ``protoadapt
-gradcheck --seed 0``: 96 lines in all.
+the same way: 45 more lines. Then it runs ``protoadapt gen`` on
+``GEN_SPEC``, a spec the study config does not exercise (``k_t`` equal to
+``k_s``, ``d_x`` = 1, no rotation, no translation), and prints the hashes
+of both feature files: 2 lines. Last it prints the output of ``protoadapt
+gradcheck --seed 0``: 98 lines in all.
 
     python3 tools/byte_oracle.py [CHECKOUT] > oracle.txt
 
@@ -33,6 +36,8 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (0, 1, 2, 3, 4)
+GEN_SPEC = {"k_s": 5, "k_t": 5, "d_x": 1, "source_per_class": 7, "target_per_class": 9,
+            "cluster_std": 0.5, "seed": 11}
 
 
 def main(argv: list[str]) -> int:
@@ -77,6 +82,17 @@ def main(argv: list[str]) -> int:
             return code
         for mode in ABLATION_MODES:
             print_hashes(run_dir / "ablate" / mode, run_dir)
+        gen = run_dir / "gen"
+        gen.mkdir()
+        (run_dir / "gen.json").write_text(json.dumps(GEN_SPEC), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["gen", "--spec", str(run_dir / "gen.json"),
+                             "--out-source", str(gen / "source.features"),
+                             "--out-target", str(gen / "target.features")])
+        if code != 0:
+            print(f"gen exited {code}")
+            return code
+        print_hashes(gen, run_dir)
     text = io.StringIO()
     with contextlib.redirect_stdout(text):
         code = cli_main(["gradcheck", "--seed", "0"])
