@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -143,10 +143,10 @@ def _draw_domain(rng, means, per_class, cluster_std):
     return features.reshape(-1, means.shape[1]), np.repeat(np.arange(len(means)), per_class)
 
 
-# Rows the writer formats, and the reader converts, per chunk: the text
-# held in memory stays a few hundred lines whatever the file size.
+# Rows the writer formats, and the reader checks and converts, per chunk:
+# the text held in memory stays a few hundred lines whatever the file size.
 CHUNK_ROWS = 256
-# Characters of whole lines the reader splits per ``str.splitlines`` call.
+# Characters the reader reads, then completes to a whole line, per block.
 READ_HINT = 1 << 16
 
 
@@ -174,16 +174,26 @@ def write_feature_file(dataset: Dataset, path) -> None:
 
 def read_feature_file(path) -> Dataset:
     """Parse a feature file; errors name the offending line number. The file is
-    streamed in blocks of whole lines of about ``READ_HINT`` characters, each
-    block split as ``str.splitlines`` splits it, and the values of each
-    ``CHUNK_ROWS`` lines go through one ``_parse_floats`` call, so a read peaks at
-    about twice the array's size."""
+    streamed in blocks of whole lines of about ``READ_HINT`` characters, split
+    as ``str.splitlines`` splits them, and read ``CHUNK_ROWS`` lines at a time,
+    so a read peaks at about twice the array's size."""
     with open(path, encoding="utf-8") as fh:
-        blocks = iter(lambda: "".join(fh.readlines(READ_HINT)), "")
+        blocks = iter(lambda: fh.read(READ_HINT) + fh.readline(), "")
         try:
-            return _parse_features(path, chain.from_iterable(map(str.splitlines, blocks)))
+            return _parse_features(path, chain.from_iterable(map(_split_lines, blocks)))
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def _split_lines(block: str) -> list[str]:
+    """``block.splitlines()``, by the faster ``split`` when LF ends the block and
+    is its only line break (text mode has turned CR and CRLF into LF)."""
+    if (block.endswith("\n") and block.isascii()
+            and not any(c in block for c in "\x0b\x0c\x1c\x1d\x1e")):
+        lines = block.split("\n")
+        del lines[-1]
+        return lines
+    return block.splitlines()
 
 
 def _parse_features(path, lines) -> Dataset:
@@ -208,6 +218,7 @@ def _parse_features(path, lines) -> Dataset:
 
     labels, hidden, blocks = [], [], [np.empty((0, d_x))]
     misrole_line = None  # the first unlabeled source row or labeled target row
+    hidden_line = {}  # True/False -> the first row with/without a hidden label
     chunk = {}  # line number -> value text, for lines whose values are not yet converted
 
     def convert():
@@ -218,43 +229,58 @@ def _parse_features(path, lines) -> Dataset:
             raise DataFormatError(f"{path}: {exc}") from exc
         chunk.clear()
 
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        body, hash_sign, comment = line.partition("#")
-        label, _, text = body.partition(",")
-        try:
-            if body.count(",") != d_x:
-                raise ValueError(f"expected {d_x} features, got {body.count(',')}")
-            label = None if label == "?" else parse_digits(label)
-            chunk[lineno] = text  # converted later, but in this order of checks
-            hidden_label = parse_digits(comment) if hash_sign else None  # a bare '#' too
-            for lb in (label, hidden_label):
-                if lb is not None and not 0 <= lb < k_s:
-                    raise ValueError(f"label {lb} not in [0, {k_s})")
-        except ValueError as exc:
-            convert()  # a bad value before this check is reported first
-            raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
-        if hash_sign:
-            hidden.append(hidden_label)
-        if misrole_line is None and (label is None) == (role == "source"):
-            misrole_line = lineno
-        labels.append(label)
-        if len(chunk) == CHUNK_ROWS:
+    first = 2  # the line number of the first line of ``raw``
+    while raw := list(islice(lines, CHUNK_ROWS)):
+        rows = _whole_rows(raw, d_x, k_s, role)
+        if rows is not None:
+            blocks.append(rows[0])
+            labels += rows[1]
+            hidden += rows[2]
+            hidden_line.setdefault(bool(rows[2]), first)
+        else:  # the walk, the only place a fault is named
+            for lineno, line in enumerate(raw, start=first):
+                if not line.strip():
+                    continue
+                body, hash_sign, comment = line.partition("#")
+                label, _, text = body.partition(",")
+                try:
+                    if body.count(",") != d_x:
+                        raise ValueError(f"expected {d_x} features, got {body.count(',')}")
+                    label = None if label == "?" else parse_digits(label)
+                    chunk[lineno] = text  # converted later, but in this order of checks
+                    hidden_label = parse_digits(comment) if hash_sign else None  # a bare '#' too
+                    for lb in (label, hidden_label):
+                        if lb is not None and not 0 <= lb < k_s:
+                            raise ValueError(f"label {lb} not in [0, {k_s})")
+                except ValueError as exc:
+                    convert()  # a bad value before this check is reported first
+                    raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
+                if hash_sign:
+                    hidden.append(hidden_label)
+                hidden_line.setdefault(bool(hash_sign), lineno)
+                if misrole_line is None and (label is None) == (role == "source"):
+                    misrole_line = lineno
+                labels.append(label)
             convert()
-    convert()
+        first += len(raw)
 
+    with_line, without_line = hidden_line.get(True), hidden_line.get(False)
     if role == "source":
         if misrole_line is not None:
             raise DataFormatError(f"{path}: line {misrole_line}: source sample without label")
-        if hidden:
-            raise DataFormatError(f"{path}: hidden-label comments on source rows")
+        if with_line:
+            raise DataFormatError(
+                f"{path}: line {with_line}: hidden-label comment on a source row")
         labels_arr, hidden_arr = np.asarray(labels, dtype=int), None
     else:
         if misrole_line is not None:
             raise DataFormatError(f"{path}: line {misrole_line}: target sample with visible label")
-        if hidden and len(hidden) != len(labels):
-            raise DataFormatError(f"{path}: hidden labels on some but not all lines")
+        if with_line and without_line:
+            raise DataFormatError(
+                f"{path}: line {without_line}: target row without a hidden label "
+                f"(line {with_line} has one)" if with_line < without_line else
+                f"{path}: line {with_line}: target row with a hidden label "
+                f"(line {without_line} has none)")
         labels_arr, hidden_arr = None, np.asarray(hidden, dtype=int) if hidden else None
     try:
         features = np.concatenate(blocks).reshape(len(labels), d_x)
@@ -263,26 +289,61 @@ def _parse_features(path, lines) -> Dataset:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
+def _whole_rows(lines: list[str], d_x: int, k_s: int, role: str):
+    """The features, labels and hidden labels of ``lines``, one chunk of a
+    feature file, when one bulk check proves that the walk in
+    ``_parse_features`` would read them with the same bits and find no fault;
+    None otherwise. The chunk is ASCII text free of ``_`` and
+    ``\\x1c``-``\\x1f`` (``np.loadtxt`` strips them, ``float()`` rejects them);
+    each label is ``?`` on a target, or ASCII digits below ``k_s`` on a
+    source; either every line has ASCII digits below ``k_s`` after its ``#``
+    or no line has a ``#`` (a source row's comment is a fault the reader names
+    after the last chunk, as for the walk); and one ``np.loadtxt`` of the value
+    text, with warnings raised as errors, gives exactly ``(len(lines), d_x)``
+    finite values, which also proves each line's field count."""
+    text = "\n".join(lines)
+    if not (d_x and text.isascii() and not any(c in text for c in "_\x1c\x1d\x1e\x1f")):
+        return None
+    bodies, hidden = lines, []
+    if "#" in text:
+        bodies, _, hidden = zip(*[line.partition("#") for line in lines])
+        hidden = _labels_below(hidden, k_s)
+    labels, _, values = zip(*[body.partition(",") for body in bodies])
+    if role == "source":
+        labels = _labels_below(labels, k_s)
+    else:
+        labels = [None] * len(labels) if labels.count("?") == len(labels) else None
+    if labels is None or hidden is None:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            features = np.loadtxt(values, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, Warning):  # the walk words the fault
+            return None
+    if features.shape != (len(labels), d_x) or not np.isfinite(features).all():
+        return None
+    return features, labels, hidden
+
+
+def _labels_below(texts: tuple[str, ...], k_s: int) -> list[int] | None:
+    """The ints of ``texts`` if each is ASCII digits for an int below ``k_s``,
+    as ``parse_digits`` and the walk's range check take it; else None."""
+    if not "".join(texts).isdigit():
+        return None
+    try:
+        ints = list(map(int, texts))
+    except ValueError:  # an empty text, or more digits than int() converts
+        return None
+    return ints if max(ints) < k_s else None
+
+
 def _parse_floats(chunk: dict[int, str], cols: int) -> np.ndarray:
     """The (len(chunk), cols) array of the comma-separated values of ``chunk``,
     which maps line numbers to value text of ``cols`` values each, one row per
     line. A valid value has ``float()``'s syntax and bits, no ``_`` (``float()``
-    reads "1_0" as 10.0), and is finite. ASCII text free of ``_`` and
-    ``\\x1c``-``\\x1f`` (``np.loadtxt`` strips them, ``float()`` rejects them)
-    goes through one ``np.loadtxt`` call, kept if it gave that shape, finite,
-    with no error or warning. Otherwise ``float()`` walks the rows, and the
+    reads "1_0" as 10.0), and is finite. ``float()`` walks the rows, and the
     first bad one raises ValueError("line N: ...")."""
-    lines = list(chunk.values())
-    text = "".join(lines)
-    if text.isascii() and not any(c in text for c in "_\x1c\x1d\x1e\x1f"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-                if rows.shape == (len(lines), cols) and np.isfinite(rows).all():
-                    return rows
-            except (ValueError, Warning):  # float() below decides, and words the error
-                pass
     rows = []
     for number, line in chunk.items():
         values = line.split(",")
@@ -295,7 +356,7 @@ def _parse_floats(chunk: dict[int, str], cols: int) -> np.ndarray:
                     raise ValueError(f"non-finite value {value!r}")
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
-    return np.array(rows, dtype=float).reshape(len(lines), cols)
+    return np.array(rows, dtype=float).reshape(len(chunk), cols)
 
 
 def epoch_batches(dataset: Dataset, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:

@@ -1,6 +1,7 @@
 """Tests for synthetic generation, feature-file I/O, and batching."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -184,7 +185,7 @@ class TestFeatureFiles:
     # line's label, '_', values and their finiteness are checked in that
     # order, then its hidden label, and a bad value comes before a later
     # line's fault or bad value.
-    @pytest.mark.parametrize("rows, message", [
+    FIRST_FAULTS = [
         (["0,1.5", "0,x", "0,1,2"], "line 3: could not convert string to float: 'x'"),
         (["0,1.5", "0,x", "0,y"], "line 3: could not convert string to float: 'x'"),
         (["0,x", "0,1_5"], "line 2: could not convert string to float: 'x'"),
@@ -196,12 +197,49 @@ class TestFeatureFiles:
         (["0,1.5", "0,nan"], "line 3: non-finite value 'nan'"),
         (["0,inf", "0,1"], "line 2: non-finite value 'inf'"),
         (["0,1e400"], "line 2: non-finite value '1e400'"),
-        (["0,1", "0,nan", "7,1"], "line 3: non-finite value 'nan'")])
+        (["0,1", "0,nan", "7,1"], "line 3: non-finite value 'nan'")]
+
+    @pytest.mark.parametrize("rows, message", FIRST_FAULTS)
     def test_first_fault_is_named(self, tmp_path, rows, message):
         path = tmp_path / "bad"
         path.write_text("#pda-features v1 d=1 k=2 role=source\n" + "\n".join(rows) + "\n",
                         encoding="utf-8")
         with pytest.raises(DataFormatError, match=message):
+            read_feature_file(path)
+
+    @pytest.mark.parametrize("rows, message", FIRST_FAULTS)
+    def test_first_fault_is_named_after_a_whole_chunk(self, tmp_path, bulk_results, rows,
+                                                      message):
+        # one chunk of clean rows goes first: the bulk check takes it, and
+        # the fault's line number moves by the chunk's length
+        clean = ["0,1.5", "1,-2e-07"] * (datasets.CHUNK_ROWS // 2)
+        path = tmp_path / "bad"
+        path.write_text("#pda-features v1 d=1 k=2 role=source\n" + "\n".join(clean + rows)
+                        + "\n", encoding="utf-8")
+        moved = re.sub(r"line (\d+)", lambda m: f"line {int(m[1]) + len(clean)}", message)
+        with pytest.raises(DataFormatError, match=moved):
+            read_feature_file(path)
+        assert bulk_results[0] is not None and bulk_results[1:] == [None]
+
+    # A hidden-label fault is named after every row is read, at the first
+    # row that differs from the file's first row (target) or at the first
+    # comment (source). Behind a whole chunk of clean rows like the case's
+    # first row, the named line moves and the file's first row stays line 2.
+    @pytest.mark.parametrize("role, clean, rows, line, message", [
+        ("target", "?,1.5#1", ["?,1#0", "?,2", "?,3#1"], 3,
+         r"target row without a hidden label \(line 2 has one\)"),
+        ("target", "?,1.5", ["?,1", "", "?,2", "?,3#1", "?,4"], 5,
+         r"target row with a hidden label \(line 2 has none\)"),
+        ("source", "1,1.5", ["0,1", "1,2#1", "1,3#0"], 3, "hidden-label comment on a source row"),
+        ("source", "1,1.5", ["0,1#1", "?,2"], 3, "source sample without label")])
+    @pytest.mark.parametrize("lead", [0, 1], ids=["first-chunk", "after-a-whole-chunk"])
+    def test_hidden_label_faults_name_their_line(self, tmp_path, role, clean, rows, line,
+                                                 message, lead):
+        lead_rows = [clean] * (lead * datasets.CHUNK_ROWS)
+        path = tmp_path / "bad"
+        path.write_text(f"#pda-features v1 d=1 k=2 role={role}\n"
+                        + "\n".join(lead_rows + rows) + "\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=f"line {line + len(lead_rows)}: {message}"):
             read_feature_file(path)
 
     def test_label_out_of_range_rejected(self, tmp_path):

@@ -1,10 +1,12 @@
 """The feature-file and checkpoint writers: byte-for-byte equal to
 reference formatters on any finite input, chunk boundaries included, and
 pinned to literal golden text. The feature reader and its float parser:
-bit-for-bit equal to ``float()`` one value at a time."""
+bit-for-bit equal to ``float()`` one value at a time; its bulk check reads
+what the per-line walk reads, and takes everything the writer writes."""
 
 import base64
 import math
+import re
 import struct
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 from protoadapt import datasets
 from protoadapt.datasets import (FEATURE_HEADER_PREFIX, Dataset, _parse_floats,
                                  read_feature_file, write_feature_file)
+from protoadapt.errors import DataFormatError
 from protoadapt.model import (Encoder, PrototypeMatrix, _write_matrix, load_checkpoint,
                               save_checkpoint)
 
@@ -98,23 +101,28 @@ SPELLINGS = [repr, lambda v: format(v, ".9g"), lambda v: format(v, ".16e"),
              lambda v: f" {v!r}\t", lambda v: f"\xa0{v:.9g}"]
 
 
+def valid_feature_lines(data, kind, n, d_x, spellings=SPELLINGS, blanks=True):
+    """The lines of a valid feature file of ``n`` rows, its header first."""
+    k_s = data.draw(st.sampled_from([1, 3, 10**6, 2**60]))
+    lines = [f"{FEATURE_HEADER_PREFIX} d={d_x} k={k_s} role={kind.split()[0]}"]
+    for _ in range(n):
+        label = "?" if kind != "source" else str(data.draw(st.integers(0, k_s - 1)))
+        values = [data.draw(st.sampled_from(spellings))(float(data.draw(FINITE)))
+                  for _ in range(d_x)]
+        line = ",".join([label, *values])
+        if kind == "target with hidden labels":
+            line += f"#{data.draw(st.integers(0, k_s - 1))}"
+        lines += [" "] * data.draw(st.integers(0, int(blanks))) + [line]  # blank lines are skipped
+    return lines
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [0, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1])
 @pytest.mark.parametrize("d_x", [0, 1, 5])
 @settings(max_examples=10)  # per case; the grid above fixes the shapes
 @given(data=st.data())
 def test_feature_reader_matches_reference(path, kind, n, d_x, data):
-    k_s = data.draw(st.sampled_from([1, 3, 10**6, 2**60]))
-    lines = [f"{FEATURE_HEADER_PREFIX} d={d_x} k={k_s} role={kind.split()[0]}"]
-    for _ in range(n):
-        label = "?" if kind != "source" else str(data.draw(st.integers(0, k_s - 1)))
-        values = [data.draw(st.sampled_from(SPELLINGS))(float(data.draw(FINITE)))
-                  for _ in range(d_x)]
-        line = ",".join([label, *values])
-        if kind == "target with hidden labels":
-            line += f"#{data.draw(st.integers(0, k_s - 1))}"
-        lines += [" "] * data.draw(st.integers(0, 1)) + [line]  # blank lines are skipped
-    text = "\n".join(lines) + "\n"
+    text = "\n".join(valid_feature_lines(data, kind, n, d_x)) + "\n"
     path.write_text(text, encoding="utf-8")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(datasets, "CHUNK_ROWS", CHUNK)
@@ -123,6 +131,81 @@ def test_feature_reader_matches_reference(path, kind, n, d_x, data):
     assert same_bits(ds.features, features)
     assert (ds.labels is None) if kind != "source" else ds.labels.tolist() == labels
     assert (ds.hidden_labels.tolist() if ds.hidden_labels is not None else []) == hidden
+
+
+# one fault each, as an edit of a valid row given the file's k_s: a bad
+# first value, one field too many or too few, a bad label and a bad, missing
+# or extra hidden label (an edit that finds nothing to change leaves the row).
+# Bad labels that int() reads as 0 stay below any k_s.
+FAULTS = [
+    *[lambda row, k_s, v=v: re.sub(r",[^,#]*", f",{v}", row, count=1)
+      for v in ("x", "nan", "-inf", "1e400", "1_0", "", "\x1f1", "\u0661", "1\xa0")],
+    lambda row, k_s: re.sub(r"^[^#]*", r"\g<0>,0", row),
+    lambda row, k_s: re.sub(r",[^,#]*", "", row, count=1),
+    *[lambda row, k_s, v=v: re.sub(r"^[^,#]*", str(k_s) if v is None else v, row)
+      for v in ("?", "0", "+0", " 0", "", "\u0660", None)],
+    lambda row, k_s: row.partition("#")[0],
+    *[lambda row, k_s, v=v: row.partition("#")[0] + "#" + (str(k_s) if v is None else v)
+      for v in ("0", "", "0#0", "-0", "0 ", "\u0660", None)],
+]
+
+
+def read_outcome(path):
+    """The bits, labels and hidden labels ``read_feature_file`` gives, or its error."""
+    try:
+        ds = read_feature_file(path)
+    except DataFormatError as exc:
+        return str(exc)
+    return (ds.features.shape, ds.features.tobytes(),
+            *(None if a is None else a.tolist() for a in (ds.labels, ds.hidden_labels)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("d_x", [0, 1, 5])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_bulk_check_matches_the_walk(path, kind, d_x, data):
+    # the bulk check either refuses a chunk or reads it as the walk would:
+    # the same bits, labels and hidden labels, or the same error text. The
+    # rows are mostly ASCII with no blank line between them, which the bulk
+    # check can take, and mostly carry one fault.
+    plain = data.draw(st.sampled_from([True, True, True, False]))
+    lines = valid_feature_lines(data, kind, data.draw(st.integers(0, 3 * CHUNK + 1)), d_x,
+                                SPELLINGS[:4] if plain else SPELLINGS, blanks=not plain)
+    fault = data.draw(st.sampled_from([None, *FAULTS]))
+    if len(lines) > 1 and fault:
+        at = data.draw(st.integers(1, len(lines) - 1))
+        lines[at] = fault(lines[at], int(lines[0].split()[3].removeprefix("k=")))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datasets, "CHUNK_ROWS", CHUNK)
+        bulk = read_outcome(path)
+        mp.setattr(datasets, "_whole_rows", lambda *args: None)
+        assert read_outcome(path) == bulk
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("d_x", [1, 64])
+def test_written_files_skip_the_walk(path, monkeypatch, bulk_results, kind, d_x):
+    # every chunk of what the writer writes passes the bulk check
+    rng = np.random.default_rng(d_x)
+    n = 2 * datasets.CHUNK_ROWS + 3
+    features = rng.standard_normal((n, d_x)) * 10.0 ** rng.integers(-300, 300, (n, d_x))
+    features[0, 0] = -0.0
+    labels = rng.integers(0, 7, n)
+    if kind == "source":
+        ds = Dataset(features, labels, 7, "source")
+    else:
+        hidden = labels if kind == "target with hidden labels" else None
+        ds = Dataset(features, None, 7, "target", hidden_labels=hidden)
+    write_feature_file(ds, path)
+    monkeypatch.setattr(datasets, "_parse_floats", None)  # the walk's value reader
+    again = read_feature_file(path)
+    assert len(bulk_results) == 3 and None not in bulk_results
+    assert again.features.tobytes() == np.array(
+        [[float(format(v, ".9g")) for v in row] for row in features.tolist()]).tobytes()
+    for got, want in ((again.labels, ds.labels), (again.hidden_labels, ds.hidden_labels)):
+        assert (got is None) if want is None else got.tolist() == want.tolist()
 
 
 def reference_row_error(line: str):

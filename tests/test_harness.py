@@ -604,6 +604,12 @@ BAD_INPUTS = [
     ("bare '#' on a source row", TRAIN, 4, lambda t: rewrite(
         t / "s.features", lambda s: re.sub(r"\n(\d+,[^\n]*)", "\n\\1#", s, count=1))
      or "line 2: '' is not ASCII digits"),
+    ("target row without a hidden label", EVAL, 4, lambda t: rewrite(
+        t / "t.features", lambda s: edit_line(s, 3, lambda row: row.partition("#")[0]))
+     or "line 3: target row without a hidden label (line 2 has one)"),
+    ("hidden-label comment on a source row", TRAIN, 4, lambda t: rewrite(
+        t / "s.features", lambda s: edit_line(s, 4, lambda row: row + "#0"))
+     or "line 4: hidden-label comment on a source row"),
     ("checkpoint rows of cols+1 and cols-1 values", EVAL, 4, lambda t: rewrite(
         t / "model.ckpt", lambda s: reshape_layer0(s, long_rows=False))
      or "checkpoint line 4: expected 88 base64 characters for 8 values, got 96"),

@@ -6,16 +6,19 @@ path of each of the seven artifacts it writes (two feature files, two
 metric CSVs, two checkpoints and ``summary.json``). After each checkpoint's
 line comes its value line: the sha256 of what that checkout's own
 ``load_checkpoint`` returns (``theta``, the prototype weights with
-``frozen``, and the ensemble), the path and ``values``. So a change of the
-checkpoint format shows in the byte lines alone, and the value lines show
-that the reload is unchanged: 45 lines. Then it runs ``protoadapt
-ablate`` once on the seed-0 study config and prints the hashes of the
-artifacts of each of the five ablation modes, in ``ABLATION_MODES`` order,
-the same way: 45 more lines. Then it runs ``protoadapt gen`` on
-``GEN_SPEC``, a spec the study config does not exercise (``k_t`` equal to
-``k_s``, ``d_x`` = 1, no rotation, no translation), and prints the hashes
-of both feature files: 2 lines. Last it prints the output of ``protoadapt
-gradcheck --seed 0``: 98 lines in all.
+``frozen``, and the ensemble), the path and ``values``. After each feature
+file's line comes its value line too: the sha256 of what that checkout's
+own ``read_feature_file`` returns (the features as ``<f8``, the labels and
+the hidden labels). So a change of a file format shows in the byte lines
+alone, and the value lines show that the reload is unchanged: 55 lines.
+Then it runs ``protoadapt ablate`` once on the seed-0 study config and
+prints the hashes of the artifacts of each of the five ablation modes, in
+``ABLATION_MODES`` order, the same way: 55 more lines. Then it runs
+``protoadapt gen`` on ``GEN_SPEC``, a spec the study config does not
+exercise (``k_t`` equal to ``k_s``, ``d_x`` = 1, no rotation, no
+translation), and prints the hashes and value lines of both feature files:
+4 lines. Last it prints the output of ``protoadapt gradcheck --seed 0``:
+120 lines in all.
 
     python3 tools/byte_oracle.py [CHECKOUT] > oracle.txt
 
@@ -47,6 +50,7 @@ def main(argv: list[str]) -> int:
     os.environ.pop("PDA_SEED", None)
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
     from protoadapt.cli import main as cli_main
+    from protoadapt.datasets import read_feature_file
     from protoadapt.harness import ABLATION_MODES, load_config, run_experiment
     from protoadapt.model import load_checkpoint
     from test_acceptance import study_config_dict
@@ -62,6 +66,12 @@ def main(argv: list[str]) -> int:
                 values.update(b"frozen=%d" % prototypes.frozen)
                 if ensemble is not None:
                     values.update(ensemble.astype("<f8").tobytes())
+                print(f"{values.hexdigest()}  {path.relative_to(run_dir)} values")
+            elif path.suffix == ".features":
+                dataset = read_feature_file(path)
+                values = hashlib.sha256(dataset.features.astype("<f8").tobytes())
+                for labels in (dataset.labels, dataset.hidden_labels):
+                    values.update(b"-" if labels is None else labels.astype("<i8").tobytes())
                 print(f"{values.hexdigest()}  {path.relative_to(run_dir)} values")
 
     with tempfile.TemporaryDirectory() as tmp:
