@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -180,20 +180,9 @@ def read_feature_file(path) -> Dataset:
     with open(path, encoding="utf-8") as fh:
         blocks = iter(lambda: fh.read(READ_HINT) + fh.readline(), "")
         try:
-            return _parse_features(path, chain.from_iterable(map(_split_lines, blocks)))
+            return _parse_features(path, chain.from_iterable(map(str.splitlines, blocks)))
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
-
-
-def _split_lines(block: str) -> list[str]:
-    """``block.splitlines()``, by the faster ``split`` when LF ends the block and
-    is its only line break (text mode has turned CR and CRLF into LF)."""
-    if (block.endswith("\n") and block.isascii()
-            and not any(c in block for c in "\x0b\x0c\x1c\x1d\x1e")):
-        lines = block.split("\n")
-        del lines[-1]
-        return lines
-    return block.splitlines()
 
 
 def _parse_features(path, lines) -> Dataset:
@@ -236,7 +225,7 @@ def _parse_features(path, lines) -> Dataset:
             blocks.append(rows[0])
             labels += rows[1]
             hidden += rows[2]
-            hidden_line.setdefault(bool(rows[2]), first)
+            hidden_line.setdefault(bool(rows[2]), first + rows[3])
         else:  # the walk, the only place a fault is named
             for lineno, line in enumerate(raw, start=first):
                 if not line.strip():
@@ -291,22 +280,25 @@ def _parse_features(path, lines) -> Dataset:
 
 def _whole_rows(lines: list[str], d_x: int, k_s: int, role: str):
     """The features, labels and hidden labels of ``lines``, one chunk of a
-    feature file, when one bulk check proves that the walk in
-    ``_parse_features`` would read them with the same bits and find no fault;
-    None otherwise. The chunk is ASCII text free of ``_`` and
-    ``\\x1c``-``\\x1f`` (``np.loadtxt`` strips them, ``float()`` rejects them);
-    each label is ``?`` on a target, or ASCII digits below ``k_s`` on a
-    source; either every line has ASCII digits below ``k_s`` after its ``#``
-    or no line has a ``#`` (a source row's comment is a fault the reader names
-    after the last chunk, as for the walk); and one ``np.loadtxt`` of the value
-    text, with warnings raised as errors, gives exactly ``(len(lines), d_x)``
-    finite values, which also proves each line's field count."""
-    text = "\n".join(lines)
-    if not (d_x and text.isascii() and not any(c in text for c in "_\x1c\x1d\x1e\x1f")):
+    feature file, and the index of its first row, when one bulk check proves
+    that the walk in ``_parse_features`` would read them with the same bits
+    and find no fault; None otherwise. Blank lines are dropped, as the walk
+    skips them, and at least one row is left. The rows are ASCII text free of
+    ``_`` and ``\\x1c``-``\\x1f`` (``np.loadtxt`` strips them, ``float()``
+    rejects them); each label is ``?`` on a target, or ASCII digits below
+    ``k_s`` on a source; either every row has ASCII digits below ``k_s`` after
+    its ``#`` or no row has a ``#`` (a source row's comment is a fault the
+    reader names after the last chunk, as for the walk); and one
+    ``np.loadtxt`` of the value text, with warnings raised as errors, gives
+    exactly ``(rows, d_x)`` finite values, which also proves each row's field
+    count."""
+    rows = list(compress(lines, map(str.strip, lines)))
+    text = "\n".join(rows)
+    if not (d_x and rows and text.isascii() and not any(c in text for c in "_\x1c\x1d\x1e\x1f")):
         return None
-    bodies, hidden = lines, []
+    bodies, hidden = rows, []
     if "#" in text:
-        bodies, _, hidden = zip(*[line.partition("#") for line in lines])
+        bodies, _, hidden = zip(*[row.partition("#") for row in rows])
         hidden = _labels_below(hidden, k_s)
     labels, _, values = zip(*[body.partition(",") for body in bodies])
     if role == "source":
@@ -323,7 +315,7 @@ def _whole_rows(lines: list[str], d_x: int, k_s: int, role: str):
             return None
     if features.shape != (len(labels), d_x) or not np.isfinite(features).all():
         return None
-    return features, labels, hidden
+    return features, labels, hidden, lines.index(rows[0])
 
 
 def _labels_below(texts: tuple[str, ...], k_s: int) -> list[int] | None:

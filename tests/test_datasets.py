@@ -242,11 +242,30 @@ class TestFeatureFiles:
         with pytest.raises(DataFormatError, match=f"line {line + len(lead_rows)}: {message}"):
             read_feature_file(path)
 
+    def test_bulk_check_names_rows_past_blank_lines(self, tmp_path, bulk_results):
+        # the bulk check drops a chunk's blank lines, and the first row keeps
+        # its own line number
+        rows = ["", " \t"] + ["?,1.5#1"] * (datasets.CHUNK_ROWS - 2) + ["?,2"]
+        path = tmp_path / "bad"
+        path.write_text("#pda-features v1 d=1 k=2 role=target\n" + "\n".join(rows) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataFormatError, match=f"line {datasets.CHUNK_ROWS + 2}: target row "
+                           r"without a hidden label \(line 4 has one\)"):
+            read_feature_file(path)
+        assert bulk_results[0] is not None
+
     def test_label_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "bad"
         path.write_text("#pda-features v1 d=1 k=2 role=source\n5,1.0\n",
                         encoding="utf-8")
         with pytest.raises(DataFormatError, match="line 2"):
+            read_feature_file(path)
+
+    @pytest.mark.parametrize("role, row", [("source", "2,1.0"), ("target", "?,1.0#2")])
+    def test_label_equal_to_k_rejected(self, tmp_path, role, row):
+        path = tmp_path / "bad"
+        path.write_text(f"#pda-features v1 d=1 k=2 role={role}\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=r"line 2: label 2 not in \[0, 2\)"):
             read_feature_file(path)
 
     @pytest.mark.parametrize("header, field", [

@@ -101,7 +101,7 @@ SPELLINGS = [repr, lambda v: format(v, ".9g"), lambda v: format(v, ".16e"),
              lambda v: f" {v!r}\t", lambda v: f"\xa0{v:.9g}"]
 
 
-def valid_feature_lines(data, kind, n, d_x, spellings=SPELLINGS, blanks=True):
+def valid_feature_lines(data, kind, n, d_x, spellings=SPELLINGS):
     """The lines of a valid feature file of ``n`` rows, its header first."""
     k_s = data.draw(st.sampled_from([1, 3, 10**6, 2**60]))
     lines = [f"{FEATURE_HEADER_PREFIX} d={d_x} k={k_s} role={kind.split()[0]}"]
@@ -112,7 +112,8 @@ def valid_feature_lines(data, kind, n, d_x, spellings=SPELLINGS, blanks=True):
         line = ",".join([label, *values])
         if kind == "target with hidden labels":
             line += f"#{data.draw(st.integers(0, k_s - 1))}"
-        lines += [" "] * data.draw(st.integers(0, int(blanks))) + [line]  # blank lines are skipped
+        blank = data.draw(st.sampled_from(["", " \t"]))  # blank lines are skipped
+        lines += [blank] * data.draw(st.integers(0, 1)) + [line]
     return lines
 
 
@@ -131,6 +132,18 @@ def test_feature_reader_matches_reference(path, kind, n, d_x, data):
     assert same_bits(ds.features, features)
     assert (ds.labels is None) if kind != "source" else ds.labels.tolist() == labels
     assert (ds.hidden_labels.tolist() if ds.hidden_labels is not None else []) == hidden
+
+
+# pieces of values float() accepts or rejects: whitespace it strips ("\xa0",
+# "\x0c", "\t", " "), control characters it rejects but np.loadtxt skips
+# ("\x1c", "\x1f"), a non-ASCII digit and a "_" it reads but np.loadtxt
+# rejects, non-finite spellings, and ASCII either reader could take for
+# something else. Values made of them go to _parse_floats, the walk's
+# float() reader, and replace values in the rows the bulk check, which
+# reads with np.loadtxt, must judge as the walk does.
+FLOAT_PIECES = [*"0123456789+-.eE", "nan", "inf", "\xa0", "\x0c", "\x1c", "\u0661",
+                "\x1f", "\x00", "\x7f", "\t", " ", "#", '"', "_"]
+VALUES = st.lists(st.sampled_from(FLOAT_PIECES), max_size=6).map("".join)
 
 
 # one fault each, as an edit of a valid row given the file's k_s: a bad
@@ -167,15 +180,22 @@ def read_outcome(path):
 def test_bulk_check_matches_the_walk(path, kind, d_x, data):
     # the bulk check either refuses a chunk or reads it as the walk would:
     # the same bits, labels and hidden labels, or the same error text. The
-    # rows are mostly ASCII with no blank line between them, which the bulk
-    # check can take, and mostly carry one fault.
+    # rows are mostly ASCII, which the bulk check can take, mostly carry one
+    # fault, and often have values made of FLOAT_PIECES.
     plain = data.draw(st.sampled_from([True, True, True, False]))
     lines = valid_feature_lines(data, kind, data.draw(st.integers(0, 3 * CHUNK + 1)), d_x,
-                                SPELLINGS[:4] if plain else SPELLINGS, blanks=not plain)
+                                SPELLINGS[:4] if plain else SPELLINGS)
     fault = data.draw(st.sampled_from([None, *FAULTS]))
     if len(lines) > 1 and fault:
         at = data.draw(st.integers(1, len(lines) - 1))
         lines[at] = fault(lines[at], int(lines[0].split()[3].removeprefix("k=")))
+    for _ in range(data.draw(st.integers(0, 2)) if d_x and len(lines) > 1 else 0):
+        at = data.draw(st.integers(1, len(lines) - 1))
+        body, hash_sign, comment = lines[at].partition("#")
+        fields = body.split(",")
+        if len(fields) > 1:
+            fields[data.draw(st.integers(1, len(fields) - 1))] = data.draw(VALUES)
+            lines[at] = ",".join(fields) + hash_sign + comment
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(datasets, "CHUNK_ROWS", CHUNK)
@@ -186,8 +206,10 @@ def test_bulk_check_matches_the_walk(path, kind, d_x, data):
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("d_x", [1, 64])
-def test_written_files_skip_the_walk(path, monkeypatch, bulk_results, kind, d_x):
-    # every chunk of what the writer writes passes the bulk check
+@pytest.mark.parametrize("blanks", [False, True])
+def test_written_files_skip_the_walk(path, monkeypatch, bulk_results, kind, d_x, blanks):
+    # every chunk of what the writer writes passes the bulk check, also with
+    # a blank line, empty or whitespace-only, after each row
     rng = np.random.default_rng(d_x)
     n = 2 * datasets.CHUNK_ROWS + 3
     features = rng.standard_normal((n, d_x)) * 10.0 ** rng.integers(-300, 300, (n, d_x))
@@ -199,9 +221,14 @@ def test_written_files_skip_the_walk(path, monkeypatch, bulk_results, kind, d_x)
         hidden = labels if kind == "target with hidden labels" else None
         ds = Dataset(features, None, 7, "target", hidden_labels=hidden)
     write_feature_file(ds, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if blanks:
+        lines[1:] = [ln for i, row in enumerate(lines[1:]) for ln in (row, " \t" * (i % 2))]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     monkeypatch.setattr(datasets, "_parse_floats", None)  # the walk's value reader
     again = read_feature_file(path)
-    assert len(bulk_results) == 3 and None not in bulk_results
+    assert len(bulk_results) == -(-(len(lines) - 1) // datasets.CHUNK_ROWS)
+    assert None not in bulk_results
     assert again.features.tobytes() == np.array(
         [[float(format(v, ".9g")) for v in row] for row in features.tolist()]).tobytes()
     for got, want in ((again.labels, ds.labels), (again.hidden_labels, ds.hidden_labels)):
@@ -222,16 +249,6 @@ def reference_row_error(line: str):
             return str(exc)
     return next((f"non-finite value {v!r}" for v in values if not math.isfinite(float(v))),
                 None)
-
-
-# pieces of values float() accepts or rejects: whitespace it strips ("\xa0",
-# "\x0c", "\t", " "), control characters it rejects but np.loadtxt skips
-# ("\x1c", "\x1f"), a non-ASCII digit and a "_" it reads but np.loadtxt
-# rejects, non-finite spellings, and ASCII either reader could take for
-# something else
-FLOAT_PIECES = [*"0123456789+-.eE", "nan", "inf", "\xa0", "\x0c", "\x1c", "\u0661",
-                "\x1f", "\x00", "\x7f", "\t", " ", "#", '"', "_"]
-VALUES = st.lists(st.sampled_from(FLOAT_PIECES), max_size=6).map("".join)
 
 
 # the reader hands over only lines of d_x values, so every line has the same width
