@@ -151,25 +151,105 @@ READ_HINT = 1 << 16
 
 
 def write_feature_file(dataset: Dataset, path) -> None:
-    """Line-oriented text serialization, floats as ``%.9g``.
-
-    Each row is one ``%`` call on Python floats, so the text equals
-    ``format(v, ".9g")`` per value; rows go to the file in chunks of
-    ``CHUNK_ROWS``.
+    """Line-oriented text serialization, floats as ``%.9g``: the text equals
+    ``format(v, ".9g")`` per value. Rows go to the file in chunks of
+    ``CHUNK_ROWS``. ``_format_chunk`` writes the values of every row it can
+    prove exact; a row holding any other value is one ``%`` call on Python
+    floats, as ``%.9g`` defines the text.
     """
-    row_fmt = (("?" if dataset.labels is None else "%d") + ",%.9g" * dataset.d_x
-               + ("" if dataset.hidden_labels is None else "#%d") + "\n")
+    row_fmt = ",%.9g" * dataset.d_x
+    line_fmt = (("?" if dataset.labels is None else "%d") + "%s"
+                + ("" if dataset.hidden_labels is None else "#%d") + "\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{FEATURE_HEADER_PREFIX} d={dataset.d_x} k={dataset.k_s} "
                  f"role={dataset.role}\n")
         for start in range(0, dataset.n, CHUNK_ROWS):
             chunk = slice(start, start + CHUNK_ROWS)
-            rows = dataset.features[chunk].tolist()
+            values = dataset.features[chunk]
+            bodies = _format_chunk(values)
+            for i, body in enumerate(bodies):
+                if body is None:
+                    bodies[i] = row_fmt % tuple(values[i].tolist())
+            columns = [bodies]
             if dataset.labels is not None:
-                rows = [[lb, *row] for lb, row in zip(dataset.labels[chunk].tolist(), rows)]
+                columns.insert(0, dataset.labels[chunk].tolist())
             if dataset.hidden_labels is not None:
-                rows = [[*row, lb] for row, lb in zip(rows, dataset.hidden_labels[chunk].tolist())]
-            fh.write("".join([row_fmt % tuple(row) for row in rows]))
+                columns.append(dataset.hidden_labels[chunk].tolist())
+            fh.write("".join([line_fmt % args for args in zip(*columns)]))
+
+
+# The doubles nearest 1e-4 ... 1e9 (literals, not pow) and, per bracket of
+# ``np.searchsorted`` over them, the exact power of ten 10**(8-X) that brings
+# a value in [10**X, 10**(X+1)) to [1e8, 1e9). The brackets outside
+# [1e-4, 1e9), which ``%.9g`` writes in exponent form, get 1.0, so their
+# significands fall outside [1e8, 1e9) and are never proven.
+_POWERS = np.array([float(f"1e{e}") for e in range(-4, 10)])
+_SCALES = np.array([1.0, *(float(f"1e{e}") for e in range(12, -1, -1)), 1.0])
+_AT = np.arange(14, dtype=np.uint8)[:, None]  # character positions after the sign
+
+
+def _format_chunk(values: np.ndarray) -> list[str | None]:
+    """Each row of ``values`` as ``",%.9g" * cols`` formats it, or None for a
+    row holding a value this kernel cannot prove exact.
+
+    For |x| in [1e-4, 1e9), ``np.searchsorted`` over ``_POWERS`` gives X =
+    floor(log10 |x|), and y = |x| * 10**(8-X) is the correctly rounded
+    product of |x| and an exact power of ten. Rounding is monotone and every
+    half-integer below 2**52 is a double, so when y is not a half-integer,
+    the exact product lies strictly between the same two half-integers as
+    y: rint(y) is then its correctly rounded integer. When that has exactly
+    9 digits, it is the significand ``%.9g`` prints, in fixed-point form.
+    ±0 is "0" or "-0". Anything else -- exponent form, a tie in y, a rounding
+    up to 10 digits -- leaves its row unproven; a wrong X would fail the
+    9-digit check too.
+
+    The text is laid out column-major, one ``uint8`` row per character
+    position with every value along the long axis: ',', the sign, then
+    "0000" and the 9 digits (from ``np.divmod`` on ``uint32``) with the '.'
+    at 5+X. Each value keeps one interval of those positions: the leading pad
+    and the trailing zeros after the '.' fall outside it and become NUL,
+    which one ``bytes.translate`` deletes; cumulative lengths cut the text
+    into rows.
+    """
+    rows, cols = values.shape
+    if not cols:
+        return [""] * rows
+    x = values.ravel()
+    mag = np.abs(x)
+    bracket = np.searchsorted(_POWERS, mag, side="right")  # X + 5 for proven values
+    y = mag * _SCALES[bracket]
+    sig = np.rint(y)
+    proven = ((sig >= 1e8) & (sig < 1e9) & (np.abs(y - sig) < 0.5)) | (mag == 0)
+    exact = proven.reshape(rows, cols).all(axis=1)
+    if not exact.any():  # e.g. a chunk all in exponent form: no layout to waste
+        return [None] * rows
+    sig = np.where(proven, sig, 0)
+    point = np.where(sig > 0, bracket, 5).astype(np.uint8)  # 0 is laid out as "0"
+    sig = sig.astype(np.uint32)
+
+    padded = np.empty((13, x.size), np.uint8)  # "0000" and the 9 digits
+    padded[:4] = ord("0")
+    trailing = np.zeros(x.size, np.uint8)  # trailing zero digits, 9 for 0
+    nonzero = np.zeros(x.size, bool)
+    for row in range(12, 3, -1):
+        sig, padded[row] = np.divmod(sig, 10)
+        nonzero |= padded[row] != 0
+        trailing += ~nonzero
+    padded[4:] += ord("0")
+
+    grid = np.full((16, x.size), ord("."), np.uint8)
+    grid[0] = ord(",")
+    grid[1] = ord("-") * np.signbit(x)
+    np.copyto(grid[2:15], padded, where=_AT[:13] < point)
+    np.copyto(grid[3:16], padded, where=_AT[1:] > point)
+    lead = np.minimum(4, point - 1)  # keep one '0' before the '.' of |x| < 1
+    end = np.where(14 - trailing > point + 1, 14 - trailing, point)  # no bare '.'
+    grid[2:] *= (_AT >= lead) & (_AT < end)
+
+    text = grid.T.tobytes().translate(None, b"\0").decode("ascii")
+    lengths = (end - lead + 1).astype(np.intp) + np.signbit(x)
+    ends = np.cumsum(lengths.reshape(rows, cols).sum(axis=1)).tolist()
+    return [text[a:b] if ok else None for a, b, ok in zip([0, *ends], ends, exact.tolist())]
 
 
 def read_feature_file(path) -> Dataset:
@@ -202,6 +282,7 @@ def _parse_features(path, lines) -> Dataset:
         if sizes[i] < low:
             raise DataFormatError(f"{path}: line 1: {key}={meta[key]} must be ASCII digits >= {low}")
     d_x, k_s = sizes
+    label_end = min(k_s, 2**63)  # labels are held as int64
     if role not in ("source", "target"):
         raise DataFormatError(f"{path}: line 1: unknown role {role!r}")
 
@@ -220,7 +301,7 @@ def _parse_features(path, lines) -> Dataset:
 
     first = 2  # the line number of the first line of ``raw``
     while raw := list(islice(lines, CHUNK_ROWS)):
-        rows = _whole_rows(raw, d_x, k_s, role)
+        rows = _whole_rows(raw, d_x, label_end, role)
         if rows is not None:
             blocks.append(rows[0])
             labels += rows[1]
@@ -239,8 +320,8 @@ def _parse_features(path, lines) -> Dataset:
                     chunk[lineno] = text  # converted later, but in this order of checks
                     hidden_label = parse_digits(comment) if hash_sign else None  # a bare '#' too
                     for lb in (label, hidden_label):
-                        if lb is not None and not 0 <= lb < k_s:
-                            raise ValueError(f"label {lb} not in [0, {k_s})")
+                        if lb is not None and not 0 <= lb < label_end:
+                            raise ValueError(f"label {lb} not in [0, {label_end})")
                 except ValueError as exc:
                     convert()  # a bad value before this check is reported first
                     raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
@@ -278,7 +359,7 @@ def _parse_features(path, lines) -> Dataset:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
-def _whole_rows(lines: list[str], d_x: int, k_s: int, role: str):
+def _whole_rows(lines: list[str], d_x: int, label_end: int, role: str):
     """The features, labels and hidden labels of ``lines``, one chunk of a
     feature file, and the index of its first row, when one bulk check proves
     that the walk in ``_parse_features`` would read them with the same bits
@@ -286,12 +367,12 @@ def _whole_rows(lines: list[str], d_x: int, k_s: int, role: str):
     skips them, and at least one row is left. The rows are ASCII text free of
     ``_`` and ``\\x1c``-``\\x1f`` (``np.loadtxt`` strips them, ``float()``
     rejects them); each label is ``?`` on a target, or ASCII digits below
-    ``k_s`` on a source; either every row has ASCII digits below ``k_s`` after
-    its ``#`` or no row has a ``#`` (a source row's comment is a fault the
-    reader names after the last chunk, as for the walk); and one
-    ``np.loadtxt`` of the value text, with warnings raised as errors, gives
-    exactly ``(rows, d_x)`` finite values, which also proves each row's field
-    count."""
+    ``label_end`` (the header's ``k``, capped at 2**63) on a source; either
+    every row has ASCII digits below ``label_end`` after its ``#`` or no row
+    has a ``#`` (a source row's comment is a fault the reader names after the
+    last chunk, as for the walk); and one ``np.loadtxt`` of the value text,
+    with warnings raised as errors, gives exactly ``(rows, d_x)`` finite
+    values, which also proves each row's field count."""
     rows = list(compress(lines, map(str.strip, lines)))
     text = "\n".join(rows)
     if not (d_x and rows and text.isascii() and not any(c in text for c in "_\x1c\x1d\x1e\x1f")):
@@ -299,10 +380,10 @@ def _whole_rows(lines: list[str], d_x: int, k_s: int, role: str):
     bodies, hidden = rows, []
     if "#" in text:
         bodies, _, hidden = zip(*[row.partition("#") for row in rows])
-        hidden = _labels_below(hidden, k_s)
+        hidden = _labels_below(hidden, label_end)
     labels, _, values = zip(*[body.partition(",") for body in bodies])
     if role == "source":
-        labels = _labels_below(labels, k_s)
+        labels = _labels_below(labels, label_end)
     else:
         labels = [None] * len(labels) if labels.count("?") == len(labels) else None
     if labels is None or hidden is None:
@@ -318,8 +399,8 @@ def _whole_rows(lines: list[str], d_x: int, k_s: int, role: str):
     return features, labels, hidden, lines.index(rows[0])
 
 
-def _labels_below(texts: tuple[str, ...], k_s: int) -> list[int] | None:
-    """The ints of ``texts`` if each is ASCII digits for an int below ``k_s``,
+def _labels_below(texts: tuple[str, ...], end: int) -> list[int] | None:
+    """The ints of ``texts`` if each is ASCII digits for an int below ``end``,
     as ``parse_digits`` and the walk's range check take it; else None."""
     if not "".join(texts).isdigit():
         return None
@@ -327,7 +408,7 @@ def _labels_below(texts: tuple[str, ...], k_s: int) -> list[int] | None:
         ints = list(map(int, texts))
     except ValueError:  # an empty text, or more digits than int() converts
         return None
-    return ints if max(ints) < k_s else None
+    return ints if max(ints) < end else None
 
 
 def _parse_floats(chunk: dict[int, str], cols: int) -> np.ndarray:

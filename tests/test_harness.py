@@ -668,6 +668,14 @@ BAD_INPUTS = [
         t, lambda c: c["adapt"].update(n_a=10**20))),
     ("source header k=10**20", TRAIN, 2, lambda t: rewrite(
         t / "s.features", lambda s: s.replace(" k=6 ", f" k={10**20} ", 1))),
+    # labels below k=10**20 that do not fit the int64 label arrays
+    *[(f"{role} label 10**19 under k=10**20", command, 4,
+       lambda t, f=file, p=pattern, r=repl: rewrite(t / f, lambda s: re.sub(
+           p, r, s.replace(" k=6 ", f" k={10**20} ", 1), count=1))
+       or f"line 2: label {10**19} not in [0, {2**63})")
+      for role, command, file, pattern, repl in [
+          ("source", TRAIN, "s.features", r"\n\d+,", f"\n{10**19},"),
+          ("target hidden", EVAL, "t.features", r"#\d+\n", f"#{10**19}\n")]],
     *[(f"gradcheck seed {value!r}", ["gradcheck", "--seed", value], 2, lambda t: None)
       for value in ("-1", "+1", "1_0")],
 ]
