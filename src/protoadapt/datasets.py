@@ -146,30 +146,34 @@ def _draw_domain(rng, means, per_class, cluster_std):
 # Rows the writer formats, and the reader checks and converts, per chunk:
 # the text held in memory stays a few hundred lines whatever the file size.
 CHUNK_ROWS = 256
+# Values the writer formats per chunk at most (one row, if a row holds more),
+# so its memory does not grow with the row width either.
+CHUNK_VALUES = CHUNK_ROWS * 64
 # Characters the reader reads, then completes to a whole line, per block.
 READ_HINT = 1 << 16
 
 
 def write_feature_file(dataset: Dataset, path) -> None:
     """Line-oriented text serialization, floats as ``%.9g``: the text equals
-    ``format(v, ".9g")`` per value. Rows go to the file in chunks of
-    ``CHUNK_ROWS``. ``_format_chunk`` writes the values of every row it can
-    prove exact; a row holding any other value is one ``%`` call on Python
-    floats, as ``%.9g`` defines the text.
+    ``format(v, ".9g")`` per value. Rows go to the file in chunks of at most
+    ``CHUNK_ROWS`` rows and ``CHUNK_VALUES`` values (one row, if a row holds
+    more). ``_format_chunk`` writes a chunk whose values it can nearly all
+    prove exact; any other chunk is one ``%`` call per row on Python floats,
+    as ``%.9g`` defines the text.
     """
     row_fmt = ",%.9g" * dataset.d_x
     line_fmt = (("?" if dataset.labels is None else "%d") + "%s"
                 + ("" if dataset.hidden_labels is None else "#%d") + "\n")
+    step = max(1, min(CHUNK_ROWS, CHUNK_VALUES // max(dataset.d_x, 1)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{FEATURE_HEADER_PREFIX} d={dataset.d_x} k={dataset.k_s} "
                  f"role={dataset.role}\n")
-        for start in range(0, dataset.n, CHUNK_ROWS):
-            chunk = slice(start, start + CHUNK_ROWS)
+        for start in range(0, dataset.n, step):
+            chunk = slice(start, start + step)
             values = dataset.features[chunk]
             bodies = _format_chunk(values)
-            for i, body in enumerate(bodies):
-                if body is None:
-                    bodies[i] = row_fmt % tuple(values[i].tolist())
+            if bodies is None:
+                bodies = [row_fmt % tuple(row) for row in values.tolist()]
             columns = [bodies]
             if dataset.labels is not None:
                 columns.insert(0, dataset.labels[chunk].tolist())
@@ -186,11 +190,16 @@ def write_feature_file(dataset: Dataset, path) -> None:
 _POWERS = np.array([float(f"1e{e}") for e in range(-4, 10)])
 _SCALES = np.array([1.0, *(float(f"1e{e}") for e in range(12, -1, -1)), 1.0])
 _AT = np.arange(14, dtype=np.uint8)[:, None]  # character positions after the sign
+_SPEC = np.frombuffer(b"%.9g".ljust(15, b"\0"), np.uint8)[:, None]  # an unproven value's column
+# The share of a chunk's values ``_format_chunk`` may leave to ``%`` and
+# still beat one ``%`` call per row: each such value costs about twice what
+# the row format spends on a value.
+_MAX_UNPROVEN = 0.1
 
 
-def _format_chunk(values: np.ndarray) -> list[str | None]:
-    """Each row of ``values`` as ``",%.9g" * cols`` formats it, or None for a
-    row holding a value this kernel cannot prove exact.
+def _format_chunk(values: np.ndarray) -> list[str] | None:
+    """Each row of ``values`` as ``",%.9g" * cols`` formats it, or None when
+    more than ``_MAX_UNPROVEN`` of its values are not proven exact.
 
     For |x| in [1e-4, 1e9), ``np.searchsorted`` over ``_POWERS`` gives X =
     floor(log10 |x|), and y = |x| * 10**(8-X) is the correctly rounded
@@ -199,17 +208,18 @@ def _format_chunk(values: np.ndarray) -> list[str | None]:
     the exact product lies strictly between the same two half-integers as
     y: rint(y) is then its correctly rounded integer. When that has exactly
     9 digits, it is the significand ``%.9g`` prints, in fixed-point form.
-    ±0 is "0" or "-0". Anything else -- exponent form, a tie in y, a rounding
-    up to 10 digits -- leaves its row unproven; a wrong X would fail the
+    ±0 is "0" or "-0". Any other value -- exponent form, a tie in y, a
+    rounding up to 10 digits -- is left to ``%``; a wrong X would fail the
     9-digit check too.
 
     The text is laid out column-major, one ``uint8`` row per character
     position with every value along the long axis: ',', the sign, then
     "0000" and the 9 digits (from ``np.divmod`` on ``uint32``) with the '.'
     at 5+X. Each value keeps one interval of those positions: the leading pad
-    and the trailing zeros after the '.' fall outside it and become NUL,
-    which one ``bytes.translate`` deletes; cumulative lengths cut the text
-    into rows.
+    and the trailing zeros after the '.' fall outside it and become NUL. An
+    unproven value's column is ",%.9g". One ``bytes.translate`` deletes the
+    NULs, cumulative lengths cut the text into rows, and each row holding a
+    "%.9g" is one ``%`` call on its unproven values.
     """
     rows, cols = values.shape
     if not cols:
@@ -220,9 +230,9 @@ def _format_chunk(values: np.ndarray) -> list[str | None]:
     y = mag * _SCALES[bracket]
     sig = np.rint(y)
     proven = ((sig >= 1e8) & (sig < 1e9) & (np.abs(y - sig) < 0.5)) | (mag == 0)
-    exact = proven.reshape(rows, cols).all(axis=1)
-    if not exact.any():  # e.g. a chunk all in exponent form: no layout to waste
-        return [None] * rows
+    unproven = np.flatnonzero(~proven)
+    if unproven.size > _MAX_UNPROVEN * x.size:  # e.g. a chunk in exponent form
+        return None
     sig = np.where(proven, sig, 0)
     point = np.where(sig > 0, bracket, 5).astype(np.uint8)  # 0 is laid out as "0"
     sig = sig.astype(np.uint32)
@@ -245,11 +255,17 @@ def _format_chunk(values: np.ndarray) -> list[str | None]:
     lead = np.minimum(4, point - 1)  # keep one '0' before the '.' of |x| < 1
     end = np.where(14 - trailing > point + 1, 14 - trailing, point)  # no bare '.'
     grid[2:] *= (_AT >= lead) & (_AT < end)
+    lengths = (end - lead + 1).astype(np.intp) + np.signbit(x)
+    grid[1:, unproven] = _SPEC
+    lengths[unproven] = 5
 
     text = grid.T.tobytes().translate(None, b"\0").decode("ascii")
-    lengths = (end - lead + 1).astype(np.intp) + np.signbit(x)
     ends = np.cumsum(lengths.reshape(rows, cols).sum(axis=1)).tolist()
-    return [text[a:b] if ok else None for a, b, ok in zip([0, *ends], ends, exact.tolist())]
+    bodies = [text[a:b] for a, b in zip([0, *ends], ends)]
+    fill = iter(x[unproven].tolist())
+    for i, count in zip(*(a.tolist() for a in np.unique(unproven // cols, return_counts=True))):
+        bodies[i] %= tuple(islice(fill, count))
+    return bodies
 
 
 def read_feature_file(path) -> Dataset:

@@ -1,8 +1,8 @@
 """The feature-file and checkpoint writers: byte-for-byte equal to
 reference formatters on any finite input, chunk boundaries included, and
 pinned to literal golden text. The feature writer's numpy kernel equals
-``format(v, ".9g")`` on every row it proves, proves nearly every row of
-real-looking features, and holds one chunk at a time. The feature reader
+``format(v, ".9g")``, proves nearly every value of real-looking features,
+and holds one chunk of a bounded number of values at a time. The feature reader
 and its float parser:
 bit-for-bit equal to ``float()`` one value at a time; its bulk check reads
 what the per-line walk reads, and takes everything the writer writes."""
@@ -82,12 +82,10 @@ def test_feature_writer_matches_reference(path, kind, n, d_x, data):
 
 def kernel_mismatches(values: np.ndarray):
     """The rows ``datasets._format_chunk`` formats other than ``",%.9g"`` per
-    value, and whether it proves each row."""
+    value."""
     got = datasets._format_chunk(values)
     want = ["".join("," + format(v, ".9g") for v in row) for row in values.tolist()]
-    bad = [(row, g, w) for row, g, w in zip(values.tolist(), got, want)
-           if g is not None and g != w]
-    return bad, np.array([g is not None for g in got])
+    return [(row, g, w) for row, g, w in zip(values.tolist(), got, want) if g != w]
 
 
 # binary-exact ties at the 9th digit, the ends of the fixed-point range and
@@ -96,36 +94,51 @@ KERNEL_EDGES = np.array([123456789.5, 12345678.25, 1e-4, 1e9, 9.999999995e-5,
                          99999999.95, 999999999.5, 0.1, 2.5, 1e8, 1.0])
 
 
-def test_format_kernel_is_exact():
+def test_format_kernel_is_exact(monkeypatch):
+    monkeypatch.setattr(datasets, "_MAX_UNPROVEN", 1.0)  # lay out every chunk
     edges = np.concatenate([KERNEL_EDGES, np.nextafter(KERNEL_EDGES, 0),
                             np.nextafter(KERNEL_EDGES, np.inf)])
-    edges = np.concatenate([edges, -edges, [0.0, -0.0]])
+    edges = np.concatenate([edges, -edges, [0.0, -0.0, -5e-324, MAX]])  # and the longest texts
     rng = np.random.default_rng(29)
     normals = (rng.standard_normal((18, 40_000))
                * 10.0 ** np.arange(-6, 12)[:, None]).ravel()  # every decade in [1e-6, 1e11]
     bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
     grids = (rng.integers(10**8, 10**10, 200_000)  # 9- and 10-digit decimals
              / 10.0 ** rng.integers(0, 14, 200_000) * rng.choice([-1, 1], 200_000))
-    for values, cols in ((edges, 1), (bits[np.isfinite(bits)], 1), (normals, 8),
-                         (grids, 1)):
-        bad, _ = kernel_mismatches(values.reshape(-1, cols))
+    for values, cols in ((edges, 1), (bits[np.isfinite(bits)], 1), (normals, 1),
+                         (rng.permutation(normals), 64), (grids, 1)):
+        bad = kernel_mismatches(values.reshape(-1, cols))
         assert not bad, bad[:5]
-    bad, proven = kernel_mismatches(normals.reshape(-1, 1))
-    assert not bad, bad[:5]
-    # not vacuous: the zeros and nearly every other value in [1e-4, 1e9) are proven
-    in_range = (np.abs(normals) >= 1e-4) & (np.abs(normals) < 1e9)
-    assert proven[in_range].mean() > 0.99
-    assert kernel_mismatches(np.array([[0.0, -0.0]]))[1].all()
+    # not vacuous: the zeros and nearly every value in [1e-4, 1e9) are proven
+    in_range = normals[(np.abs(normals) >= 1e-4) & (np.abs(normals) < 1e9)]
+    monkeypatch.setattr(datasets, "_MAX_UNPROVEN", 0.01)
+    assert datasets._format_chunk(in_range.reshape(-1, 1)) is not None
+    monkeypatch.setattr(datasets, "_MAX_UNPROVEN", 0.0)
+    assert datasets._format_chunk(np.array([[0.0, -0.0]])) is not None
 
 
-def test_written_targets_rarely_take_the_row_fallback(path, monkeypatch):
-    # a target of io_eval's shape: 5000 rows of 64 features, rotated and
-    # shifted, written with fewer than 1% of its rows formatted one `%` call
-    # per row; the bytes stay the reference's
+def io_eval_target():
+    """A target of io_eval's shape: 5000 rows of 64 features, rotated and
+    shifted."""
     spec = datasets.SyntheticSpec(k_s=16, k_t=8, d_x=64, source_per_class=50,
                                   target_per_class=625, rotation_angle=math.pi / 6,
                                   translation=(0.125,) * 64, seed=3)
-    _, target = datasets.generate_synthetic(spec)
+    return datasets.generate_synthetic(spec)[1]
+
+
+def unit_rows_target():
+    """2000 rows of 512 features scaled to unit L2 norm (std about 0.044):
+    most rows hold a value below 1e-4, which %.9g writes in exponent form."""
+    features = np.random.default_rng(29).standard_normal((2000, 512))
+    features /= np.linalg.norm(features, axis=1, keepdims=True)
+    return Dataset(features, None, 16, "target")
+
+
+@pytest.mark.parametrize("make", [io_eval_target, unit_rows_target])
+def test_written_features_leave_few_values_to_percent(path, monkeypatch, make):
+    # every chunk goes through the kernel with fewer than 1% of its values
+    # left to `%`, and the bytes stay the reference's
+    target = make()
     results, format_chunk = [], datasets._format_chunk
 
     def spy(values):
@@ -133,17 +146,19 @@ def test_written_targets_rarely_take_the_row_fallback(path, monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(datasets, "_format_chunk", spy)
+    monkeypatch.setattr(datasets, "_MAX_UNPROVEN", 0.01)
     write_feature_file(target, path)
-    assert len(results) == -(-target.n // datasets.CHUNK_ROWS)
-    assert sum(body is None for bodies in results for body in bodies) < 0.01 * target.n
+    step = min(datasets.CHUNK_ROWS, datasets.CHUNK_VALUES // target.d_x)
+    assert len(results) == -(-target.n // step)
+    assert all(bodies is not None for bodies in results)
     assert path.read_bytes() == reference_feature_text(target).encode()
 
 
-def write_peak(path, n):
-    """Bytes ``write_feature_file`` allocates at its peak on an (n, 64)
+def write_peak(path, n, d_x=64):
+    """Bytes ``write_feature_file`` allocates at its peak on an (n, d_x)
     source, under ``tracemalloc``."""
     rng = np.random.default_rng(n)
-    ds = Dataset(rng.standard_normal((n, 64)), rng.integers(0, 7, n), 7, "source")
+    ds = Dataset(rng.standard_normal((n, d_x)), rng.integers(0, 7, n), 7, "source")
     tracemalloc.start()
     try:
         write_feature_file(ds, path)
@@ -153,8 +168,10 @@ def write_peak(path, n):
 
 
 def test_writer_memory_is_per_chunk(path):
-    # the peak depends on CHUNK_ROWS, not on the number of rows
-    assert write_peak(path, 8000) <= 1.1 * write_peak(path, 2000)
+    # the peak depends on CHUNK_VALUES, not on the number of rows or their width
+    peak = write_peak(path, 2000)
+    assert write_peak(path, 8000) <= 1.1 * peak
+    assert write_peak(path, 512, d_x=1024) <= 1.1 * peak
 
 
 def reference_read(text: str):
