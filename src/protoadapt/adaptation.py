@@ -3,8 +3,8 @@ unlabeled target set whose label space is a subset of the source's.
 
 Each epoch refreshes, over the full target set: the moving-average
 ensemble predictions, the pseudo-labels, the confidence scores, and the
-confident subset. Mini-batch optimization then runs one of three
-schedules:
+confident subset. Each mini-batch is then one ``adapt_step`` in one of
+three schedules:
 
   epochs [0, warmup):          prediction-entropy alignment only
   epochs [warmup, switch]:     alignment + ensemble negative learning on
@@ -209,7 +209,7 @@ def loss_inter(u: np.ndarray, y_tilde: np.ndarray,
     """Negated mean cosine distance between differently-labeled target
     pairs and between each sample and the prototypes of other classes;
     minimizing widens both gaps. Takes and differentiates the unit codes.
-    ``adapt`` calls ``loss_geometry``; this remains for ``gradcheck`` and the tracer."""
+    ``adapt_step`` calls ``loss_geometry``; this remains only for the tracer's sites."""
     return loss_geometry(u, y_tilde, l2_normalize_rows(proto_weights.T)[0])[0]
 
 
@@ -217,7 +217,7 @@ def loss_intra(u: np.ndarray, y_tilde: np.ndarray,
                proto_weights: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cosine distance between same-labeled target pairs and between
     each sample and its own class prototype; minimizing compacts classes.
-    Remains, like ``loss_inter``, for ``gradcheck`` and the tracer."""
+    Remains, like ``loss_inter``, only for the benchmark tracer's sites."""
     return loss_geometry(u, y_tilde, l2_normalize_rows(proto_weights.T)[0])[1]
 
 
@@ -240,6 +240,50 @@ class AdaptEpochMetrics:
 class AdaptResult:
     ensemble: np.ndarray  # (n_e, d_z, K_s)
     history: list[AdaptEpochMetrics]
+
+
+def adapt_step(phase: str, z_l2: np.ndarray, labels: np.ndarray, confident: np.ndarray,
+               proto_weights: np.ndarray, v_unit: np.ndarray, ensemble: np.ndarray,
+               cfg: AdaptConfig, nl_data: tuple | None = None) -> tuple:
+    """One mini-batch of ``adapt`` in ``phase`` "warmup", "nl" or "ce", on the
+    batch's unit codes, pseudo-labels and confident mask; ``v_unit`` holds
+    the unit columns of ``proto_weights``, and ``nl_data`` ("nl" only) the
+    summed older history, its length and the complement masks. The objective
+    is alignment, plus NL ("nl") or CE through member 0 on the confident rows
+    ("ce"), plus, past warmup, alpha*inter + beta*intra on the confident rows.
+    Returns d/dz_l2, the gradient of ``ensemble[members]`` (None in warmup),
+    ``members``, and per term name (value, rows, its share of dz_l2 at rows),
+    a geometry term with a zero weight left out."""
+    rows = np.arange(z_l2.shape[0])
+    dz_l2 = np.zeros_like(z_l2)
+    ens_grad = members = None
+    align_val, dlogits = loss_align(classify(proto_weights, z_l2))
+    _, d_align = classify_backward(proto_weights, z_l2, dlogits)
+    dz_l2 += d_align
+    terms = {"align": (align_val, rows, d_align)}
+    if phase == "nl":
+        nl_val, d_nl, ens_grad = loss_nl(z_l2, ensemble, *nl_data, cfg.n_cl)
+        dz_l2 += d_nl
+        members = slice(None)
+        terms["nl"] = (nl_val, rows, d_nl)
+    sel = np.flatnonzero(confident)
+    geometry = phase != "warmup" and (cfg.alpha != 0.0 or cfg.beta != 0.0)
+    if (phase == "ce" or geometry) and sel.size:  # one gather, one scatter
+        z_sel, y_sel, dz_sel = z_l2[sel], labels[sel], dz_l2[sel]
+        if phase == "ce":
+            ce_val, d_ce = loss_ce(classify(ensemble[0], z_sel), y_sel)
+            ens_grad, d_sel = classify_backward(ensemble[0], z_sel, d_ce)
+            dz_sel += d_sel
+            members = 0
+            terms["ce"] = (ce_val, sel, d_sel)
+        if geometry:
+            geom = loss_geometry(z_sel, y_sel, v_unit)
+            for key, coef, (v, d) in zip(("inter", "intra"), (cfg.alpha, cfg.beta), geom):
+                if coef != 0.0:
+                    terms[key] = (v, sel, coef * d)
+                    dz_sel += terms[key][2]
+        dz_l2[sel] = dz_sel
+    return dz_l2, ens_grad, members, terms
 
 
 def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
@@ -288,56 +332,30 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
         if not cfg.use_confident_subset:
             conf_mask = np.ones(target.n, dtype=bool)
 
-        nl_phase = cfg.warmup_epochs <= epoch <= cfg.switch_epoch
-        ce_phase = epoch > cfg.switch_epoch
-        geometry = epoch >= cfg.warmup_epochs and (cfg.alpha != 0.0 or cfg.beta != 0.0)
-        if nl_phase:
+        phase = ("warmup" if epoch < cfg.warmup_epochs else
+                 "nl" if epoch <= cfg.switch_epoch else "ce")
+        if phase == "nl":
             n_sets = 1 if cfg.share_complement_set else cfg.n_e
             comp_masks = np.broadcast_to(
                 gen_complement_sets(labels, k_s, n_sets, cfg.n_cl, comp_rng),
                 (target.n, cfg.n_e, k_s))
             hist_base = sum(logit_history) - logit_history[-1]
 
-        sums = {"nl": 0.0, "inter": 0.0, "intra": 0.0, "align": 0.0}
-        weights_acc = {"nl": 0, "geom": 0}
+        # per metric column, the row-weighted sum of its term values and the rows
+        sums = dict.fromkeys(("align", "nl", "inter", "intra"), 0.0)
+        counts = dict.fromkeys(sums, 0)
         for idx in epoch_batches(target, cfg.batch_size, batch_rng):
             fwd = encoder.forward(x[idx])
-            dz_l2 = np.zeros_like(fwd.z_l2)
-            ens_grad = None  # for the members selected by ``members``
-            sel = np.flatnonzero(conf_mask[idx])
-
-            align_val, dlogits = loss_align(classify(prototypes.weights, fwd.z_l2))
-            _, d_align = classify_backward(prototypes.weights, fwd.z_l2, dlogits)
-            dz_l2 += d_align
-            sums["align"] += align_val * len(idx)
-
-            if nl_phase:
-                nl_val, d_nl, ens_grad = loss_nl(fwd.z_l2, ensemble,
-                                                 hist_base[idx], len(logit_history),
-                                                 comp_masks[idx], cfg.n_cl)
-                dz_l2 += d_nl
-                members = slice(None)
-                sums["nl"] += nl_val * len(idx)
-                weights_acc["nl"] += len(idx)
-            if (ce_phase or geometry) and sel.size:  # one gather, one scatter
-                z_sel, y_sel, dz_sel = fwd.z_l2[sel], labels[idx[sel]], dz_l2[sel]
-                if ce_phase:
-                    ce_val, d_ce = loss_ce(classify(ensemble[0], z_sel), y_sel)
-                    ens_grad, d_sel = classify_backward(ensemble[0], z_sel, d_ce)
-                    dz_sel += d_sel
-                    members = 0
-                    sums["nl"] += ce_val * sel.size
-                    weights_acc["nl"] += sel.size
-                if geometry:
-                    terms = loss_geometry(z_sel, y_sel, v_unit)
-                    for key, coef, (v, d) in zip(("inter", "intra"), (cfg.alpha, cfg.beta), terms):
-                        if coef != 0.0:
-                            dz_sel += coef * d
-                            sums[key] += v * sel.size
-                    weights_acc["geom"] += sel.size
-                dz_l2[sel] = dz_sel
-
-            if not math.isfinite(sums["align"] + sums["nl"] + sums["inter"] + sums["intra"]):
+            nl_data = ((hist_base[idx], len(logit_history), comp_masks[idx])
+                       if phase == "nl" else None)
+            dz_l2, ens_grad, members, terms = adapt_step(
+                phase, fwd.z_l2, labels[idx], conf_mask[idx], prototypes.weights, v_unit,
+                ensemble, cfg, nl_data)
+            for name, (value, rows, _) in terms.items():
+                key = "nl" if name == "ce" else name  # CE fills the supervised column
+                sums[key] += value * len(rows)
+                counts[key] += len(rows)
+            if not math.isfinite(sum(sums.values())):
                 raise NumericError(f"adaptation diverged at epoch {epoch}")
             apply_sgd_momentum(encoder.theta, encoder.backward(fwd.ctx, dz_l2),
                                enc_vel, lr)
@@ -348,11 +366,8 @@ def adapt(encoder: Encoder, prototypes: PrototypeMatrix, target: Dataset,
         z_l2 = encoder.encode(x)
         acc = epoch_hook(epoch, z_l2, ensemble) if epoch_hook else None
         target_acc = None if acc is None else float(acc)  # not 'np.float64(...)' in the CSV
-        n_sup = weights_acc["nl"] or 1
-        n_geom = weights_acc["geom"] or 1
         row = AdaptEpochMetrics(
-            epoch, sums["nl"] / n_sup, sums["inter"] / n_geom,
-            sums["intra"] / n_geom, sums["align"] / target.n,
+            epoch, *(sums[k] / (counts[k] or 1) for k in ("nl", "inter", "intra", "align")),
             tau, int(conf_mask.sum()), target_acc)
         history.append(row)
         if log_path is not None:

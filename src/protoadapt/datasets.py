@@ -305,15 +305,6 @@ def _parse_features(path, lines) -> Dataset:
     labels, hidden, blocks = [], [], [np.empty((0, d_x))]
     misrole_line = None  # the first unlabeled source row or labeled target row
     hidden_line = {}  # True/False -> the first row with/without a hidden label
-    chunk = {}  # line number -> value text, for lines whose values are not yet converted
-
-    def convert():
-        try:
-            if d_x and chunk:
-                blocks.append(_parse_floats(chunk, d_x))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: {exc}") from exc
-        chunk.clear()
 
     first = 2  # the line number of the first line of ``raw``
     while raw := list(islice(lines, CHUNK_ROWS)):
@@ -324,6 +315,7 @@ def _parse_features(path, lines) -> Dataset:
             hidden += rows[2]
             hidden_line.setdefault(bool(rows[2]), first + rows[3])
         else:  # the walk, the only place a fault is named
+            values = []
             for lineno, line in enumerate(raw, start=first):
                 if not line.strip():
                     continue
@@ -333,13 +325,13 @@ def _parse_features(path, lines) -> Dataset:
                     if body.count(",") != d_x:
                         raise ValueError(f"expected {d_x} features, got {body.count(',')}")
                     label = None if label == "?" else parse_digits(label)
-                    chunk[lineno] = text  # converted later, but in this order of checks
+                    if d_x:
+                        values.append(_parse_floats(text))
                     hidden_label = parse_digits(comment) if hash_sign else None  # a bare '#' too
                     for lb in (label, hidden_label):
                         if lb is not None and not 0 <= lb < label_end:
                             raise ValueError(f"label {lb} not in [0, {label_end})")
                 except ValueError as exc:
-                    convert()  # a bad value before this check is reported first
                     raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
                 if hash_sign:
                     hidden.append(hidden_label)
@@ -347,7 +339,7 @@ def _parse_features(path, lines) -> Dataset:
                 if misrole_line is None and (label is None) == (role == "source"):
                     misrole_line = lineno
                 labels.append(label)
-            convert()
+            blocks.append(np.array(values, dtype=float).reshape(len(values), d_x))
         first += len(raw)
 
     with_line, without_line = hidden_line.get(True), hidden_line.get(False)
@@ -427,25 +419,18 @@ def _labels_below(texts: tuple[str, ...], end: int) -> list[int] | None:
     return ints if max(ints) < end else None
 
 
-def _parse_floats(chunk: dict[int, str], cols: int) -> np.ndarray:
-    """The (len(chunk), cols) array of the comma-separated values of ``chunk``,
-    which maps line numbers to value text of ``cols`` values each, one row per
-    line. A valid value has ``float()``'s syntax and bits, no ``_`` (``float()``
-    reads "1_0" as 10.0), and is finite. ``float()`` walks the rows, and the
-    first bad one raises ValueError("line N: ...")."""
-    rows = []
-    for number, line in chunk.items():
-        values = line.split(",")
-        try:
-            if "_" in line:
-                raise ValueError(f"'_' in {line!r}")
-            rows.append([float(v) for v in values])
-            for value, x in zip(values, rows[-1]):
-                if not math.isfinite(x):
-                    raise ValueError(f"non-finite value {value!r}")
-        except ValueError as exc:
-            raise ValueError(f"line {number}: {exc}") from None
-    return np.array(rows, dtype=float).reshape(len(chunk), cols)
+def _parse_floats(text: str) -> list[float]:
+    """The comma-separated values of ``text``, one row. A valid value has
+    ``float()``'s syntax and bits, no ``_`` (``float()`` reads "1_0" as
+    10.0), and is finite; the first bad one raises ValueError."""
+    if "_" in text:
+        raise ValueError(f"'_' in {text!r}")
+    values = text.split(",")
+    row = [float(v) for v in values]
+    for value, x in zip(values, row):
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite value {value!r}")
+    return row
 
 
 def epoch_batches(dataset: Dataset, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:

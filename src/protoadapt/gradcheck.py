@@ -1,7 +1,8 @@
-"""Finite-difference verification of every analytic loss gradient.
+"""Finite-difference verification of every analytic loss gradient, and of
+the batch step ``adapt_step`` that composes them, once per phase.
 
 Each check builds a small random instance, takes the analytic gradient
-from the loss called as training calls it, and compares against the
+from the loss or step called as training calls it, and compares against the
 central difference oracle from :mod:`protoadapt.numerics`. Terms specified as
 constants for backpropagation (older history entries, other ensemble
 members' contributions, the frozen prototypes) are frozen as data inside
@@ -15,10 +16,10 @@ from functools import partial
 
 import numpy as np
 
-from .adaptation import (gen_complement_sets, loss_align, loss_inter,
-                         loss_intra, loss_nl)
+from .adaptation import (AdaptConfig, adapt_step, gen_complement_sets, loss_align,
+                         loss_geometry, loss_nl)
 from .model import Encoder, PrototypeMatrix, classify, classify_backward
-from .numerics import clamped_log, finite_diff_grad, softmax
+from .numerics import clamped_log, finite_diff_grad, l2_normalize_rows, softmax
 from .source_trainer import loss_ce, loss_comp
 
 D_X, HIDDEN, D_Z, K_S, BATCH = 6, [8], 4, 5, 8
@@ -48,78 +49,115 @@ def _with_theta(encoder: Encoder, theta: np.ndarray) -> Encoder:
     return clone
 
 
+def _check_joint(encoder: Encoder, x: np.ndarray, dz_l2: np.ndarray,
+                 weights: np.ndarray, d_weights: np.ndarray, objective) -> float:
+    """Max relative error of ``Encoder.backward`` of ``dz_l2`` at ``x``, and
+    of ``d_weights``, against central differences of ``objective(z_l2,
+    weights)`` over the encoder parameters and ``weights``."""
+    n_enc = encoder.theta.size
+
+    def value(theta):
+        z_l2 = _with_theta(encoder, theta[:n_enc]).forward(x).z_l2
+        return objective(z_l2, theta[n_enc:].reshape(weights.shape))
+
+    analytic = np.concatenate([encoder.backward(encoder.forward(x).ctx, dz_l2=dz_l2),
+                               d_weights.ravel()])
+    theta0 = np.concatenate([encoder.theta, weights.ravel()])
+    return max_rel_err(analytic, finite_diff_grad(value, theta0))
+
+
 def _check_classifier_loss(seed: int, loss_fn) -> float:
     """Losses of the form loss(softmax(z_l2 @ W), y): gradient w.r.t. both
     the encoder parameters and the classifier weights."""
     _, encoder, protos, x, labels = _instance(seed)
-    n_enc = encoder.theta.size
-
-    def value(theta):
-        enc = _with_theta(encoder, theta[:n_enc])
-        w = theta[n_enc:].reshape(D_Z, K_S)
-        return loss_fn(classify(w, enc.forward(x).z_l2), labels)[0]
-
-    fwd = encoder.forward(x)
-    _, dlogits = loss_fn(classify(protos.weights, fwd.z_l2), labels)
-    d_w, dz_l2 = classify_backward(protos.weights, fwd.z_l2, dlogits)
-    analytic = np.concatenate([encoder.backward(fwd.ctx, dz_l2=dz_l2), d_w.ravel()])
-    theta0 = np.concatenate([encoder.theta, protos.weights.ravel()])
-    return max_rel_err(analytic, finite_diff_grad(value, theta0))
+    z_l2 = encoder.forward(x).z_l2
+    _, dlogits = loss_fn(classify(protos.weights, z_l2), labels)
+    d_w, dz_l2 = classify_backward(protos.weights, z_l2, dlogits)
+    return _check_joint(encoder, x, dz_l2, protos.weights, d_w,
+                        lambda z, w: loss_fn(classify(w, z), labels)[0])
 
 
-def check_loss_align(seed: int) -> float:
-    """Entropy alignment trains the encoder only; the prototypes are data."""
-    _, encoder, protos, x, _ = _instance(seed)
-
-    def value(theta):
-        probs = classify(protos.weights, _with_theta(encoder, theta).forward(x).z_l2)
-        return loss_align(probs)[0]
-
-    fwd = encoder.forward(x)
-    _, dlogits = loss_align(classify(protos.weights, fwd.z_l2))
-    _, dz_l2 = classify_backward(protos.weights, fwd.z_l2, dlogits)
-    analytic = encoder.backward(fwd.ctx, dz_l2=dz_l2)
-    return max_rel_err(analytic, finite_diff_grad(value, encoder.theta))
-
-
-def check_loss_nl(seed: int) -> float:
-    """Negative learning, with the analytic gradient from ``loss_nl`` called
-    as ``adapt`` calls it. The oracle freezes each member's logits at the
-    evaluation point, less its own live term, which it recomputes from the
-    perturbed parameters; the masked -(1-p) log(1-p) sum follows."""
+def _nl_instance(seed: int):
+    """``_instance`` plus an NL ensemble, summed older history and masks."""
     rng, encoder, protos, x, labels = _instance(seed)
     weights0 = protos.weights + 0.1 * rng.standard_normal((NL_MEMBERS, D_Z, K_S))
     hist_base = rng.standard_normal((BATCH, K_S))  # summed older entries
     masks = gen_complement_sets(labels, K_S, NL_MEMBERS, NL_SET_SIZE, rng)
+    return rng, encoder, protos, x, labels, weights0, hist_base, masks
 
-    fwd = encoder.forward(x)
-    _, dz_l2, d_ws = loss_nl(fwd.z_l2, weights0, hist_base, NL_HISTORY, masks, NL_SET_SIZE)
+
+def _nl_objective(z0: np.ndarray, weights0: np.ndarray, hist_base: np.ndarray,
+                  masks: np.ndarray):
+    """The NL value as a function of (z_l2, weights) with ``adapt``'s constants:
+    each member's logits frozen at (``z0``, ``weights0``) less its own live
+    term, which is recomputed; the masked -(1-p) log(1-p) sum follows."""
     scale = 1.0 / (NL_MEMBERS * NL_HISTORY)
-    live0 = fwd.z_l2 @ weights0
+    live0 = z0 @ weights0
     frozen = (hist_base + live0.sum(axis=0) / NL_MEMBERS) / NL_HISTORY - scale * live0
     member_masks = np.moveaxis(masks, 1, 0)
-    n_enc = encoder.theta.size
 
-    def value(theta):
-        ws = theta[n_enc:].reshape(NL_MEMBERS, D_Z, K_S)
-        p = softmax(frozen + scale * (_with_theta(encoder, theta[:n_enc]).forward(x).z_l2 @ ws))
+    def value(z_l2, ws):
+        p = softmax(frozen + scale * (z_l2 @ ws))
         phi = -(1.0 - p) * clamped_log(1.0 - p)
         return phi[member_masks].sum() / (BATCH * NL_SET_SIZE * NL_MEMBERS)
-
-    analytic = np.concatenate([encoder.backward(fwd.ctx, dz_l2=dz_l2), d_ws.ravel()])
-    theta0 = np.concatenate([encoder.theta, weights0.ravel()])
-    return max_rel_err(analytic, finite_diff_grad(value, theta0))
+    return value
 
 
-def _check_geometry_loss(seed: int, loss_fn) -> float:
+def check_loss_nl(seed: int) -> float:
+    """Negative learning, with the analytic gradient from ``loss_nl`` called
+    as ``adapt_step`` calls it, against ``_nl_objective``."""
+    _, encoder, _, x, _, weights0, hist_base, masks = _nl_instance(seed)
+    z_l2 = encoder.forward(x).z_l2
+    _, dz_l2, d_ws = loss_nl(z_l2, weights0, hist_base, NL_HISTORY, masks, NL_SET_SIZE)
+    return _check_joint(encoder, x, dz_l2, weights0, d_ws,
+                        _nl_objective(z_l2, weights0, hist_base, masks))
+
+
+def check_adapt_step(seed: int, phase: str) -> float:
+    """``adapt_step`` in ``phase``: ``Encoder.backward`` of its ``dz_l2`` and
+    its ensemble gradient, scattered into the whole ensemble, against the
+    whole batch objective. That is alignment, plus ``_nl_objective`` ("nl")
+    or CE through member 0 on the confident rows ("ce"), plus, past warmup,
+    alpha*inter + beta*intra on the confident rows, half the batch."""
+    rng, encoder, protos, x, labels, weights0, hist_base, masks = _nl_instance(seed)
+    confident = rng.permutation(BATCH) < BATCH // 2
+    sel = np.flatnonzero(confident)
+    cfg = AdaptConfig(n_e=NL_MEMBERS, n_cl=NL_SET_SIZE)
+    v_unit = l2_normalize_rows(protos.weights.T)[0]
+    z0 = encoder.forward(x).z_l2
+    dz_l2, ens_grad, members, _ = adapt_step(phase, z0, labels, confident, protos.weights,
+                                              v_unit, weights0, cfg,
+                                              (hist_base, NL_HISTORY, masks))
+    d_ens = np.zeros_like(weights0)
+    if ens_grad is not None:
+        d_ens[members] = ens_grad
+    nl_value = _nl_objective(z0, weights0, hist_base, masks)
+
+    def objective(z_l2, ws):
+        value = loss_align(classify(protos.weights, z_l2))[0]
+        if phase == "nl":
+            value += nl_value(z_l2, ws)
+        if phase == "ce":
+            value += loss_ce(classify(ws[0], z_l2[sel]), labels[sel])[0]
+        if phase != "warmup":
+            (inter, _), (intra, _) = loss_geometry(z_l2[sel], labels[sel], v_unit)
+            value += cfg.alpha * inter + cfg.beta * intra
+        return value
+    return _check_joint(encoder, x, dz_l2, weights0, d_ens, objective)
+
+
+def _check_geometry_loss(seed: int, term: int) -> float:
+    """``loss_geometry``'s inter (``term`` 0) or intra (1) term, called as
+    ``adapt_step`` calls it, over the encoder parameters."""
     rng, encoder, protos, x, _ = _instance(seed)
     y = rng.integers(0, K_S, size=BATCH)
+    v_unit = l2_normalize_rows(protos.weights.T)[0]
 
     def value(theta):
-        return loss_fn(_with_theta(encoder, theta).forward(x).z_l2, y, protos.weights)[0]
+        return loss_geometry(_with_theta(encoder, theta).forward(x).z_l2, y, v_unit)[term][0]
 
     fwd = encoder.forward(x)
-    _, dz_l2 = loss_fn(fwd.z_l2, y, protos.weights)
+    _, dz_l2 = loss_geometry(fwd.z_l2, y, v_unit)[term]
     analytic = encoder.backward(fwd.ctx, dz_l2=dz_l2)
     return max_rel_err(analytic, finite_diff_grad(value, encoder.theta))
 
@@ -127,10 +165,12 @@ def _check_geometry_loss(seed: int, loss_fn) -> float:
 CHECKS = {
     "loss_ce": partial(_check_classifier_loss, loss_fn=loss_ce),
     "loss_comp": partial(_check_classifier_loss, loss_fn=loss_comp),
-    "loss_align": check_loss_align,
+    "loss_align": partial(check_adapt_step, phase="warmup"),
     "loss_nl": check_loss_nl,
-    "loss_inter": partial(_check_geometry_loss, loss_fn=loss_inter),
-    "loss_intra": partial(_check_geometry_loss, loss_fn=loss_intra),
+    "loss_inter": partial(_check_geometry_loss, term=0),
+    "loss_intra": partial(_check_geometry_loss, term=1),
+    "adapt_step_nl": partial(check_adapt_step, phase="nl"),
+    "adapt_step_ce": partial(check_adapt_step, phase="ce"),
 }
 
 

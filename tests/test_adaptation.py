@@ -508,6 +508,48 @@ class TestGeometryLosses:
         np.testing.assert_array_equal(du, np.zeros_like(u))
 
 
+class TestAdaptStep:
+    @pytest.mark.parametrize("phase", ["warmup", "nl", "ce"])
+    def test_terms_add_up_to_the_code_gradient(self, phase):
+        rng, _, protos, _, labels, weights, hist_base, masks = gradcheck._nl_instance(3)
+        z_l2 = unit(rng.standard_normal((gradcheck.BATCH, gradcheck.D_Z)))
+        confident = np.arange(gradcheck.BATCH) % 3 == 0
+        dz_l2, ens_grad, members, terms = adaptation.adapt_step(
+            phase, z_l2, labels, confident, protos.weights, unit(protos.weights.T), weights,
+            AdaptConfig(n_e=2, n_cl=2), (hist_base, gradcheck.NL_HISTORY, masks))
+        assert list(terms) == {"warmup": ["align"], "nl": ["align", "nl", "inter", "intra"],
+                               "ce": ["align", "ce", "inter", "intra"]}[phase]
+        assert members == {"warmup": None, "nl": slice(None), "ce": 0}[phase]
+        assert (ens_grad is None) == (phase == "warmup")
+        total = np.zeros_like(z_l2)
+        for _, rows, grad in terms.values():
+            total[rows] += grad
+        np.testing.assert_array_equal(total, dz_l2)
+
+    # five one-line mutations of the composed step that the behaviour tests
+    # cannot see, each made as an edit of the step's code gradient from its
+    # per-term shares: term -> the multiple of its share added again (-2
+    # flips its sign, -1 drops it, as a dropped scatter drops CE and geometry)
+    @pytest.mark.parametrize("phase, edits", [
+        ("nl", {"nl": -2}),
+        ("ce", {"ce": -2}),
+        ("nl", {"inter": -2}),
+        ("ce", {"ce": -1, "inter": -1, "intra": -1}),
+        ("nl", {"inter": -2, "intra": -2}),
+    ], ids=["NL ascent", "CE ascent", "inter sign alone", "scatter dropped",
+            "both geometry signs"])
+    def test_step_check_catches_a_wrong_step(self, monkeypatch, phase, edits):
+        def mutant(*args):
+            dz_l2, ens_grad, members, terms = adaptation.adapt_step(*args)
+            for name, factor in edits.items():
+                _, rows, grad = terms[name]
+                dz_l2[rows] += factor * grad
+            return dz_l2, ens_grad, members, terms
+        assert gradcheck.check_adapt_step(0, phase) < gradcheck.TOLERANCE
+        monkeypatch.setattr(gradcheck, "adapt_step", mutant)
+        assert gradcheck.check_adapt_step(0, phase) > gradcheck.TOLERANCE
+
+
 class TestAdaptLoop:
     def test_zero_epochs_is_identity(self):
         target = small_target()

@@ -359,8 +359,14 @@ def test_parse_floats_matches_float(rows, first):
     cols = len(rows[0])
     chunk = dict(zip(range(first, first + len(lines)), lines))
     errors = [(n, e) for n, ln in chunk.items() if (e := reference_row_error(ln)) is not None]
-    try:
-        got = _parse_floats(chunk, cols)
+    try:  # a row at a time, and the first fault named by its line, as the walk reads
+        got = []
+        for number, line in chunk.items():
+            try:
+                got.append(_parse_floats(line))
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
+        got = np.array(got, dtype=float)
     except ValueError as exc:
         assert errors and str(exc) == "line %d: %s" % errors[0]
     else:
