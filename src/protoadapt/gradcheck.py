@@ -1,5 +1,5 @@
-"""Finite-difference verification of every analytic loss gradient, and of
-the batch step ``adapt_step`` that composes them, once per phase.
+"""Finite-difference verification of every analytic loss gradient and of the
+batch objectives that compose them: ``loss_source``, ``adapt_step`` per phase.
 
 Each check builds a small random instance, takes the analytic gradient
 from the loss or step called as training calls it, and compares against the
@@ -20,7 +20,7 @@ from .adaptation import (AdaptConfig, adapt_step, gen_complement_sets, loss_alig
                          loss_geometry, loss_nl)
 from .model import Encoder, PrototypeMatrix, classify, classify_backward
 from .numerics import clamped_log, finite_diff_grad, l2_normalize_rows, softmax
-from .source_trainer import loss_ce, loss_comp
+from .source_trainer import loss_ce, loss_comp, loss_source
 
 D_X, HIDDEN, D_Z, K_S, BATCH = 6, [8], 4, 5, 8
 NL_MEMBERS, NL_SET_SIZE, NL_HISTORY = 2, 2, 3
@@ -43,12 +43,6 @@ def _instance(seed: int):
     return rng, encoder, protos, x, labels
 
 
-def _with_theta(encoder: Encoder, theta: np.ndarray) -> Encoder:
-    clone = encoder.copy()
-    clone.theta[...] = theta
-    return clone
-
-
 def _check_joint(encoder: Encoder, x: np.ndarray, dz_l2: np.ndarray,
                  weights: np.ndarray, d_weights: np.ndarray, objective) -> float:
     """Max relative error of ``Encoder.backward`` of ``dz_l2`` at ``x``, and
@@ -57,8 +51,9 @@ def _check_joint(encoder: Encoder, x: np.ndarray, dz_l2: np.ndarray,
     n_enc = encoder.theta.size
 
     def value(theta):
-        z_l2 = _with_theta(encoder, theta[:n_enc]).forward(x).z_l2
-        return objective(z_l2, theta[n_enc:].reshape(weights.shape))
+        clone = encoder.copy()
+        clone.theta[...] = theta[:n_enc]
+        return objective(clone.forward(x).z_l2, theta[n_enc:].reshape(weights.shape))
 
     analytic = np.concatenate([encoder.backward(encoder.forward(x).ctx, dz_l2=dz_l2),
                                d_weights.ravel()])
@@ -71,7 +66,7 @@ def _check_classifier_loss(seed: int, loss_fn) -> float:
     the encoder parameters and the classifier weights."""
     _, encoder, protos, x, labels = _instance(seed)
     z_l2 = encoder.forward(x).z_l2
-    _, dlogits = loss_fn(classify(protos.weights, z_l2), labels)
+    dlogits = loss_fn(classify(protos.weights, z_l2), labels)[1]
     d_w, dz_l2 = classify_backward(protos.weights, z_l2, dlogits)
     return _check_joint(encoder, x, dz_l2, protos.weights, d_w,
                         lambda z, w: loss_fn(classify(w, z), labels)[0])
@@ -152,19 +147,21 @@ def _check_geometry_loss(seed: int, term: int) -> float:
     rng, encoder, protos, x, _ = _instance(seed)
     y = rng.integers(0, K_S, size=BATCH)
     v_unit = l2_normalize_rows(protos.weights.T)[0]
+    _, dz_l2 = loss_geometry(encoder.forward(x).z_l2, y, v_unit)[term]
+    return _check_joint(encoder, x, dz_l2, np.empty(0), np.empty(0),
+                        lambda z, _: loss_geometry(z, y, v_unit)[term][0])
 
-    def value(theta):
-        return loss_geometry(_with_theta(encoder, theta).forward(x).z_l2, y, v_unit)[term][0]
 
-    fwd = encoder.forward(x)
-    _, dz_l2 = loss_geometry(fwd.z_l2, y, v_unit)[term]
-    analytic = encoder.backward(fwd.ctx, dz_l2=dz_l2)
-    return max_rel_err(analytic, finite_diff_grad(value, encoder.theta))
+def check_loss_source(seed: int) -> float:
+    """``loss_source`` as ``train_source`` calls it, at an eta other than 1
+    so that a dropped factor shows."""
+    return _check_classifier_loss(seed, partial(loss_source, eta=1.5))
 
 
 CHECKS = {
     "loss_ce": partial(_check_classifier_loss, loss_fn=loss_ce),
     "loss_comp": partial(_check_classifier_loss, loss_fn=loss_comp),
+    "loss_source": check_loss_source,
     "loss_align": partial(check_adapt_step, phase="warmup"),
     "loss_nl": check_loss_nl,
     "loss_inter": partial(_check_geometry_loss, term=0),

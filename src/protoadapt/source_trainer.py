@@ -89,6 +89,15 @@ def loss_comp(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]
     return value, softmax_vjp(probs, dprobs)
 
 
+def loss_source(probs: np.ndarray, labels: np.ndarray,
+                eta: float) -> tuple[float, np.ndarray, tuple[float, float]]:
+    """The source batch objective ``loss_ce + eta * loss_comp``: its value,
+    its gradient w.r.t. the logits and the two term values."""
+    ce_val, d_ce = loss_ce(probs, labels)
+    comp_val, d_comp = loss_comp(probs, labels)
+    return ce_val + eta * comp_val, d_ce + eta * d_comp, (ce_val, comp_val)
+
+
 def train_source(encoder: Encoder, prototypes: PrototypeMatrix, source: Dataset,
                  cfg: SourcePhaseConfig, log_path=None) -> list[SourceEpochMetrics]:
     """Jointly train the encoder and prototypes, then freeze the prototypes.
@@ -114,12 +123,9 @@ def train_source(encoder: Encoder, prototypes: PrototypeMatrix, source: Dataset,
         for idx in epoch_batches(source, cfg.batch_size, rng):
             enc_out = encoder.forward(source.features[idx])
             probs, labels = classify(prototypes.weights, enc_out.z_l2), source.labels[idx]
-            ce_val, d_ce = loss_ce(probs, labels)
-            comp_val, d_comp = loss_comp(probs, labels)
-            total = ce_val + cfg.eta * comp_val
+            total, dlogits, (ce_val, comp_val) = loss_source(probs, labels, cfg.eta)
             if not math.isfinite(total):
                 raise NumericError(f"source training diverged at epoch {epoch}")
-            dlogits = d_ce if cfg.eta == 0.0 else d_ce + cfg.eta * d_comp
             d_proto, dz_l2 = classify_backward(prototypes.weights, enc_out.z_l2, dlogits)
             apply_sgd_momentum(encoder.theta, encoder.backward(enc_out.ctx, dz_l2=dz_l2),
                                enc_vel, lr)

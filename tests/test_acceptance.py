@@ -61,7 +61,7 @@ def test_gradient_suite():
     start = time.monotonic()
     results = run_suite(seed=0)
     elapsed = time.monotonic() - start
-    assert set(results) == {"loss_ce", "loss_comp", "loss_align", "loss_nl",
+    assert set(results) == {"loss_ce", "loss_comp", "loss_source", "loss_align", "loss_nl",
                             "loss_inter", "loss_intra", "adapt_step_nl", "adapt_step_ce"}
     worst = max(results.values())
     assert worst < TOLERANCE, results

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from protoadapt import source_trainer
+from protoadapt import gradcheck, source_trainer
 from protoadapt.datasets import SyntheticSpec, epoch_batches, generate_synthetic
 from protoadapt.model import (Encoder, PrototypeMatrix, apply_sgd_momentum,
                               classify, classify_backward, lr_schedule)
-from protoadapt.numerics import finite_diff_grad, one_hot, softmax
-from protoadapt.source_trainer import (SourcePhaseConfig, loss_ce, loss_comp,
+from protoadapt.numerics import one_hot, softmax
+from protoadapt.source_trainer import (SourcePhaseConfig, loss_ce, loss_comp, loss_source,
                                        train_source)
 
 
@@ -105,6 +105,42 @@ class TestLossComp:
             p /= p.sum()
             value, _ = loss_comp(p, rng.integers(0, k, 1))
             assert abs(value) <= math.log(max(k - 1, 2)) / (k - 1) + 1e-9
+
+
+def with_logit_gradient(grad):
+    """``loss_source`` with its logit gradient replaced by ``grad(d_ce,
+    d_comp, eta)``; the value and the term values stay right."""
+    def mutant(probs, labels, eta):
+        value, _, terms = loss_source(probs, labels, eta)
+        return value, grad(loss_ce(probs, labels)[1], loss_comp(probs, labels)[1], eta), terms
+    return mutant
+
+
+def complement_ascent(d_ce, d_comp, eta):
+    return d_ce - eta * d_comp
+
+
+class TestLossSource:
+    def test_composes_the_two_losses(self):
+        rng = np.random.default_rng(4)
+        probs, labels = softmax(rng.standard_normal((6, 5))), rng.integers(0, 5, 6)
+        (ce_val, d_ce), (comp_val, d_comp) = loss_ce(probs, labels), loss_comp(probs, labels)
+        value, dlogits, terms = loss_source(probs, labels, 1.5)
+        assert (value, terms) == (ce_val + 1.5 * comp_val, (ce_val, comp_val))
+        np.testing.assert_array_equal(dlogits, d_ce + 1.5 * d_comp)
+
+    # one-line mutations of the source step's logit gradient that leave the
+    # logged loss values right; each must fail the gradient suite's line
+    @pytest.mark.parametrize("grad", [
+        complement_ascent,
+        lambda d_ce, d_comp, eta: d_ce,
+        lambda d_ce, d_comp, eta: -d_ce + eta * d_comp,
+        lambda d_ce, d_comp, eta: d_ce + d_comp,
+    ], ids=["complement ascent", "complement dropped", "CE sign flipped", "eta dropped"])
+    def test_gradcheck_catches_a_wrong_gradient(self, monkeypatch, grad):
+        assert gradcheck.check_loss_source(0) < gradcheck.TOLERANCE
+        monkeypatch.setattr(gradcheck, "loss_source", with_logit_gradient(grad))
+        assert gradcheck.check_loss_source(0) > gradcheck.TOLERANCE
 
 
 def separable_task(seed=0):
@@ -207,30 +243,24 @@ class TestTrainSource:
         assert lines[0] == "epoch,loss_ce,loss_comp,source_acc,lr"
         assert len(lines) == 3
 
-    def test_combined_gradient_vs_finite_differences(self):
-        rng = np.random.default_rng(6)
-        encoder = Encoder(6, [8], 4, seed=6)
-        protos = PrototypeMatrix.random(4, 5, seed=7)
-        x = rng.standard_normal((8, 6))
-        y = rng.integers(0, 5, 8)
-        eta = 1.5
-        n_enc = encoder.theta.size
+    def test_steps_take_the_logit_gradient_from_loss_source(self, monkeypatch):
+        # the gradient suite checks loss_source; training must apply it
+        source = separable_task()
+        cfg = SourcePhaseConfig(epochs=3, batch_size=32, seed=0)
 
-        def value(theta):
-            clone = encoder.copy()
-            clone.theta[...] = theta[:n_enc]
-            w = theta[n_enc:].reshape(4, 5)
-            out = classify(w, clone.forward(x).z_l2)
-            return loss_ce(out, y)[0] + eta * loss_comp(out, y)[0]
+        def final_theta():
+            encoder = Encoder(4, [8], 6, seed=0)
+            train_source(encoder, PrototypeMatrix.random(6, 3, seed=1), source, cfg)
+            return encoder.theta
 
-        fwd = encoder.forward(x)
-        out = classify(protos.weights, fwd.z_l2)
-        _, d_ce = loss_ce(out, y)
-        _, d_comp = loss_comp(out, y)
-        d_w, dz_l2 = classify_backward(protos.weights, fwd.z_l2, d_ce + eta * d_comp)
-        analytic = np.concatenate([encoder.backward(fwd.ctx, dz_l2=dz_l2),
-                                   d_w.ravel()])
-        theta0 = np.concatenate([encoder.theta, protos.weights.ravel()])
-        numeric = finite_diff_grad(value, theta0)
-        scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
-        assert (np.abs(analytic - numeric) / scale).max() < 1e-4
+        clean = final_theta()
+        etas = []
+        ascent = with_logit_gradient(complement_ascent)
+
+        def spy(probs, labels, eta):
+            etas.append(eta)
+            return ascent(probs, labels, eta)
+        monkeypatch.setattr(source_trainer, "loss_source", spy)
+        mutated = final_theta()
+        assert etas == [cfg.eta] * (cfg.epochs * math.ceil(source.n / cfg.batch_size))
+        assert not np.array_equal(mutated, clean)

@@ -18,7 +18,7 @@ prints the hashes of the artifacts of each of the five ablation modes, in
 exercise (``k_t`` equal to ``k_s``, ``d_x`` = 1, no rotation, no
 translation), and prints the hashes and value lines of both feature files:
 4 lines. Last it prints the output of ``protoadapt gradcheck --seed 0``:
-122 lines in all.
+123 lines in all.
 
     python3 tools/byte_oracle.py [CHECKOUT] > oracle.txt
 
