@@ -16,9 +16,9 @@ from .datasets import read_feature_file
 from .errors import (ConfigError, DataFormatError, EvaluationUnavailableError,
                      NumericError, parse_digits)
 from .gradcheck import TOLERANCE, run_suite
-from .harness import (check_fits, evaluate, load_config, parse_synthetic_spec,
-                      run_ablation, run_adapt_phase, run_source_phase,
-                      write_synthetic)
+from .harness import (check_fits, evaluate, load_config, load_experiment_data,
+                      parse_synthetic_spec, run_ablation, run_adapt_phase,
+                      run_source_phase, write_synthetic)
 from .model import load_checkpoint
 
 
@@ -31,7 +31,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train_source(args) -> int:
-    _, _, history = run_source_phase(load_config(args.config), args.out)
+    cfg = load_config(args.config)
+    _, _, history = run_source_phase(cfg, *load_experiment_data(cfg, "source"), args.out)
     final = history[-1].source_acc if history else float("nan")
     print(f"source training done: {len(history)} epochs, accuracy {final:.4f}")
     print(f"checkpoint: {args.out}")
@@ -41,7 +42,8 @@ def _cmd_train_source(args) -> int:
 def _cmd_adapt(args) -> int:
     cfg = load_config(args.config)
     encoder, prototypes, _ = load_checkpoint(args.source_ckpt)
-    _, result = run_adapt_phase(cfg, encoder, prototypes, args.out)
+    [target] = load_experiment_data(cfg, "target")  # the source data is never opened
+    result = run_adapt_phase(cfg, encoder, prototypes, target, args.out)
     print(f"adaptation done: {len(result.history)} epochs")
     if result.history and result.history[-1].target_acc is not None:
         print(f"final target accuracy {result.history[-1].target_acc:.4f}")

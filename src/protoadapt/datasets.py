@@ -25,7 +25,7 @@ FEATURE_HEADER_PREFIX = "#pda-features v1"
 class Dataset:
     """An immutable feature matrix with optional labels.
 
-    features:      (n, d_x) float array, all finite
+    features:      (n, d_x) float array, d_x >= 1, all finite
     labels:        (n,) int array for source data, None for target data
     hidden_labels: (n,) int array of evaluation labels (target only)
     """
@@ -38,8 +38,8 @@ class Dataset:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
-        if feats.ndim != 2:
-            raise ValueError("features must be a 2-D (n, d_x) array")
+        if feats.ndim != 2 or feats.shape[1] < 1:
+            raise ValueError("features must be a 2-D (n, d_x) array with d_x >= 1")
         if not np.all(np.isfinite(feats)):
             raise ValueError("features contain non-finite values")
         if self.role not in ("source", "target"):
@@ -157,24 +157,17 @@ def write_feature_file(dataset: Dataset, path) -> None:
     """Line-oriented text serialization, floats as ``%.9g``: the text equals
     ``format(v, ".9g")`` per value. Rows go to the file in chunks of at most
     ``CHUNK_ROWS`` rows and ``CHUNK_VALUES`` values (one row, if a row holds
-    more). ``_format_chunk`` writes a chunk whose values it can nearly all
-    prove exact; any other chunk is one ``%`` call per row on Python floats,
-    as ``%.9g`` defines the text.
+    more), each formatted by ``_format_chunk``.
     """
-    row_fmt = ",%.9g" * dataset.d_x
     line_fmt = (("?" if dataset.labels is None else "%d") + "%s"
                 + ("" if dataset.hidden_labels is None else "#%d") + "\n")
-    step = max(1, min(CHUNK_ROWS, CHUNK_VALUES // max(dataset.d_x, 1)))
+    step = max(1, min(CHUNK_ROWS, CHUNK_VALUES // dataset.d_x))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{FEATURE_HEADER_PREFIX} d={dataset.d_x} k={dataset.k_s} "
                  f"role={dataset.role}\n")
         for start in range(0, dataset.n, step):
             chunk = slice(start, start + step)
-            values = dataset.features[chunk]
-            bodies = _format_chunk(values)
-            if bodies is None:
-                bodies = [row_fmt % tuple(row) for row in values.tolist()]
-            columns = [bodies]
+            columns = [_format_chunk(dataset.features[chunk])]
             if dataset.labels is not None:
                 columns.insert(0, dataset.labels[chunk].tolist())
             if dataset.hidden_labels is not None:
@@ -191,15 +184,12 @@ _POWERS = np.array([float(f"1e{e}") for e in range(-4, 10)])
 _SCALES = np.array([1.0, *(float(f"1e{e}") for e in range(12, -1, -1)), 1.0])
 _AT = np.arange(14, dtype=np.uint8)[:, None]  # character positions after the sign
 _SPEC = np.frombuffer(b"%.9g".ljust(15, b"\0"), np.uint8)[:, None]  # an unproven value's column
-# The share of a chunk's values ``_format_chunk`` may leave to ``%`` and
-# still beat one ``%`` call per row: each such value costs about twice what
-# the row format spends on a value.
-_MAX_UNPROVEN = 0.1
 
 
-def _format_chunk(values: np.ndarray) -> list[str] | None:
-    """Each row of ``values`` as ``",%.9g" * cols`` formats it, or None when
-    more than ``_MAX_UNPROVEN`` of its values are not proven exact.
+def _prove(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which values of the flat array ``x`` the kernel proves, with each
+    one's ``np.searchsorted`` bracket (X + 5) and 9-digit significand (0
+    where not proven, and for ±0).
 
     For |x| in [1e-4, 1e9), ``np.searchsorted`` over ``_POWERS`` gives X =
     floor(log10 |x|), and y = |x| * 10**(8-X) is the correctly rounded
@@ -208,32 +198,35 @@ def _format_chunk(values: np.ndarray) -> list[str] | None:
     the exact product lies strictly between the same two half-integers as
     y: rint(y) is then its correctly rounded integer. When that has exactly
     9 digits, it is the significand ``%.9g`` prints, in fixed-point form.
-    ±0 is "0" or "-0". Any other value -- exponent form, a tie in y, a
-    rounding up to 10 digits -- is left to ``%``; a wrong X would fail the
-    9-digit check too.
-
-    The text is laid out column-major, one ``uint8`` row per character
-    position with every value along the long axis: ',', the sign, then
-    "0000" and the 9 digits (from ``np.divmod`` on ``uint32``) with the '.'
-    at 5+X. Each value keeps one interval of those positions: the leading pad
-    and the trailing zeros after the '.' fall outside it and become NUL. An
-    unproven value's column is ",%.9g". One ``bytes.translate`` deletes the
-    NULs, cumulative lengths cut the text into rows, and each row holding a
-    "%.9g" is one ``%`` call on its unproven values.
+    ±0 is proven too. Any other value -- exponent form, a tie in y, a
+    rounding up to 10 digits -- is not; a wrong X would fail the 9-digit
+    check too.
     """
-    rows, cols = values.shape
-    if not cols:
-        return [""] * rows
-    x = values.ravel()
     mag = np.abs(x)
-    bracket = np.searchsorted(_POWERS, mag, side="right")  # X + 5 for proven values
+    bracket = np.searchsorted(_POWERS, mag, side="right")
     y = mag * _SCALES[bracket]
     sig = np.rint(y)
     proven = ((sig >= 1e8) & (sig < 1e9) & (np.abs(y - sig) < 0.5)) | (mag == 0)
+    return bracket, np.where(proven, sig, 0), proven
+
+
+def _format_chunk(values: np.ndarray) -> list[str]:
+    """Each row of ``values`` as ``",%.9g" * cols`` formats it.
+
+    The text of the values ``_prove`` proves is laid out column-major, one
+    ``uint8`` row per character position with every value along the long
+    axis: ',', the sign, then "0000" and the 9 digits (from ``np.divmod`` on
+    ``uint32``) with the '.' at 5+X; ±0 is "0" or "-0". Each value keeps one
+    interval of those positions: the leading pad and the trailing zeros
+    after the '.' fall outside it and become NUL. An unproven value's column
+    is ",%.9g". One ``bytes.translate`` deletes the NULs, cumulative lengths
+    cut the text into rows, and each row holding a "%.9g" is one ``%`` call
+    on its unproven values.
+    """
+    rows, cols = values.shape
+    x = values.ravel()
+    bracket, sig, proven = _prove(x)
     unproven = np.flatnonzero(~proven)
-    if unproven.size > _MAX_UNPROVEN * x.size:  # e.g. a chunk in exponent form
-        return None
-    sig = np.where(proven, sig, 0)
     point = np.where(sig > 0, bracket, 5).astype(np.uint8)  # 0 is laid out as "0"
     sig = sig.astype(np.uint32)
 
@@ -290,13 +283,13 @@ def _parse_features(path, lines) -> Dataset:
     except ValueError as exc:
         raise DataFormatError(f"{path}: line 1: malformed header ({exc})") from exc
     sizes, role = [meta["d"], meta["k"]], meta["role"]
-    for i, (key, low) in enumerate((("d", 0), ("k", 1))):
+    for i, key in enumerate(("d", "k")):
         try:
             sizes[i] = parse_digits(sizes[i])
         except ValueError:
-            sizes[i] = -1
-        if sizes[i] < low:
-            raise DataFormatError(f"{path}: line 1: {key}={meta[key]} must be ASCII digits >= {low}")
+            sizes[i] = 0
+        if sizes[i] < 1:
+            raise DataFormatError(f"{path}: line 1: {key}={meta[key]} must be ASCII digits >= 1")
     d_x, k_s = sizes
     label_end = min(k_s, 2**63)  # labels are held as int64
     if role not in ("source", "target"):
@@ -325,8 +318,7 @@ def _parse_features(path, lines) -> Dataset:
                     if body.count(",") != d_x:
                         raise ValueError(f"expected {d_x} features, got {body.count(',')}")
                     label = None if label == "?" else parse_digits(label)
-                    if d_x:
-                        values.append(_parse_floats(text))
+                    values.append(_parse_floats(text))
                     hidden_label = parse_digits(comment) if hash_sign else None  # a bare '#' too
                     for lb in (label, hidden_label):
                         if lb is not None and not 0 <= lb < label_end:
@@ -383,7 +375,7 @@ def _whole_rows(lines: list[str], d_x: int, label_end: int, role: str):
     values, which also proves each row's field count."""
     rows = list(compress(lines, map(str.strip, lines)))
     text = "\n".join(rows)
-    if not (d_x and rows and text.isascii() and not any(c in text for c in "_\x1c\x1d\x1e\x1f")):
+    if not (rows and text.isascii() and not any(c in text for c in "_\x1c\x1d\x1e\x1f")):
         return None
     bodies, hidden = rows, []
     if "#" in text:

@@ -236,22 +236,30 @@ def write_synthetic(spec: SyntheticSpec, **paths) -> dict[str, Dataset]:
     return datasets
 
 
-def load_experiment_data(cfg: ExperimentConfig, out: Path, role: str) -> Dataset:
-    """One role's dataset, for training. Synthetic data is written to
-    ``out/<role>.features`` and read back, so every run trains on exactly
-    what the file holds; otherwise only that role's file is opened."""
-    if cfg.synthetic is None:
-        path = getattr(cfg, f"{role}_file")
-    else:
-        path = out / f"{role}.features"
-        write_synthetic(cfg.synthetic, **{role: path})
-    dataset = read_feature_file(path)
-    if dataset.n == 0:
-        raise DataFormatError(f"{path}: no samples to train on")
-    return dataset
+def load_experiment_data(cfg: ExperimentConfig, *roles: str) -> list[Dataset]:
+    """The datasets of ``roles``, in that order, for training. Synthetic data
+    is written to ``out_dir/<role>.features`` and read back, so every run
+    trains on exactly what the file holds; otherwise only those roles' files
+    are opened. A target read with a source must match its ``d`` and ``k``."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with _phase("data"):
+        if cfg.synthetic is None:
+            paths = [getattr(cfg, f"{role}_file") for role in roles]
+        else:
+            paths = [out / f"{role}.features" for role in roles]
+            write_synthetic(cfg.synthetic, **dict(zip(roles, paths)))
+        datasets = [read_feature_file(path) for path in paths]
+        for path, dataset in zip(paths, datasets):
+            if dataset.n == 0:
+                raise DataFormatError(f"{path}: no samples to train on")
+            if (dataset.d_x, dataset.k_s) != (datasets[0].d_x, datasets[0].k_s):
+                raise DataFormatError(f"{path}: d={dataset.d_x} k={dataset.k_s}, but the "
+                                      f"source has d={datasets[0].d_x} k={datasets[0].k_s}")
+    return datasets
 
 
-def run_source_phase(cfg: ExperimentConfig, ckpt_path
+def run_source_phase(cfg: ExperimentConfig, source: Dataset, ckpt_path
                      ) -> tuple[Encoder, PrototypeMatrix, list[SourceEpochMetrics]]:
     """Phase 1: build the encoder and prototypes from the master seed,
     train them on the source data, and save the source checkpoint.
@@ -259,10 +267,6 @@ def run_source_phase(cfg: ExperimentConfig, ckpt_path
     The adaptation ensemble's size is checked against the source classes
     first, so a config that cannot adapt trains nothing.
     """
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with _phase("data"):
-        source = load_experiment_data(cfg, out, "source")
     check_complement_capacity(cfg.adapt.n_e, cfg.adapt.n_cl, source.k_s)
     _, model_seed, _, _ = derive_seeds(cfg.seed)
     encoder = Encoder(source.d_x, list(cfg.model.hidden), cfg.model.d_z, seed=model_seed)
@@ -270,7 +274,7 @@ def run_source_phase(cfg: ExperimentConfig, ckpt_path
                                         seed=model_seed + 1)
     with _phase("train-source"):
         history = train_source(encoder, prototypes, source, cfg.source,
-                               log_path=out / "source_metrics.csv")
+                               log_path=Path(cfg.out_dir) / "source_metrics.csv")
         save_checkpoint(ckpt_path, encoder, prototypes)
     return encoder, prototypes, history
 
@@ -283,20 +287,16 @@ def check_fits(encoder: Encoder, prototypes: PrototypeMatrix, dataset: Dataset) 
             f"data has d_x={dataset.d_x}, K_s={dataset.k_s}")
 
 
-def run_adapt_phase(cfg: ExperimentConfig, encoder: Encoder,
-                    prototypes: PrototypeMatrix, ckpt_path
-                    ) -> tuple[Dataset, AdaptResult]:
+def run_adapt_phase(cfg: ExperimentConfig, encoder: Encoder, prototypes: PrototypeMatrix,
+                    target: Dataset, ckpt_path) -> AdaptResult:
     """Phase 2: adapt a source model to the target data, in place, and
-    save the adapted checkpoint. Only the target data is opened.
+    save the adapted checkpoint.
 
     When the target carries evaluation labels, each epoch's accuracy, by
     ``predict`` as in ``evaluate``, is logged through the epoch hook, the one
     channel they reach training by.
     """
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with _phase("data"):
-        target = load_experiment_data(cfg, out, "target")
         check_fits(encoder, prototypes, target)
 
     hook = None
@@ -305,19 +305,19 @@ def run_adapt_phase(cfg: ExperimentConfig, encoder: Encoder,
             return float((predict(ensemble[0], z_l2) == target.hidden_labels).mean())
 
     with _phase("adapt"):
-        result = adapt(encoder, prototypes, target, cfg.adapt,
-                       epoch_hook=hook, log_path=out / "adapt_metrics.csv")
+        result = adapt(encoder, prototypes, target, cfg.adapt, epoch_hook=hook,
+                       log_path=Path(cfg.out_dir) / "adapt_metrics.csv")
         save_checkpoint(ckpt_path, encoder, prototypes, result.ensemble)
-    return target, result
+    return result
 
 
 def _adapt_and_summarize(cfg: ExperimentConfig, source_encoder: Encoder,
-                         prototypes: PrototypeMatrix) -> dict:
+                         prototypes: PrototypeMatrix, target: Dataset) -> dict:
     """Phase 2 on a copy of the source encoder, then the evaluation of
     the source and adapted models; writes ``summary.json`` and returns it."""
     out = Path(cfg.out_dir)
     encoder = source_encoder.copy()
-    target, result = run_adapt_phase(cfg, encoder, prototypes, out / "adapted.ckpt")
+    result = run_adapt_phase(cfg, encoder, prototypes, target, out / "adapted.ckpt")
 
     with _phase("evaluate"):
         baseline = evaluate(source_encoder, prototypes.weights, target)
@@ -335,38 +335,42 @@ def _adapt_and_summarize(cfg: ExperimentConfig, source_encoder: Encoder,
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """generate/load -> train source -> adapt -> evaluate, fully seeded.
 
-    Writes metric CSVs, checkpoints, and summary.json into the output
-    directory and returns the summary.
+    Both datasets are read, and checked against each other, before any
+    training. Writes metric CSVs, checkpoints, and summary.json into the
+    output directory and returns the summary.
     """
-    encoder, prototypes, _ = run_source_phase(cfg, Path(cfg.out_dir) / "source.ckpt")
-    return _adapt_and_summarize(cfg, encoder, prototypes)
+    source, target = load_experiment_data(cfg, *ROLES)
+    encoder, prototypes, _ = run_source_phase(cfg, source, Path(cfg.out_dir) / "source.ckpt")
+    return _adapt_and_summarize(cfg, encoder, prototypes, target)
 
 
 def run_ablation(cfg: ExperimentConfig) -> dict[str, dict]:
     """``run_experiment`` of every ablation mode into ``out_dir/<mode>``,
     with one source phase: the modes differ only in their adapt config.
 
-    The source phase runs on the ``full`` config, the one with the
-    largest ``n_e * n_cl``, so a config that cannot adapt trains nothing.
-    Its files are copied into the other mode directories, and each mode
-    adapts its own copy of the trained encoder. Each directory ends up
-    with the bytes ``run_experiment`` of that mode would write. Returns
-    each mode's summary.
+    Both datasets are read once, before any training. The source phase
+    runs on the ``full`` config, the one with the largest ``n_e * n_cl``,
+    so a config that cannot adapt trains nothing. Its files, and a
+    synthetic config's feature files, are copied into the other mode
+    directories, and each mode adapts its own copy of the trained encoder.
+    Each directory ends up with the bytes ``run_experiment`` of that mode
+    would write. Returns each mode's summary.
     """
     modes = {mode: replace(apply_ablation(cfg, mode),
                            out_dir=str(Path(cfg.out_dir) / mode))
              for mode in ABLATION_MODES}
     full_out = Path(modes["full"].out_dir)
-    encoder, prototypes, _ = run_source_phase(modes["full"], full_out / "source.ckpt")
-    source_files = ["source.ckpt", "source_metrics.csv"]
+    source, target = load_experiment_data(modes["full"], *ROLES)
+    encoder, prototypes, _ = run_source_phase(modes["full"], source, full_out / "source.ckpt")
+    shared = ["source.ckpt", "source_metrics.csv"]
     if cfg.synthetic is not None:
-        source_files.append("source.features")
+        shared += [f"{role}.features" for role in ROLES]
     summaries = {}
     for mode, mode_cfg in modes.items():
         if mode != "full":
             out = Path(mode_cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            for name in source_files:
+            for name in shared:
                 shutil.copyfile(full_out / name, out / name)
-        summaries[mode] = _adapt_and_summarize(mode_cfg, encoder, prototypes)
+        summaries[mode] = _adapt_and_summarize(mode_cfg, encoder, prototypes, target)
     return summaries

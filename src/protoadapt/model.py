@@ -225,7 +225,8 @@ def _row_fault(line: str, cols: int) -> str:
     return f"not the canonical base64 of {cols} values"
 
 
-def _read_matrix(lines: list[str], pos: int, rows: int, cols: int) -> tuple[np.ndarray, int]:
+def _read_matrix(path, lines: list[str], pos: int, rows: int,
+                 cols: int) -> tuple[np.ndarray, int]:
     """The ``rows`` x ``cols`` matrix from line ``pos`` on, every value finite.
     The first bad row is named, before the file is found to end too soon."""
     block = lines[pos:pos + rows]
@@ -249,9 +250,9 @@ def _read_matrix(lines: list[str], pos: int, rows: int, cols: int) -> tuple[np.n
         value = float(m[i][~np.isfinite(m[i])][0])
         fault = f"line {pos + 1 + i}: non-finite value {value!r}"
     if fault is not None:
-        raise DataFormatError(f"checkpoint {fault}")
+        raise DataFormatError(f"{path}: {fault}")
     if len(block) != rows:
-        raise DataFormatError(f"checkpoint ends at line {len(lines)}, {rows - len(block)} "
+        raise DataFormatError(f"{path}: line {len(lines)}: checkpoint ends {rows - len(block)} "
                               f"line(s) short of the {rows} x {cols} matrix from line {pos + 1}")
     return m, pos + rows
 
@@ -337,8 +338,8 @@ def _parse_checkpoint(path, lines: list[str]):
         expected = f"layer {i} {rows} {cols}"
         if _head(path, lines, pos, expected) != expected.split():
             raise DataFormatError(f"{path}: expected {expected} at line {pos + 1}")
-        weights, pos = _read_matrix(lines, pos + 1, rows, cols)
-        bias, pos = _read_matrix(lines, pos, 1, cols)
+        weights, pos = _read_matrix(path, lines, pos + 1, rows, cols)
+        bias, pos = _read_matrix(path, lines, pos, 1, cols)
         theta += [weights.ravel(), bias.ravel()]
     encoder = Encoder(d_x, hidden, d_z, seed, theta=np.concatenate(theta))
 
@@ -352,7 +353,7 @@ def _parse_checkpoint(path, lines: list[str]):
     if d_z != encoder.d_z:
         raise DataFormatError(f"{path}: line {pos + 1}: prototypes have d_z={d_z}, "
                               f"encoder {encoder.d_z}")
-    weights, pos = _read_matrix(lines, pos + 1, d_z, k_s)
+    weights, pos = _read_matrix(path, lines, pos + 1, d_z, k_s)
     prototypes = PrototypeMatrix(weights, frozen=head[3] == "frozen=1")
 
     if pos == len(lines):
@@ -365,5 +366,5 @@ def _parse_checkpoint(path, lines: list[str]):
     if n_e < 1 or pos + 1 + n_e * d_z != len(lines):
         raise DataFormatError(f"{path}: line {pos + 1}: expected 'ensemble <n>' with n >= 1, "
                               f"then n {d_z}-row matrices ending the file")
-    ensemble, _ = _read_matrix(lines, pos + 1, n_e * d_z, k_s)
+    ensemble, _ = _read_matrix(path, lines, pos + 1, n_e * d_z, k_s)
     return encoder, prototypes, ensemble.reshape(n_e, d_z, k_s)

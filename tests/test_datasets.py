@@ -269,7 +269,7 @@ class TestFeatureFiles:
             read_feature_file(path)
 
     @pytest.mark.parametrize("header, field", [
-        ("d=2 k=0", "k=0"), ("d=2 k=-3", "k=-3"), ("d=-1 k=3", "d=-1")])
+        ("d=2 k=0", "k=0"), ("d=2 k=-3", "k=-3"), ("d=-1 k=3", "d=-1"), ("d=0 k=3", "d=0")])
     @pytest.mark.parametrize("rows", ["", "?,1.0,2.0#0\n"], ids=["no-rows", "one-row"])
     def test_header_sizes_out_of_range_rejected(self, tmp_path, header, field, rows):
         path = tmp_path / "bad"

@@ -40,7 +40,7 @@ def reference_feature_text(ds: Dataset) -> str:
     for i in range(ds.n):
         label = "?" if ds.labels is None else str(int(ds.labels[i]))
         row = ",".join(format(float(v), ".9g") for v in ds.features[i])
-        line = f"{label},{row}" if ds.d_x else label
+        line = f"{label},{row}"
         if ds.hidden_labels is not None:
             line += f"#{int(ds.hidden_labels[i])}"
         lines.append(line)
@@ -69,6 +69,10 @@ def test_feature_writer_matches_reference(path, kind, n, d_x, data):
     features = data.draw(arrays(np.float64, (n, d_x), elements=FINITE))
     k_s = data.draw(st.sampled_from([1, 3, 10**6, 2**60]))
     labels = data.draw(arrays(np.int64, n, elements=st.integers(0, k_s - 1)))
+    if not d_x:  # a dataset holds at least one feature, so no zero-width file is written
+        with pytest.raises(ValueError, match="with d_x >= 1"):
+            Dataset(features, labels if kind == "source" else None, k_s, kind.split()[0])
+        return
     if kind == "source":
         ds = Dataset(features, labels, k_s, "source")
     else:
@@ -94,8 +98,7 @@ KERNEL_EDGES = np.array([123456789.5, 12345678.25, 1e-4, 1e9, 9.999999995e-5,
                          99999999.95, 999999999.5, 0.1, 2.5, 1e8, 1.0])
 
 
-def test_format_kernel_is_exact(monkeypatch):
-    monkeypatch.setattr(datasets, "_MAX_UNPROVEN", 1.0)  # lay out every chunk
+def test_format_kernel_is_exact():
     edges = np.concatenate([KERNEL_EDGES, np.nextafter(KERNEL_EDGES, 0),
                             np.nextafter(KERNEL_EDGES, np.inf)])
     edges = np.concatenate([edges, -edges, [0.0, -0.0, -5e-324, MAX]])  # and the longest texts
@@ -111,10 +114,8 @@ def test_format_kernel_is_exact(monkeypatch):
         assert not bad, bad[:5]
     # not vacuous: the zeros and nearly every value in [1e-4, 1e9) are proven
     in_range = normals[(np.abs(normals) >= 1e-4) & (np.abs(normals) < 1e9)]
-    monkeypatch.setattr(datasets, "_MAX_UNPROVEN", 0.01)
-    assert datasets._format_chunk(in_range.reshape(-1, 1)) is not None
-    monkeypatch.setattr(datasets, "_MAX_UNPROVEN", 0.0)
-    assert datasets._format_chunk(np.array([[0.0, -0.0]])) is not None
+    assert datasets._prove(in_range)[2].mean() > 0.99
+    assert datasets._prove(np.array([0.0, -0.0]))[2].all()
 
 
 def io_eval_target():
@@ -139,18 +140,18 @@ def test_written_features_leave_few_values_to_percent(path, monkeypatch, make):
     # every chunk goes through the kernel with fewer than 1% of its values
     # left to `%`, and the bytes stay the reference's
     target = make()
-    results, format_chunk = [], datasets._format_chunk
+    unproven, prove = [], datasets._prove
 
-    def spy(values):
-        results.append(format_chunk(values))
-        return results[-1]
+    def spy(x):
+        proof = prove(x)
+        unproven.append(1 - proof[2].mean())
+        return proof
 
-    monkeypatch.setattr(datasets, "_format_chunk", spy)
-    monkeypatch.setattr(datasets, "_MAX_UNPROVEN", 0.01)
+    monkeypatch.setattr(datasets, "_prove", spy)
     write_feature_file(target, path)
     step = min(datasets.CHUNK_ROWS, datasets.CHUNK_VALUES // target.d_x)
-    assert len(results) == -(-target.n // step)
-    assert all(bodies is not None for bodies in results)
+    assert len(unproven) == -(-target.n // step)
+    assert max(unproven) < 0.01
     assert path.read_bytes() == reference_feature_text(target).encode()
 
 
@@ -223,6 +224,11 @@ def valid_feature_lines(data, kind, n, d_x, spellings=SPELLINGS):
 def test_feature_reader_matches_reference(path, kind, n, d_x, data):
     text = "\n".join(valid_feature_lines(data, kind, n, d_x)) + "\n"
     path.write_text(text, encoding="utf-8")
+    if not d_x:  # refused at the header, as k=0 is
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: line 1: "
+                                                  "d=0 must be ASCII digits >= 1$"):
+            read_feature_file(path)
+        return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(datasets, "CHUNK_ROWS", CHUNK)
         ds = read_feature_file(path)
@@ -287,7 +293,7 @@ def test_bulk_check_matches_the_walk(path, kind, d_x, data):
     if len(lines) > 1 and fault:
         at = data.draw(st.integers(1, len(lines) - 1))
         lines[at] = fault(lines[at], int(lines[0].split()[3].removeprefix("k=")))
-    for _ in range(data.draw(st.integers(0, 2)) if d_x and len(lines) > 1 else 0):
+    for _ in range(data.draw(st.integers(0, 2)) if len(lines) > 1 else 0):
         at = data.draw(st.integers(1, len(lines) - 1))
         body, hash_sign, comment = lines[at].partition("#")
         fields = body.split(",")

@@ -21,7 +21,7 @@ from protoadapt.adaptation import AdaptConfig
 from protoadapt.cli import main
 from protoadapt.datasets import (CHUNK_ROWS, Dataset, SyntheticSpec, read_feature_file,
                                  write_feature_file)
-from protoadapt.errors import ConfigError, EvaluationUnavailableError
+from protoadapt.errors import ConfigError, DataFormatError, EvaluationUnavailableError
 from protoadapt.gradcheck import TOLERANCE
 from protoadapt.harness import (ABLATION_MODES, apply_ablation, derive_seeds, evaluate,
                                 load_config, run_ablation, run_experiment)
@@ -501,7 +501,9 @@ UNSHIFTED = {**TINY_SYNTHETIC, "rotation_angle": 0.0, "translation": []}
 # may return environment variables to set, or text the error must contain)
 BAD_INPUTS = [
     ("truncated checkpoint", EVAL, 4, lambda t: rewrite(
-        t / "model.ckpt", lambda s: "\n".join(s.splitlines()[:6]) + "\n")),
+        t / "model.ckpt", lambda s: "\n".join(s.splitlines()[:6]) + "\n")
+     or f"{t / 'model.ckpt'}: line 6: checkpoint ends 2 line(s) short of the 5 x 8 matrix "
+        "from line 4"),
     # the tiny model's checkpoint cut after its header, after layer 0's
     # bias (line 9) and after layer 1's bias (line 19)
     *[(f"checkpoint cut to {n} line(s)", EVAL, 4, lambda t, n=n, h=head: rewrite(
@@ -533,9 +535,10 @@ BAD_INPUTS = [
     # layer 0's rows, lines 4-8, hold 8 values as 88 base64 characters
     *[(f"checkpoint weight {value}", EVAL, 4, lambda t, v=value: rewrite(
         t / "model.ckpt", lambda s: first_weight(s, float(v)))
-       or f"checkpoint line 4: non-finite value {v}") for value in ("nan", "inf", "-inf")],
+       or f"{t / 'model.ckpt'}: line 4: non-finite value {v}")
+      for value in ("nan", "inf", "-inf")],
     *[(f"checkpoint weight {case}", EVAL, 4, lambda t, e=edit, m=message: rewrite(
-        t / "model.ckpt", lambda s: edit_line(s, 4, e)) or f"checkpoint line 4: {m}")
+        t / "model.ckpt", lambda s: edit_line(s, 4, e)) or f"{t / 'model.ckpt'}: line 4: {m}")
       for case, edit, message in [
           ("x", lambda row: "x", "expected 88 base64 characters for 8 values, got 1"),
           ("1_0", lambda row: "1_0" + row[3:], "not the canonical base64 of 8 values"),
@@ -610,12 +613,11 @@ BAD_INPUTS = [
     ("hidden-label comment on a source row", TRAIN, 4, lambda t: rewrite(
         t / "s.features", lambda s: edit_line(s, 4, lambda row: row + "#0"))
      or "line 4: hidden-label comment on a source row"),
-    ("checkpoint rows of cols+1 and cols-1 values", EVAL, 4, lambda t: rewrite(
-        t / "model.ckpt", lambda s: reshape_layer0(s, long_rows=False))
-     or "checkpoint line 4: expected 88 base64 characters for 8 values, got 96"),
-    ("checkpoint matrix rows one value too long", EVAL, 4, lambda t: rewrite(
-        t / "model.ckpt", lambda s: reshape_layer0(s, long_rows=True))
-     or "checkpoint line 4: expected 88 base64 characters for 8 values, got 96"),
+    *[(case, EVAL, 4, lambda t, long=long: rewrite(
+        t / "model.ckpt", lambda s: reshape_layer0(s, long_rows=long))
+       or f"{t / 'model.ckpt'}: line 4: expected 88 base64 characters for 8 values, got 96")
+      for case, long in [("checkpoint rows of cols+1 and cols-1 values", False),
+                         ("checkpoint matrix rows one value too long", True)]],
     ("feature '1_0'", EVAL, 4, lambda t: rewrite(
         t / "t.features", lambda s: re.sub(r"\n\?,[^,]*,", "\n?,1_0,", s, count=1))),
     *[(f"{case} past the first chunk", EVAL, 4,
@@ -678,6 +680,34 @@ BAD_INPUTS = [
           ("target hidden", EVAL, "t.features", r"#\d+\n", f"#{10**19}\n")]],
     *[(f"gradcheck seed {value!r}", ["gradcheck", "--seed", value], 2, lambda t: None)
       for value in ("-1", "+1", "1_0")],
+    *[(f"config {section}.{key} {value}", TRAIN, 2, lambda t, s=section, k=key, v=value, m=message:
+       edit_config(t, lambda c: c[s].update({k: v})) or m)
+      for section, key, value, message in [
+          ("adapt", "n_e", 0, "n_a, n_e, n_cl must be >= 1"),
+          ("adapt", "alpha", -1, "alpha and beta must be >= 0"),
+          ("adapt", "warmup_epochs", 2, "need 0 <= warmup_epochs < switch_epoch"),  # = switch
+          ("adapt", "batch_size", 0, "batch_size must be >= 1 and lr0 > 0"),
+          ("adapt", "lr0", 0, "batch_size must be >= 1 and lr0 > 0"),
+          ("source", "eta", -1, "eta must be >= 0"),
+          ("source", "batch_size", 0, "batch_size must be >= 1 and lr0 > 0")]],
+    *[(f"config spec {case}", TRAIN, 2, lambda t, e=edit, m=message: edit_config(
+        t, lambda c: c.update(data={"synthetic": {**TINY_SYNTHETIC, **e}})) or m)
+      for case, edit, message in [
+          ("cluster_std 0", {"cluster_std": 0}, "cluster_std must be positive"),
+          ("rotation_angle 7", {"rotation_angle": 7}, "rotation_angle must lie in [0, 2*pi)"),
+          ("rotation with d_x 1", {"d_x": 1, "translation": []}, "rotation requires d_x >= 2"),
+          ("translation of length 2", {"translation": [1, 0]},
+           "translation length must equal d_x")]],
+    ("config a JSON list", TRAIN, 2, lambda t: rewrite(t / "config.json", lambda s: "[]")
+     or f"{t / 'config.json'} must be a JSON object"),
+    ("target row with a visible label", EVAL, 4, lambda t: rewrite(
+        t / "t.features", lambda s: edit_line(s, 3, lambda row: "0" + row[1:]))
+     or f"{t / 't.features'}: line 3: target sample with visible label"),
+    *[(f"header d=0 via {name}", command, 4, lambda t, f=file: rewrite(
+        t / f, lambda s: s.replace(" d=5 ", " d=0 ", 1))
+       or f"{t / f}: line 1: d=0 must be ASCII digits >= 1")
+      for name, command, file in [("train-source", TRAIN, "s.features"),
+                                  ("eval", EVAL, "t.features")]],
 ]
 
 
@@ -732,6 +762,29 @@ class TestCli:
         assert main(["ablate", "--config", str(cfg)]) == 2
         assert "K_s-1=7" in capsys.readouterr().err
         assert not list(tmp_path.rglob("source_metrics.csv"))
+
+    @pytest.mark.parametrize("target", ["missing", "d_x differs", "k differs"])
+    def test_bad_target_stops_ablate_and_run_before_training(self, tmp_path, capsys, target):
+        # both datasets are read, and the target checked against the source,
+        # before the source phase trains anything
+        cfg = write_config(tmp_path, file_config(tmp_path, tmp_path / "out"))
+        path = tmp_path / "t.features"
+        if target == "missing":
+            path.unlink()
+            error, message = OSError, f"[Errno 2] No such file or directory: '{path}'"
+        elif target == "d_x differs":
+            harness.write_synthetic(harness.parse_synthetic_spec(
+                {**TINY_SYNTHETIC, "d_x": 4, "translation": [1, 0, 0, 0]}), target=path)
+            error, message = DataFormatError, f"{path}: d=4 k=6, but the source has d=5 k=6"
+        else:
+            rewrite(path, lambda s: s.replace(" k=6 ", " k=7 ", 1))
+            error, message = DataFormatError, f"{path}: d=5 k=7, but the source has d=5 k=6"
+        assert main(["ablate", "--config", str(cfg)]) == 4
+        assert f"[data] {message}" in capsys.readouterr().err
+        with pytest.raises(error, match=re.escape(message)):
+            run_experiment(load_config(cfg))
+        assert not list(tmp_path.rglob("source.ckpt"))
+        assert not list(tmp_path.rglob("*_metrics.csv"))
 
     @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 745. GiB"),
                                        ArrayMemoryError((10**11, 10), "float64")],

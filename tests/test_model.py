@@ -1,6 +1,7 @@
 """Tests for the encoder, classifiers, optimizer, and checkpoints."""
 
 import base64
+import re
 import string
 
 import numpy as np
@@ -301,7 +302,8 @@ class TestCheckpoints:
         else:
             lines[4] = "" if later_fault == "short line" else "_" + lines[4][1:]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="^checkpoint line 4: non-finite value nan$"):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: line 4: "
+                                                  "non-finite value nan$"):
             load_checkpoint(path)
 
     # A 4 -> 3 encoder: layer 0's weight rows are lines 4-7 and its bias
@@ -330,7 +332,8 @@ class TestCheckpoints:
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[line - 1] = edit(lines[line - 1])
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match=f"^checkpoint line {line}: {message}$"):
+        with pytest.raises(DataFormatError,
+                           match=f"^{re.escape(str(path))}: line {line}: {message}$"):
             load_checkpoint(path)
 
 
