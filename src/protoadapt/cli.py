@@ -43,6 +43,7 @@ def _cmd_adapt(args) -> int:
     cfg = load_config(args.config)
     encoder, prototypes, _ = load_checkpoint(args.source_ckpt)
     [target] = load_experiment_data(cfg, "target")  # the source data is never opened
+    check_fits(encoder, prototypes, target)
     result = run_adapt_phase(cfg, encoder, prototypes, target, args.out)
     print(f"adaptation done: {len(result.history)} epochs")
     if result.history and result.history[-1].target_acc is not None:

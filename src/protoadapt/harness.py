@@ -290,15 +290,12 @@ def check_fits(encoder: Encoder, prototypes: PrototypeMatrix, dataset: Dataset) 
 def run_adapt_phase(cfg: ExperimentConfig, encoder: Encoder, prototypes: PrototypeMatrix,
                     target: Dataset, ckpt_path) -> AdaptResult:
     """Phase 2: adapt a source model to the target data, in place, and
-    save the adapted checkpoint.
+    save the adapted checkpoint. The target must pass ``check_fits``.
 
     When the target carries evaluation labels, each epoch's accuracy, by
     ``predict`` as in ``evaluate``, is logged through the epoch hook, the one
     channel they reach training by.
     """
-    with _phase("data"):
-        check_fits(encoder, prototypes, target)
-
     hook = None
     if target.hidden_labels is not None:
         def hook(epoch, z_l2, ensemble):

@@ -350,6 +350,10 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             Dataset(np.array([[np.nan]]), np.array([0]), 2, "source")
 
+    def test_zero_width_rejected(self):
+        with pytest.raises(ValueError, match="with d_x >= 1"):
+            Dataset(np.empty((3, 0)), np.array([0, 1, 0]), 2, "source")
+
 
 class TestEpochBatches:
     def _dataset(self, n):

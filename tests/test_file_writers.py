@@ -66,13 +66,14 @@ KINDS = ["source", "target", "target with hidden labels"]
 @settings(max_examples=10)  # per case; the grid above fixes the shapes
 @given(data=st.data())
 def test_feature_writer_matches_reference(path, kind, n, d_x, data):
+    if not d_x:  # no zero-width dataset to write; checked before any draw, so run once
+        with pytest.raises(ValueError, match="with d_x >= 1"):
+            Dataset(np.empty((n, 0)), np.zeros(n, int) if kind == "source" else None, 3,
+                    kind.split()[0])
+        return
     features = data.draw(arrays(np.float64, (n, d_x), elements=FINITE))
     k_s = data.draw(st.sampled_from([1, 3, 10**6, 2**60]))
     labels = data.draw(arrays(np.int64, n, elements=st.integers(0, k_s - 1)))
-    if not d_x:  # a dataset holds at least one feature, so no zero-width file is written
-        with pytest.raises(ValueError, match="with d_x >= 1"):
-            Dataset(features, labels if kind == "source" else None, k_s, kind.split()[0])
-        return
     if kind == "source":
         ds = Dataset(features, labels, k_s, "source")
     else:
@@ -116,6 +117,27 @@ def test_format_kernel_is_exact():
     in_range = normals[(np.abs(normals) >= 1e-4) & (np.abs(normals) < 1e9)]
     assert datasets._prove(in_range)[2].mean() > 0.99
     assert datasets._prove(np.array([0.0, -0.0]))[2].all()
+
+
+def test_format_chunk_lays_out_what_prove_proves(monkeypatch):
+    # with each proven significand off by one, the text differs from %.9g
+    # at every proven value and equals it at every unproven one: the layout,
+    # not `%`, writes the values _prove proves
+    rng = np.random.default_rng(32)
+    values = rng.standard_normal((500, 8)) * 10.0 ** rng.integers(-7, 11, (500, 8))
+    values[:KERNEL_EDGES.size, 0] = KERNEL_EDGES  # ties and decade roundings among them
+    prove = datasets._prove
+    proven = prove(values.ravel())[2].reshape(values.shape)
+    assert 0 < proven.mean() < 1
+
+    def off_by_one(x):
+        bracket, sig, proof = prove(x)
+        return bracket, sig + proof, proof
+
+    monkeypatch.setattr(datasets, "_prove", off_by_one)
+    for row, body, mask in zip(values.tolist(), datasets._format_chunk(values), proven):
+        differs = [got != format(v, ".9g") for got, v in zip(body.split(",")[1:], row)]
+        assert differs == mask.tolist(), (row, body)
 
 
 def io_eval_target():
@@ -216,19 +238,26 @@ def valid_feature_lines(data, kind, n, d_x, spellings=SPELLINGS):
     return lines
 
 
+def assert_zero_width_refused(path, kind):
+    """A d=0 header is refused at line 1, as k=0 is."""
+    path.write_text(f"{FEATURE_HEADER_PREFIX} d=0 k=3 role={kind.split()[0]}\n",
+                    encoding="utf-8")
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: line 1: "
+                                              "d=0 must be ASCII digits >= 1$"):
+        read_feature_file(path)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [0, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1])
 @pytest.mark.parametrize("d_x", [0, 1, 5])
 @settings(max_examples=10)  # per case; the grid above fixes the shapes
 @given(data=st.data())
 def test_feature_reader_matches_reference(path, kind, n, d_x, data):
+    if not d_x:  # checked before any draw, so Hypothesis runs it once
+        assert_zero_width_refused(path, kind)
+        return
     text = "\n".join(valid_feature_lines(data, kind, n, d_x)) + "\n"
     path.write_text(text, encoding="utf-8")
-    if not d_x:  # refused at the header, as k=0 is
-        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: line 1: "
-                                                  "d=0 must be ASCII digits >= 1$"):
-            read_feature_file(path)
-        return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(datasets, "CHUNK_ROWS", CHUNK)
         ds = read_feature_file(path)
@@ -286,6 +315,9 @@ def test_bulk_check_matches_the_walk(path, kind, d_x, data):
     # the same bits, labels and hidden labels, or the same error text. The
     # rows are mostly ASCII, which the bulk check can take, mostly carry one
     # fault, and often have values made of FLOAT_PIECES.
+    if not d_x:  # checked before any draw, so Hypothesis runs it once
+        assert_zero_width_refused(path, kind)
+        return
     plain = data.draw(st.sampled_from([True, True, True, False]))
     lines = valid_feature_lines(data, kind, data.draw(st.integers(0, 3 * CHUNK + 1)), d_x,
                                 SPELLINGS[:4] if plain else SPELLINGS)

@@ -631,7 +631,8 @@ BAD_INPUTS = [
      lambda t: unlabel_after_blank_lines(t / "s.features")),
     ("checkpoint K_s differs", EVAL, 4, lambda t: save_model(t / "model.ckpt", 5, 7)),
     ("checkpoint K_s differs in adapt", ADAPT, 4,
-     lambda t: save_model(t / "model.ckpt", 5, 7)),
+     lambda t: save_model(t / "model.ckpt", 5, 7)
+     or "model expects d_x=5, K_s=7; data has d_x=5, K_s=6"),
     *[(f"synthetic spec plus a {role} file", TRAIN, 2, lambda t, r=role: edit_config(
         t, lambda c: c.update(data={"synthetic": TINY_SYNTHETIC,
                                     f"{r}_file": c["data"][f"{r}_file"]})))
