@@ -22,6 +22,8 @@ ROW_DTYPE = np.dtype("<f8")  # the bytes a checkpoint row encodes
 LR_GAMMA = 0.0002
 LR_ALPHA = 0.75
 MOMENTUM = 0.9
+# the most rows one block of a whole-set pass (Encoder.encode) holds
+ENCODE_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -83,22 +85,37 @@ class Encoder:
         """Encode a batch; the returned context suffices to backpropagate
         any gradient of the unit codes through the normalization and the MLP."""
         inputs = []
-        z_l2, norms, raw = l2_normalize_rows(self._layers(x, inputs))
+        z_l2, norms, raw = l2_normalize_rows(self._layers(self._input(x), inputs))
         return EncodeResult(z_l2, (inputs, z_l2, norms, raw))
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        """The unit codes of ``forward``, bit for bit, keeping no layer
-        input: the pass for whole datasets, which never backpropagate."""
-        return l2_normalize_rows(self._layers(x, None))[0]
+        """The unit codes of ``x``, keeping no layer input: the pass for whole
+        datasets, which never backpropagate. The rows run in as few blocks
+        of at most ``ENCODE_BLOCK_ROWS`` as they fit, so the temporaries are
+        one block's whatever the number of rows; each block's codes are
+        ``forward``'s of that block, bit for bit. The blocks are near-equal
+        because the BLAS may give a row other bits in a block of one row."""
+        x = self._input(x)
+        n = len(x)
+        n_blocks = -(-n // ENCODE_BLOCK_ROWS)
+        codes = np.empty((n, self.d_z))
+        for i in range(n_blocks):
+            block = slice(i * n // n_blocks, (i + 1) * n // n_blocks)
+            codes[block] = l2_normalize_rows(self._layers(x[block], None))[0]
+        return codes
 
-    def _layers(self, x: np.ndarray, inputs: list | None) -> np.ndarray:
-        """The raw codes of ``x``, appending each layer's input to ``inputs``
-        unless it is None. Each layer adds its bias and applies tanh in
-        place in its matmul's fresh output, so ``x`` and the kept inputs
-        are never written."""
+    def _input(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as float rows of the encoder's input width."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.d_x:
             raise ValueError(f"expected input dimension {self.d_x}, got {x.shape[1]}")
+        return x
+
+    def _layers(self, x: np.ndarray, inputs: list | None) -> np.ndarray:
+        """The raw codes of the float rows ``x``, appending each layer's input
+        to ``inputs`` unless it is None. Each layer adds its bias and applies
+        tanh in place in its matmul's fresh output, so ``x`` and the kept
+        inputs are never written."""
         h = x
         for i in range(self.n_layers):
             if inputs is not None:
@@ -308,8 +325,7 @@ def _head(path, lines: list[str], pos: int, expected: str) -> list[str]:
     """The tokens of the section head at index ``pos``; a file that ends
     before it is named by its last line and the ``expected`` head."""
     if pos >= len(lines):
-        raise DataFormatError(f"{path}: checkpoint ends at line {len(lines)}, "
-                              f"expected {expected!r}")
+        raise DataFormatError(f"{path}: line {len(lines)}: checkpoint ends before {expected!r}")
     return lines[pos].split()
 
 
@@ -337,7 +353,7 @@ def _parse_checkpoint(path, lines: list[str]):
     for i, (rows, cols) in enumerate(zip(sizes, sizes[1:])):
         expected = f"layer {i} {rows} {cols}"
         if _head(path, lines, pos, expected) != expected.split():
-            raise DataFormatError(f"{path}: expected {expected} at line {pos + 1}")
+            raise DataFormatError(f"{path}: line {pos + 1}: expected {expected!r}")
         weights, pos = _read_matrix(path, lines, pos + 1, rows, cols)
         bias, pos = _read_matrix(path, lines, pos, 1, cols)
         theta += [weights.ravel(), bias.ravel()]

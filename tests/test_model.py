@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from protoadapt.errors import DataFormatError, NumericError
-from protoadapt.model import (Encoder, PrototypeMatrix, apply_sgd_momentum,
-                              classify, classify_backward, load_checkpoint,
-                              lr_schedule, predict, save_checkpoint)
+from protoadapt.model import (ENCODE_BLOCK_ROWS, Encoder, PrototypeMatrix,
+                              apply_sgd_momentum, classify, classify_backward,
+                              load_checkpoint, lr_schedule, predict, save_checkpoint)
 from protoadapt.numerics import finite_diff_grad
 
 
@@ -111,6 +111,19 @@ class TestEncoderForward:
             for run in (enc.forward, enc.encode):
                 with pytest.raises(NumericError, match=f"encoder layer {layer}$"):
                     run(np.ones((1, 2)))
+            # one row that overflows the layer, the last of a three-block pass:
+            # rows (0.1, 0) stay finite, the last row, (10, 10), does not
+            enc = Encoder(2, [3], 2, seed=0)
+            enc.weights[0][...] = [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
+            enc.weights[layer][1:, 0] = 1e308
+            x = np.zeros((2 * ENCODE_BLOCK_ROWS + 1, 2))
+            x[:, 0] = 0.1
+            x[-1] = 10.0
+            enc.encode(x[:-1])
+            for run in (enc.forward, enc.encode):
+                with np.errstate(over="ignore"), pytest.raises(
+                        NumericError, match=f"encoder layer {layer}$"):
+                    run(x)
 
     def test_gradient_of_sum_of_unit_codes(self):
         # encoder-parameter gradient of sum(z_l2) against central differences
@@ -130,17 +143,52 @@ class TestEncoderForward:
 
     def test_wrong_input_dimension(self):
         enc = Encoder(3, [], 2, seed=0)
-        for run in (enc.forward, enc.encode):
-            with pytest.raises(ValueError, match="^expected input dimension 3, got 4$"):
-                run(np.ones((1, 4)))
+        for rows in (1, 0):
+            for run in (enc.forward, enc.encode):
+                with pytest.raises(ValueError, match="^expected input dimension 3, got 4$"):
+                    run(np.ones((rows, 4)))
 
-    def test_encode_codes_bit_equal_to_forward(self):
-        # encode is forward's layer loop keeping no layer input
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((40, 10))
-        x[7] = 0.0
-        enc = Encoder(10, [64, 64], 32, seed=1)  # the acceptance study's encoder
-        assert enc.encode(x).tobytes() == enc.forward(x).z_l2.tobytes()
+    @staticmethod
+    def _encode_blocks(monkeypatch, enc, x):
+        """The codes of ``enc.encode(x)`` and the row count of each block."""
+        rows, layers = [], Encoder._layers
+
+        def spy(self, block, inputs):
+            rows.append(len(block))
+            return layers(self, block, inputs)
+
+        with monkeypatch.context() as m:
+            m.setattr(Encoder, "_layers", spy)
+            codes = enc.encode(x)
+        return codes, rows
+
+    def test_encode_codes_bit_equal_to_forward(self, monkeypatch):
+        # encode is forward's layer loop on each block, keeping no layer input;
+        # the encoders are the acceptance study's, the benchmark's io_eval one
+        # and one whose rows' bits depend on the row count of their block
+        for d_x, hidden, d_z in [(10, [64, 64], 32), (64, [64, 64], 32), (1000, [300], 50)]:
+            x = np.random.default_rng(3).standard_normal((5000, d_x))
+            x[7] = 0.0
+            enc = Encoder(d_x, hidden, d_z, seed=1)
+            for n in (1, 40, 511, 512, 513, 1025, 1600, 5000):
+                codes, rows = self._encode_blocks(monkeypatch, enc, x[:n])
+                assert codes.shape == (n, d_z) and sum(rows) == n
+                for start, stop in zip(np.cumsum([0, *rows]), np.cumsum(rows)):
+                    assert (codes[start:stop].tobytes()
+                            == enc.forward(x[start:stop]).z_l2.tobytes())
+
+    def test_encode_blocks_are_near_equal(self, monkeypatch):
+        # as few blocks as the cap allows, their row counts a unit apart at
+        # most, so past the cap no block is under half of it
+        enc = Encoder(2, [3], 2, seed=0)
+        x = np.random.default_rng(4).standard_normal((20 * ENCODE_BLOCK_ROWS + 7, 2))
+        for n in (0, 1, 511, 512, 513, 1024, 1025, 1600, 2817, 5000, len(x)):
+            _, rows = self._encode_blocks(monkeypatch, enc, x[:n])
+            assert len(rows) == -(-n // ENCODE_BLOCK_ROWS) and sum(rows) == n
+            if rows:
+                assert max(rows) <= ENCODE_BLOCK_ROWS and max(rows) - min(rows) <= 1
+            if n > ENCODE_BLOCK_ROWS:
+                assert min(rows) >= ENCODE_BLOCK_ROWS / 2
 
     def test_in_place_layers_leave_inputs_unwritten(self):
         enc = Encoder(5, [7, 6], 4, seed=4)

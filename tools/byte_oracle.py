@@ -17,8 +17,10 @@ prints the hashes of the artifacts of each of the five ablation modes, in
 ``protoadapt gen`` on ``GEN_SPEC``, a spec the study config does not
 exercise (``k_t`` equal to ``k_s``, ``d_x`` = 1, no rotation, no
 translation), and prints the hashes and value lines of both feature files:
-4 lines. Last it prints the output of ``protoadapt gradcheck --seed 0``:
-123 lines in all.
+4 lines. Then it prints one value line for each of ``ENCODE_SHAPES``, whole-set
+passes the study does not run: the sha256 of the ``Encoder.encode`` codes of
+a seeded encoder on seeded rows: 3 lines. Last it prints the output of
+``protoadapt gradcheck --seed 0``: 126 lines in all.
 
     python3 tools/byte_oracle.py [CHECKOUT] > oracle.txt
 
@@ -41,6 +43,9 @@ from pathlib import Path
 SEEDS = (0, 1, 2, 3, 4)
 GEN_SPEC = {"k_s": 5, "k_t": 5, "d_x": 1, "source_per_class": 7, "target_per_class": 9,
             "cluster_std": 0.5, "seed": 11}
+# (d_x, hidden, d_z, rows): the benchmark's io_eval encoder on its 5000-row
+# target and on one row past a block, and PADA's 2048-wide features
+ENCODE_SHAPES = ((64, [64, 64], 32, 5000), (64, [64, 64], 32, 513), (2048, [256], 64, 2817))
 
 
 def main(argv: list[str]) -> int:
@@ -49,10 +54,11 @@ def main(argv: list[str]) -> int:
         os.environ[var] = "1"
     os.environ.pop("PDA_SEED", None)
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
+    import numpy as np
     from protoadapt.cli import main as cli_main
     from protoadapt.datasets import read_feature_file
     from protoadapt.harness import ABLATION_MODES, load_config, run_experiment
-    from protoadapt.model import load_checkpoint
+    from protoadapt.model import Encoder, load_checkpoint
     from test_acceptance import study_config_dict
 
     def print_hashes(out: Path, run_dir: Path) -> None:
@@ -103,6 +109,12 @@ def main(argv: list[str]) -> int:
             print(f"gen exited {code}")
             return code
         print_hashes(gen, run_dir)
+    for d_x, hidden, d_z, rows in ENCODE_SHAPES:
+        x = np.random.default_rng(rows).standard_normal((rows, d_x))
+        codes = Encoder(d_x, hidden, d_z, seed=0).encode(x)
+        digest = hashlib.sha256(codes.astype("<f8").tobytes()).hexdigest()
+        widths = "-".join(str(w) for w in (d_x, *hidden, d_z))
+        print(f"{digest}  encode {widths} on {rows} rows values")
     text = io.StringIO()
     with contextlib.redirect_stdout(text):
         code = cli_main(["gradcheck", "--seed", "0"])
